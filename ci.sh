@@ -8,6 +8,26 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+# Layering: the memory-model checker is a leaf. It may link only the
+# std-only pool and trace crates plus the fence rules it checks (and
+# their IR), so the pipeline can call it without a dependency cycle. A
+# translator crate in its tree fails by name.
+MEMMODEL_DEPS=$(cargo tree --offline -p lasagne-memmodel -e normal \
+    --prefix none | sed 's/ .*//' | sort -u)
+for crate in lasagne lasagne-lifter lasagne-opt lasagne-armgen lasagne-cache \
+    lasagne-phoenix lasagne-qc lasagne-refine lasagne-x86; do
+    if echo "$MEMMODEL_DEPS" | grep -qx "$crate"; then
+        echo "layering gate: lasagne-memmodel depends on $crate" >&2
+        exit 1
+    fi
+done
+STRAY=$(echo "$MEMMODEL_DEPS" | grep -vx -e lasagne-memmodel -e lasagne-pool \
+    -e lasagne-trace -e lasagne-fences -e lasagne-lir || true)
+if [ -n "$STRAY" ]; then
+    echo "layering gate: lasagne-memmodel depends on $STRAY" >&2
+    exit 1
+fi
+
 # Warm-cache equivalence, end to end through the CLI: translating the
 # whole demo suite twice against one cache directory must hit 100% the
 # second time and produce byte-identical assembly.
@@ -197,13 +217,13 @@ fi
 wait "$SERVE_PID"
 test ! -e "$SOCK"
 
-# Neither the trace collector, the pipeline, the serve daemon, nor the
-# bench harness may unwrap a possibly-poisoned lock (a panicking worker
-# would then take the whole trace — or the shared work-stealing pool, or
-# the hot tier — down with it); all acquisitions go through the trace
-# crate's poison-recovering helper.
-if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/lasagne/src/ \
-    crates/bench/src/ src/ | grep -v '//'; then
-    echo 'trace, lasagne, bench, and the CLI must use lock_clean(), not lock().unwrap()' >&2
+# Neither the trace collector, the work-stealing pool, the pipeline, the
+# serve daemon, nor the bench harness may unwrap a possibly-poisoned lock
+# (a panicking worker would then take the whole trace — or the shared
+# pool, or the hot tier — down with it); all acquisitions go through the
+# trace crate's poison-recovering helper.
+if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/pool/src/ \
+    crates/lasagne/src/ crates/bench/src/ src/ | grep -v '//'; then
+    echo 'trace, pool, lasagne, bench, and the CLI must use lock_clean(), not lock().unwrap()' >&2
     exit 1
 fi

@@ -44,4 +44,4 @@ pub mod print;
 pub use inst::{AFunc, AInst, AModule};
 pub use lower::{assemble_module, lower_function, lower_module, lower_module_raw};
 pub use machine::{ArmMachine, ArmRunResult, ArmStats};
-pub use peephole::{peephole_function, peephole_function_traced, peephole_module, PeepholeStats};
+pub use peephole::{peephole_function, peephole_module, PeepholeStats};

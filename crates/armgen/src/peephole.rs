@@ -27,6 +27,7 @@
 //! registers across fences.
 
 use crate::inst::{ACallee, AFunc, AInst, AModule, Sz, X};
+use lasagne_trace::{ArgVal, TraceCtx};
 use std::collections::BTreeMap;
 
 /// Frame base register (`x29`).
@@ -64,30 +65,24 @@ impl PeepholeStats {
 pub fn peephole_module(m: &mut AModule) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
     for f in &mut m.funcs {
-        stats.add(peephole_function(f));
+        stats.add(peephole_function(f, &TraceCtx::disabled()));
     }
     stats
 }
 
-/// Runs the peephole over one function.
+/// Runs the peephole over one function, recording its hits into `ctx`:
+/// one `armgen.peephole.*` counter per rewrite category and (when tracing
+/// is enabled) a `peephole-hits` instant event when anything fired.
+/// Tracing never changes the function or the stats.
 ///
 /// Frame slots are private to the function, so the peephole never looks
 /// outside `f` — distinct functions may be cleaned concurrently, and
 /// [`peephole_module`] equals running this on every function in any order.
-pub fn peephole_function(f: &mut AFunc) -> PeepholeStats {
+pub fn peephole_function(f: &mut AFunc, ctx: &TraceCtx) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
     for b in &mut f.blocks {
         stats.add(clean_block(&mut b.insts));
     }
-    stats
-}
-
-/// [`peephole_function`] recording its hits into `ctx`: one
-/// `armgen.peephole.*` counter per rewrite category and (when tracing is
-/// enabled) a `peephole-hits` instant event when anything fired. Produces
-/// the exact same function and stats as [`peephole_function`].
-pub fn peephole_function_traced(f: &mut AFunc, ctx: &lasagne_trace::TraceCtx) -> PeepholeStats {
-    let stats = peephole_function(f);
     ctx.add(
         "armgen.peephole.loads_forwarded",
         stats.loads_forwarded as u64,
@@ -103,12 +98,9 @@ pub fn peephole_function_traced(f: &mut AFunc, ctx: &lasagne_trace::TraceCtx) ->
             "armgen",
             "peephole-hits",
             vec![
-                ("func", lasagne_trace::ArgVal::from(f.name.as_str())),
-                (
-                    "forwarded",
-                    lasagne_trace::ArgVal::from(stats.loads_forwarded),
-                ),
-                ("removed", lasagne_trace::ArgVal::from(stats.removed())),
+                ("func", ArgVal::from(f.name.as_str())),
+                ("forwarded", ArgVal::from(stats.loads_forwarded)),
+                ("removed", ArgVal::from(stats.removed())),
             ],
         );
     }
@@ -371,7 +363,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.loads_deleted, 1);
         assert_eq!(s.loads_forwarded, 1);
         assert_eq!(
@@ -405,7 +397,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.loads_forwarded + s.loads_deleted, 0, "{s:?}");
         assert_eq!(f.blocks[0].insts.len(), 3);
     }
@@ -424,7 +416,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s, PeepholeStats::default());
     }
 
@@ -445,7 +437,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.loads_deleted + s.loads_forwarded, 0);
     }
 
@@ -463,7 +455,7 @@ mod tests {
                 mem: slot(16),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.dead_stores, 1);
         assert_eq!(
             f.blocks[0].insts,
@@ -480,7 +472,7 @@ mod tests {
             rt: X(9),
             mem: slot(16),
         }]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.dead_stores, 0);
         assert_eq!(f.blocks[0].insts.len(), 1);
     }
@@ -504,7 +496,7 @@ mod tests {
                 mem: slot(16),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.dead_stores, 0);
         assert_eq!(s.loads_forwarded, 1);
     }
@@ -530,7 +522,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.redundant_stores, 1);
         assert_eq!(f.blocks[0].insts.len(), 2);
     }
@@ -554,7 +546,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.loads_deleted, 1, "{s:?}");
         assert_eq!(f.blocks[0].insts.len(), 2);
     }
@@ -576,7 +568,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f);
+        let s = peephole_function(&mut f, &TraceCtx::disabled());
         assert_eq!(s.loads_deleted, 1);
     }
 }

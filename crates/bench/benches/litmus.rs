@@ -4,6 +4,7 @@
 
 use lasagne_memmodel::mapping::check_chain;
 use lasagne_memmodel::{litmus, outcomes, Model};
+use lasagne_pool::Pool;
 use lasagne_qc::bench::Runner;
 
 fn main() {
@@ -12,7 +13,9 @@ fn main() {
         for model in [Model::X86, Model::Arm, Model::Limm] {
             group.bench(&format!("{model:?}/{name}"), || outcomes(model, &p));
         }
-        group.bench(&format!("chain_check/{name}"), || check_chain(&p).unwrap());
+        group.bench(&format!("chain_check/{name}"), || {
+            check_chain(Pool::shared(), 1, &p).unwrap()
+        });
     }
     group.finish();
 }

@@ -7,8 +7,8 @@
 //! on-disk cache; the aggregate hit/miss counters are emitted under
 //! `"meta"` in the JSON summary either way.
 
-use lasagne::Version;
-use lasagne_bench::{measure_native, measure_version_cached, run_arm};
+use lasagne::{Pipeline, Version};
+use lasagne_bench::{measure_native, measure_version, run_arm};
 use lasagne_phoenix::all_benchmarks;
 use lasagne_qc::bench::Runner;
 
@@ -16,6 +16,10 @@ fn main() {
     let cache_dir = std::env::var_os("LASAGNE_CACHE_DIR")
         .filter(|s| !s.is_empty())
         .map(std::path::PathBuf::from);
+    let pipeline = |v: Version| match &cache_dir {
+        Some(dir) => Pipeline::new(v).with_cache(dir),
+        None => Pipeline::new(v),
+    };
     let benches = all_benchmarks(64);
     let mut group = Runner::new("fig12_runtime");
     let (mut hits, mut misses) = (0u64, 0u64);
@@ -27,7 +31,7 @@ fn main() {
             run_arm(&native_arm, &b.workload)
         });
         for v in Version::ALL {
-            let (t, _, report) = measure_version_cached(b, v, 1, cache_dir.as_deref());
+            let (t, _, report) = measure_version(b, &pipeline(v));
             if let Some(c) = &report.cache {
                 hits += c.hits;
                 misses += c.misses;
@@ -43,7 +47,7 @@ fn main() {
     // Sanity inside the bench binary: native really is fastest in cycles.
     for b in &benches {
         let native = measure_native(b);
-        let (_, lifted, _) = measure_version_cached(b, Version::Lifted, 1, cache_dir.as_deref());
+        let (_, lifted, _) = measure_version(b, &pipeline(Version::Lifted));
         assert!(native.runtime_cycles < lifted.runtime_cycles);
     }
     group.finish();

@@ -24,8 +24,7 @@ use std::rc::Rc;
 
 use lasagne::{Pipeline, PipelineReport, Translation, Version};
 use lasagne_bench::{
-    gmean, measure_fence_only, measure_native, measure_version_cached, measure_version_traced,
-    FenceOnly, RunMetrics,
+    gmean, measure_fence_only, measure_native, measure_version, FenceOnly, RunMetrics,
 };
 use lasagne_phoenix::{all_benchmarks, Benchmark};
 use lasagne_trace::TraceCtx;
@@ -82,8 +81,11 @@ impl Sweep {
         if let Some(m) = &self.memo[bi][vi] {
             return Rc::clone(m);
         }
-        let (t, m, report) =
-            measure_version_cached(&self.benches[bi], v, JOBS, self.cache_dir.as_deref());
+        let mut pipeline = Pipeline::new(v).with_jobs(JOBS);
+        if let Some(dir) = &self.cache_dir {
+            pipeline = pipeline.with_cache(dir);
+        }
+        let (t, m, report) = measure_version(&self.benches[bi], &pipeline);
         let rc = Rc::new(Measured { t, m, report });
         self.memo[bi][vi] = Some(Rc::clone(&rc));
         rc
@@ -431,8 +433,10 @@ fn fences(benches: &[Benchmark]) {
     );
     let mut pcts = Vec::new();
     for b in benches {
-        let (t, _, report) =
-            measure_version_traced(b, Version::PPOpt, JOBS, TraceCtx::collecting());
+        let pipeline = Pipeline::new(Version::PPOpt)
+            .with_jobs(JOBS)
+            .with_trace(TraceCtx::collecting());
+        let (t, _, report) = measure_version(b, &pipeline);
         let m = report.metrics.expect("traced run carries metrics");
         let frm = m.counter("fences.placed.frm");
         let fww = m.counter("fences.placed.fww");
@@ -865,7 +869,7 @@ fn diff() {
 struct ServePhase {
     name: &'static str,
     summary: lasagne_bench::serve_load::ReplaySummary,
-    pool: lasagne::pipeline::pool::PoolStats,
+    pool: lasagne_pool::PoolStats,
     /// In-daemon `serve.latency.*` histogram deltas over the phase
     /// (rung name → interval histogram), read straight off the server's
     /// metrics registry — the other side of the socket from `summary`.
@@ -932,7 +936,7 @@ fn serve_phase(
     handle: &lasagne::serve::ServerHandle,
     opts: &lasagne_bench::serve_load::LoadOpts,
 ) -> ServePhase {
-    use lasagne::pipeline::pool::Pool;
+    use lasagne_pool::Pool;
     let before = Pool::shared().stats();
     let server_before = handle.metrics();
     let summary = lasagne_bench::serve_load::replay(opts);
@@ -1180,7 +1184,7 @@ fn serve() {
 
 fn litmus() {
     println!("== Litmus validation (Figures 1, 2, 9, 10; Theorems 7.3/7.4) ==");
-    for row in lasagne_memmodel::sweep_suite(JOBS) {
+    for row in lasagne_memmodel::sweep_suite(lasagne_pool::Pool::shared(), JOBS) {
         let chain = match &row.chain {
             Ok(()) => "mapping OK",
             Err(_) => "MAPPING BUG",

@@ -6,7 +6,7 @@
 
 pub mod serve_load;
 
-use lasagne::{translate, Pipeline, PipelineReport, Translation, Version};
+use lasagne::{Pipeline, PipelineReport, Translation};
 use lasagne_armgen::machine::ArmMachine;
 use lasagne_armgen::AModule;
 use lasagne_phoenix::{Benchmark, Workload};
@@ -46,60 +46,20 @@ pub fn run_arm(arm: &AModule, w: &Workload) -> RunMetrics {
     }
 }
 
-/// Translates and runs one version, asserting the checksum.
-///
-/// # Panics
-///
-/// Panics on translation failure or checksum mismatch.
-pub fn measure_version(b: &Benchmark, v: Version) -> (Translation, RunMetrics) {
-    let t = translate(&b.binary, v).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    let m = run_arm(&t.arm, &b.workload);
-    assert_eq!(
-        m.checksum,
-        b.workload.expected_ret,
-        "{} under {}",
-        b.name,
-        v.name()
-    );
-    (t, m)
-}
-
-/// Like [`measure_version`], but translates through the instrumented
-/// [`Pipeline`] with `jobs` worker threads and also returns the per-pass
+/// Translates `b` through `pipeline`, runs the result and asserts the
+/// checksum. Returns the translation, the run metrics and the per-pass
 /// timing report. The translation (and therefore the metrics) is
-/// byte-identical to [`measure_version`] for every `jobs` value; only the
-/// wall-clock numbers in the report differ.
+/// byte-identical for every `jobs` value, cache state and trace context
+/// the pipeline carries; only the report's wall-clock numbers, cache
+/// counters and metrics snapshot differ.
 ///
 /// # Panics
 ///
 /// Panics on translation failure or checksum mismatch.
-pub fn measure_version_instrumented(
+pub fn measure_version(
     b: &Benchmark,
-    v: Version,
-    jobs: usize,
+    pipeline: &Pipeline,
 ) -> (Translation, RunMetrics, PipelineReport) {
-    measure_version_cached(b, v, jobs, None)
-}
-
-/// Like [`measure_version_instrumented`], but optionally backed by an
-/// on-disk content-addressed translation cache rooted at `cache_dir`.
-/// A warm run skips every lift/refine/fence/opt pass and replays the
-/// cached LIR straight into code generation; the output is byte-identical
-/// either way (see `PipelineReport::cache` for the hit/miss counters).
-///
-/// # Panics
-///
-/// Panics on translation failure or checksum mismatch.
-pub fn measure_version_cached(
-    b: &Benchmark,
-    v: Version,
-    jobs: usize,
-    cache_dir: Option<&std::path::Path>,
-) -> (Translation, RunMetrics, PipelineReport) {
-    let mut pipeline = Pipeline::new(v).with_jobs(jobs);
-    if let Some(dir) = cache_dir {
-        pipeline = pipeline.with_cache(dir);
-    }
     let (t, report) = pipeline
         .run(&b.binary)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
@@ -109,38 +69,7 @@ pub fn measure_version_cached(
         b.workload.expected_ret,
         "{} under {}",
         b.name,
-        v.name()
-    );
-    (t, m, report)
-}
-
-/// Like [`measure_version_instrumented`], but records spans, events, and
-/// counters into `trace` (see `lasagne_trace`). Uncached by design: the
-/// fence-provenance counters describe placement decisions, which only the
-/// cold path makes from scratch (a warm cache run replays them from
-/// manifest metadata instead). The translation is still byte-identical.
-///
-/// # Panics
-///
-/// Panics on translation failure or checksum mismatch.
-pub fn measure_version_traced(
-    b: &Benchmark,
-    v: Version,
-    jobs: usize,
-    trace: lasagne_trace::TraceCtx,
-) -> (Translation, RunMetrics, PipelineReport) {
-    let (t, report) = Pipeline::new(v)
-        .with_jobs(jobs)
-        .with_trace(trace)
-        .run(&b.binary)
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    let m = run_arm(&t.arm, &b.workload);
-    assert_eq!(
-        m.checksum,
-        b.workload.expected_ret,
-        "{} under {}",
-        b.name,
-        v.name()
+        report.version.name()
     );
     (t, m, report)
 }

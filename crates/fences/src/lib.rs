@@ -16,6 +16,7 @@
 //! use lasagne_lir::func::Function;
 //! use lasagne_lir::inst::{InstKind, Operand, Ordering, Terminator};
 //! use lasagne_lir::types::{Pointee, Ty};
+//! use lasagne_trace::TraceCtx;
 //!
 //! let mut f = Function::new("get", vec![Ty::Ptr(Pointee::I64)], Ty::I64);
 //! let entry = f.entry();
@@ -25,7 +26,7 @@
 //! });
 //! f.set_term(entry, Terminator::Ret { val: Some(Operand::Inst(v)) });
 //!
-//! let stats = place_fences(&mut f, Strategy::StackAware);
+//! let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
 //! assert_eq!(stats.frm, 1, "shared load gets a trailing Frm");
 //! ```
 
@@ -36,7 +37,7 @@ pub mod placement;
 
 pub use legality::{can_reorder, elim_adjacent, elim_fenced, label_of, Elim, Label};
 pub use placement::{
-    count_fences, count_fences_fn, is_stack_address, merge_fences, merge_fences_explain,
-    merge_fences_module, place_fences, place_fences_explain, place_fences_module, FenceDecision,
-    FenceFate, FenceMerge, FenceRule, PlacementStats, Strategy,
+    count_fences, count_fences_fn, is_stack_address, merge_fences, merge_fences_module,
+    place_fences, place_fences_module, FenceDecision, FenceFate, FenceMerge, FenceRule,
+    PlacementStats, Strategy,
 };

@@ -92,7 +92,7 @@ pub enum FenceFate {
     /// The §8 stack-access analysis proved the access private; no fence.
     ElidedStack,
     /// The fence was inserted, then folded into a neighbour by merging
-    /// (assigned by the pipeline after [`merge_fences_explain`]).
+    /// (assigned by the pipeline after [`merge_fences`]).
     Merged,
 }
 
@@ -130,7 +130,7 @@ pub struct FenceDecision {
     pub pos: u32,
 }
 
-/// One merge step performed by [`merge_fences_explain`]: `removed` was
+/// One merge step performed by [`merge_fences`]: `removed` was
 /// folded into `kept`, whose kind became `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FenceMerge {
@@ -163,16 +163,12 @@ pub fn is_stack_address(f: &Function, ptr: &Operand) -> bool {
     false
 }
 
-/// Inserts fences into one function per the Figure 8a mapping.
-pub fn place_fences(f: &mut Function, strategy: Strategy) -> PlacementStats {
-    place_fences_explain(f, strategy, &TraceCtx::disabled(), None)
-}
-
-/// [`place_fences`] with provenance: each fence decision (placed or
-/// elided) is appended to `out` and mirrored into `ctx` as a counter plus,
-/// when tracing is enabled, a `fence-decision` instant event. Produces the
-/// exact same module and stats as [`place_fences`].
-pub fn place_fences_explain(
+/// Inserts fences into one function per the Figure 8a mapping. Each fence
+/// decision (placed or elided) is mirrored into `ctx` as a counter plus,
+/// when tracing is enabled, a `fence-decision` instant event, and is
+/// appended to `out` when a provenance sink is given. Neither changes the
+/// module or the stats.
+pub fn place_fences(
     f: &mut Function,
     strategy: Strategy,
     ctx: &TraceCtx,
@@ -321,23 +317,18 @@ pub fn place_fences_explain(
 pub fn place_fences_module(m: &mut Module, strategy: Strategy) -> PlacementStats {
     let mut total = PlacementStats::default();
     for f in &mut m.funcs {
-        total += place_fences(f, strategy);
+        total += place_fences(f, strategy, &TraceCtx::disabled(), None);
     }
     total
 }
 
 /// Merges fence pairs within basic blocks (§8 step 2): two fences with no
 /// intervening instruction that may access memory merge into one, possibly
-/// strengthened (`Frm·Fww → Fsc`, §7.2). Returns fences removed.
-pub fn merge_fences(f: &mut Function) -> usize {
-    merge_fences_explain(f, &TraceCtx::disabled(), None)
-}
-
-/// [`merge_fences`] with provenance: each merge step is appended to `out`
-/// and mirrored into `ctx` as the `fences.merged` counter plus, when
-/// tracing is enabled, a `fence-merge` instant event. Produces the exact
-/// same module and count as [`merge_fences`].
-pub fn merge_fences_explain(
+/// strengthened (`Frm·Fww → Fsc`, §7.2). Returns fences removed. Each merge
+/// step is mirrored into `ctx` as the `fences.merged` counter plus, when
+/// tracing is enabled, a `fence-merge` instant event, and is appended to
+/// `out` when a provenance sink is given.
+pub fn merge_fences(
     f: &mut Function,
     ctx: &TraceCtx,
     mut out: Option<&mut Vec<FenceMerge>>,
@@ -400,7 +391,10 @@ pub fn merge_fences_explain(
 
 /// Merges fences across a whole module. Returns fences removed.
 pub fn merge_fences_module(m: &mut Module) -> usize {
-    m.funcs.iter_mut().map(merge_fences).sum()
+    m.funcs
+        .iter_mut()
+        .map(|f| merge_fences(f, &TraceCtx::disabled(), None))
+        .sum()
 }
 
 /// Counts fences per kind in one function: `(Frm, Fww, Fsc)`.
@@ -474,7 +468,7 @@ mod tests {
             },
         );
 
-        let stats = place_fences(&mut f, Strategy::Naive);
+        let stats = place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
         assert_eq!(stats.frm, 1);
         assert_eq!(stats.fww, 1);
 
@@ -547,13 +541,13 @@ mod tests {
             },
         );
 
-        let stats = place_fences(&mut f, Strategy::StackAware);
+        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
         assert_eq!(stats.total(), 0);
         assert_eq!(stats.skipped_stack, 2);
 
         // Naive still fences them.
         let mut f2 = f.clone();
-        let naive = place_fences(&mut f2, Strategy::Naive);
+        let naive = place_fences(&mut f2, Strategy::Naive, &TraceCtx::disabled(), None);
         // f already has no fences (the first call inserted none).
         assert_eq!(naive.total(), 2);
     }
@@ -601,7 +595,7 @@ mod tests {
         f.set_term(e, Terminator::Ret { val: None });
 
         assert!(!is_stack_address(&f, &Operand::Inst(p)));
-        let stats = place_fences(&mut f, Strategy::StackAware);
+        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
         assert_eq!(
             stats.fww, 1,
             "unrefined stack access is conservatively fenced"
@@ -635,9 +629,9 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        place_fences(&mut f, Strategy::Naive);
+        place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
         // load, Frm, Fww, store → load, Fsc, store
-        let removed = merge_fences(&mut f);
+        let removed = merge_fences(&mut f, &TraceCtx::disabled(), None);
         assert_eq!(removed, 1);
         let kinds: Vec<_> = f
             .block(e)
@@ -681,7 +675,7 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        assert_eq!(merge_fences(&mut f), 0);
+        assert_eq!(merge_fences(&mut f, &TraceCtx::disabled(), None), 0);
         assert_eq!(f.block(e).insts.len(), 3);
     }
 
@@ -724,7 +718,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        let stats = place_fences(&mut f, Strategy::Naive);
+        let stats = place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
         assert_eq!(stats.total(), 0, "atomic accesses must not be fenced");
     }
 
@@ -758,15 +752,16 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        let stats = place_fences(&mut f, Strategy::StackAware);
+        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
         // Deep chain exceeds the walk bound → conservatively fenced.
         assert_eq!(stats.fww, 1);
     }
 
-    /// The explain variants must be behaviorally identical to the plain
-    /// ones, with a decision per access and counters mirroring the stats.
+    /// A collecting context and a provenance sink must not change the
+    /// module or the stats; they record a decision per access and
+    /// counters mirroring the stats.
     #[test]
-    fn explain_variants_match_plain_and_record_provenance() {
+    fn provenance_sink_leaves_output_unchanged_and_records_decisions() {
         let build = || {
             let mut f = Function::new("f", vec![Ty::Ptr(Pointee::I64)], Ty::I64);
             let e = f.entry();
@@ -807,22 +802,30 @@ mod tests {
         };
 
         let mut plain = build();
-        let plain_stats = place_fences(&mut plain, Strategy::StackAware);
-        let plain_removed = merge_fences(&mut plain);
+        let plain_stats = place_fences(
+            &mut plain,
+            Strategy::StackAware,
+            &TraceCtx::disabled(),
+            None,
+        );
+        let plain_removed = merge_fences(&mut plain, &TraceCtx::disabled(), None);
 
         let mut traced = build();
-        let ctx = lasagne_trace::TraceCtx::collecting();
+        let ctx = TraceCtx::collecting();
         let mut decisions = Vec::new();
         let mut merges = Vec::new();
-        let stats = place_fences_explain(
+        let stats = place_fences(
             &mut traced,
             Strategy::StackAware,
             &ctx,
             Some(&mut decisions),
         );
-        let removed = merge_fences_explain(&mut traced, &ctx, Some(&mut merges));
+        let removed = merge_fences(&mut traced, &ctx, Some(&mut merges));
 
-        assert_eq!(traced, plain, "explain variant must not change the module");
+        assert_eq!(
+            traced, plain,
+            "provenance collection must not change the module"
+        );
         assert_eq!(stats, plain_stats);
         assert_eq!(removed, plain_removed);
 
@@ -886,7 +889,7 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        assert_eq!(merge_fences(&mut f), 2);
+        assert_eq!(merge_fences(&mut f, &TraceCtx::disabled(), None), 2);
         let (_, fww, fsc) = {
             let mut m = Module::new();
             m.add_func(f);

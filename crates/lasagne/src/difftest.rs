@@ -409,27 +409,19 @@ pub fn run_arm(arm: &AModule) -> Result<(u64, Vec<u64>), String> {
 /// versions, cold and warm cache, one and four pipeline worker threads.
 pub const MATRIX_JOBS: [usize; 2] = [1, 4];
 
-/// Checks one binary across the full matrix using [`translate`] (serial,
-/// uncached) — the form the property tests use.
+/// Checks one binary across the full matrix: the x86 interpreter against
+/// the lifted LIR and every translated version. Returns the number of
+/// executions compared.
+///
+/// With `cache = None` each version is translated once with
+/// [`translate`] (serial, uncached) — the form the property tests use.
+/// With a cache directory, each version runs at every [`MATRIX_JOBS`]
+/// value, cold (first encounter of the content hash) and then warm.
 ///
 /// # Errors
 ///
 /// Returns a divergence (or executor fault) description.
-pub fn check_threeway(bin: &Binary, label: &str) -> Result<u64, String> {
-    check_threeway_inner(bin, label, None)
-}
-
-/// Checks one binary across the full matrix with a cache directory, so
-/// each version runs cold (first encounter of the content hash) and warm.
-///
-/// # Errors
-///
-/// Returns a divergence (or executor fault) description.
-pub fn check_threeway_cached(bin: &Binary, label: &str, cache: &Path) -> Result<u64, String> {
-    check_threeway_inner(bin, label, Some(cache))
-}
-
-fn check_threeway_inner(bin: &Binary, label: &str, cache: Option<&Path>) -> Result<u64, String> {
+pub fn check_threeway(bin: &Binary, label: &str, cache: Option<&Path>) -> Result<u64, String> {
     // Leg 1: the original bytes.
     let reference = run_x86(bin)?;
     let mut executions = 1u64;
@@ -753,7 +745,7 @@ pub fn run_difftest(opts: &DiffOptions) -> DiffSummary {
     let straight = collection::vec(any_op(), 1..24);
     let outcome = runner::check(info, &cfg, &straight, |body| {
         let bin = build_binary(&body);
-        match check_threeway_cached(&bin, "qc-straight", &opts.cache_dir) {
+        match check_threeway(&bin, "qc-straight", Some(&opts.cache_dir)) {
             Ok(n) => {
                 execs.set(execs.get() + n);
                 funcs.set(funcs.get() + 1);
@@ -782,7 +774,7 @@ pub fn run_difftest(opts: &DiffOptions) -> DiffSummary {
     let shaped = collection::vec((collection::vec(any_op(), 1..8), any_shape()), 1..5);
     let outcome = runner::check(info_cfg, &cfg, &shaped, |segments| {
         let bin = build_cfg_binary(&segments);
-        match check_threeway_cached(&bin, "qc-cfg", &opts.cache_dir) {
+        match check_threeway(&bin, "qc-cfg", Some(&opts.cache_dir)) {
             Ok(n) => {
                 execs.set(execs.get() + n);
                 funcs.set(funcs.get() + 1);
@@ -885,7 +877,7 @@ mod tests {
             },
         ];
         let bin = build_binary(&body);
-        check_threeway(&bin, "fixed").unwrap();
+        check_threeway(&bin, "fixed", None).unwrap();
     }
 
     /// The historical persisted counterexample, checked against all three
@@ -911,7 +903,7 @@ mod tests {
             },
         ];
         let bin = build_binary(&body);
-        check_threeway(&bin, "persisted regression").unwrap();
+        check_threeway(&bin, "persisted regression", None).unwrap();
     }
 
     /// Phoenix histogram sweeps clean through the whole matrix at a small

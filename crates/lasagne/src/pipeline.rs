@@ -6,7 +6,7 @@
 //! from a handful of interprocedural barrier steps) is a map over
 //! independent per-function work items. The [`PassManager`] exploits that
 //! twice over. First, all fan-outs run on one long-lived work-stealing
-//! [`pool::Pool`] (std-only; shared process-wide by default), so worker
+//! [`Pool`] (std-only; shared process-wide by default), so worker
 //! threads are spawned once and then park between sections instead of
 //! being re-created per stage. Second, the *schedule* is fused: a
 //! function flows lift → refine → fence placement → merge → opt-prefix
@@ -78,8 +78,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod pool;
-
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -94,11 +92,11 @@ use lasagne_lir::inst::{Callee, InstKind, Operand};
 use lasagne_opt::sccp::IpsccpFact;
 use lasagne_opt::sched::{hist_bucket, HIST_BUCKETS};
 use lasagne_opt::{FuncState, PassKind, SchedStats};
+use lasagne_pool::{Pool, PoolStats};
 use lasagne_trace::{lock_clean, TraceCtx};
 use lasagne_x86::binary::Binary;
 
 use crate::{LiftError, Translation, TranslationStats, Version};
-use pool::Pool;
 
 /// Version of the JSON emitted by [`PipelineReport::to_json`] (the
 /// `--timings` report). Bumped whenever a field is added, removed, or
@@ -873,7 +871,7 @@ pub struct PipelineReport {
     /// Work-stealing pool activity attributed to this run — counter
     /// deltas snapshotted around the translation (schema 4's `"pool"`
     /// block). `None` for `jobs = 1` runs, which never touch the pool.
-    pub pool: Option<pool::PoolStats>,
+    pub pool: Option<PoolStats>,
     /// Cache counters; `None` when the run had no cache configured.
     pub cache: Option<CacheReport>,
     /// Merged counters and histograms from the run's [`TraceCtx`];
@@ -943,8 +941,8 @@ impl PipelineReport {
                     s.push(',');
                 }
                 s.push_str(&format!(
-                    "{{\"func\":\"{}\",\"index\":{},\"nanos\":{},\"changes\":{},\"insts\":{}}}",
-                    json_escape(&ft.func),
+                    "{{\"func\":{},\"index\":{},\"nanos\":{},\"changes\":{},\"insts\":{}}}",
+                    lasagne_trace::json::escape(&ft.func),
                     ft.index,
                     ft.nanos,
                     ft.changes,
@@ -1113,62 +1111,6 @@ fn count_casts_fn(f: &Function) -> u64 {
     f.iter_insts()
         .filter(|&(_, id)| f.inst(id).kind.is_int_ptr_cast())
         .count() as u64
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Maps `f` over `items` on up to `jobs` workers of the process-wide
-/// shared work-stealing pool ([`Pool::shared`]), returning results in
-/// input order.
-///
-/// Workers claim indices from an atomic counter; result `i` is written to
-/// slot `i`, so the output vector is independent of scheduling. With
-/// `jobs <= 1` (or one item) this degenerates to a plain serial map —
-/// the serial and parallel paths run the *same* closure on the *same*
-/// items, which is what makes `--jobs N` byte-identical to `--jobs 1`.
-/// Nested calls are fine: a work item that itself calls `par_map` (e.g. a
-/// litmus sweep inside a pipeline stage) submits to the same pool, and
-/// blocked callers execute queued tasks while they wait.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn par_map<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    Pool::shared().par_map(jobs, items, f)
-}
-
-/// [`par_map`] that also measures each runner slot's barrier wait: the
-/// time between a runner finishing its last claimed item and the slowest
-/// runner reaching the section's completion latch. The second vector has
-/// one entry per runner slot and is empty when the map ran serially
-/// (`jobs <= 1` or at most one item) — no barrier, no wait.
-///
-/// This is where `--timings`' `barrier_wait_nanos` counters come from: a
-/// schedule whose work items are badly balanced shows up as a few slots
-/// with large waits, without changing any output byte.
-pub fn par_map_waits<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> (Vec<R>, Vec<u128>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    Pool::shared().par_map_waits(jobs, items, f)
 }
 
 /// Pipeline configuration: a [`Version`], a worker-thread count, and an
@@ -1358,8 +1300,9 @@ impl<'s> PassManager<'s> {
     }
 
     /// Turns on fence-provenance collection: the placement and merge
-    /// stages run their `_explain` variants and the per-function records
-    /// become available through [`PassManager::take_provenance`].
+    /// stages hand a provenance sink to `place_fences` / `merge_fences`,
+    /// and the per-function records become available through
+    /// [`PassManager::take_provenance`].
     pub fn with_explain(mut self) -> PassManager<'s> {
         self.explain = true;
         self
@@ -1393,10 +1336,10 @@ impl<'s> PassManager<'s> {
         r
     }
 
-    /// [`par_map`] with section accounting: each parallel fan-out bumps
-    /// the stage's `parallel_sections` counter and folds its per-slot
-    /// barrier waits into the sink. Serial executions (one job or one
-    /// item) record nothing — a section only counts when a barrier
+    /// [`Pool::par_map_waits`] with section accounting: each parallel
+    /// fan-out bumps the stage's `parallel_sections` counter and folds its
+    /// per-slot barrier waits into the sink. Serial executions (one job or
+    /// one item) record nothing — a section only counts when a barrier
     /// actually formed.
     fn par_section<T, R, F>(&self, stage: Stage, items: Vec<T>, f: F) -> Vec<R>
     where
@@ -1513,8 +1456,7 @@ impl<'s> PassManager<'s> {
                 }
                 ran += 1;
                 let tp = Instant::now();
-                let eff =
-                    lasagne_opt::run_pass_on_function_eff(pass, shell, &mut f, &mut st.analyses);
+                let eff = lasagne_opt::run_pass_on_function(pass, shell, &mut f, &mut st.analyses);
                 st.note_ran(pass, &eff);
                 per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
                 changes += eff.changes as u64;
@@ -1566,7 +1508,7 @@ impl<'s> PassManager<'s> {
     /// including its intra-invocation cascade (see `opt::sccp`).
     ///
     /// Emits the same `opt.ipsccp.*` counters and `lattice-fact` instants
-    /// as `ipsccp_traced`, so traced-run metrics are unchanged, and
+    /// as `sccp::ipsccp`, so traced-run metrics are unchanged, and
     /// records an [`IpsccpRoundTiming`] with the phase breakdown.
     ///
     /// A function that received substitutions was mutated from outside
@@ -1763,7 +1705,7 @@ impl<'s> PassManager<'s> {
         let lifted = self.fused_section(a_stages, (0..plan.num_functions()).collect(), |i, _| {
             let mut sp = self.trace.span("lift", plan.function_name(i));
             let t0 = Instant::now();
-            let body = plan.lift_function_traced(i, &self.trace);
+            let body = plan.lift_function(i, &self.trace);
             if let Ok(b) = &body {
                 sp.arg("insts", b.live_inst_count());
             }
@@ -1786,19 +1728,23 @@ impl<'s> PassManager<'s> {
             let lifted_insts = f.live_inst_count() as u64;
             let casts = count_casts_fn(&f);
             // Figure 14 baseline: fences the unrefined, unmerged lifted
-            // code would receive, measured on a scratch clone. The plain
-            // (untraced) `place_fences` keeps the baseline out of the
-            // provenance counters — those describe the real placement.
+            // code would receive, measured on a scratch clone. A disabled
+            // context keeps the baseline out of the provenance counters —
+            // those describe the real placement.
             let tn = Instant::now();
             let mut scratch = f.clone();
-            let naive =
-                lasagne_fences::place_fences(&mut scratch, Strategy::StackAware).total() as u64;
+            let naive = lasagne_fences::place_fences(
+                &mut scratch,
+                Strategy::StackAware,
+                &TraceCtx::disabled(),
+                None,
+            )
+            .total() as u64;
             let naive_nanos = tn.elapsed().as_nanos();
             let refine = (version == Version::PPOpt).then(|| {
                 let mut sp = self.trace.span("refine", &f.name);
                 let t0 = Instant::now();
-                let c =
-                    lasagne_refine::refine_function_traced(&shell_a, &mut f, &self.trace) as u64;
+                let c = lasagne_refine::refine_function(&shell_a, &mut f, &self.trace) as u64;
                 sp.arg("changes", c);
                 (t0.elapsed().as_nanos(), c, f.live_inst_count() as u64)
             });
@@ -1880,7 +1826,7 @@ impl<'s> PassManager<'s> {
         let mut promoted = 0u64;
         if version == Version::PPOpt {
             promoted = self.module_step(Stage::Refine, "promote-params", || {
-                let p = lasagne_refine::promote_pointer_params_traced(&mut m, &self.trace) as u64;
+                let p = lasagne_refine::promote_pointer_params(&mut m, &self.trace) as u64;
                 (p, p)
             });
         }
@@ -1915,8 +1861,7 @@ impl<'s> PassManager<'s> {
                     drop(sp);
                     let mut sp = self.trace.span("refine", &f.name);
                     let tr = Instant::now();
-                    let c =
-                        lasagne_refine::refine_function_traced(shell, &mut f, &self.trace) as u64;
+                    let c = lasagne_refine::refine_function(shell, &mut f, &self.trace) as u64;
                     sp.arg("changes", c);
                     let refine_nanos = tr.elapsed().as_nanos();
                     (f, swept, sweep_nanos, c, refine_nanos)
@@ -1947,8 +1892,7 @@ impl<'s> PassManager<'s> {
                     .collect();
                 r += 1;
                 promoted = self.module_step(Stage::Refine, "promote-params", || {
-                    let p =
-                        lasagne_refine::promote_pointer_params_traced(&mut m, &self.trace) as u64;
+                    let p = lasagne_refine::promote_pointer_params(&mut m, &self.trace) as u64;
                     (p, p)
                 });
                 let nanos = wall.elapsed().as_nanos();
@@ -2034,7 +1978,7 @@ impl<'s> PassManager<'s> {
             let mut sp = self.trace.span("fences", &f.name);
             let t0 = Instant::now();
             let mut dec: Option<Vec<FenceDecision>> = explain.then(Vec::new);
-            let ps = lasagne_fences::place_fences_explain(
+            let ps = lasagne_fences::place_fences(
                 &mut f,
                 Strategy::StackAware,
                 &self.trace,
@@ -2048,7 +1992,7 @@ impl<'s> PassManager<'s> {
                 let mut sp = self.trace.span("merge", &f.name);
                 let t0 = Instant::now();
                 let mut mg: Option<Vec<FenceMerge>> = explain.then(Vec::new);
-                let n = lasagne_fences::merge_fences_explain(&mut f, &self.trace, mg.as_mut());
+                let n = lasagne_fences::merge_fences(&mut f, &self.trace, mg.as_mut());
                 sp.arg("changes", n as u64);
                 (
                     Some((
@@ -2076,12 +2020,8 @@ impl<'s> PassManager<'s> {
                     }
                     ran += 1;
                     let tp = Instant::now();
-                    let eff = lasagne_opt::run_pass_on_function_eff(
-                        pass,
-                        shell,
-                        &mut f,
-                        &mut st.analyses,
-                    );
+                    let eff =
+                        lasagne_opt::run_pass_on_function(pass, shell, &mut f, &mut st.analyses);
                     st.note_ran(pass, &eff);
                     per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
                     changes += eff.changes as u64;
@@ -2389,7 +2329,7 @@ impl<'s> PassManager<'s> {
             let mut sp = self.trace.span("armgen", &m.funcs[i].name);
             let t0 = Instant::now();
             let mut af = lasagne_armgen::lower_function(&m, &m.funcs[i]);
-            let ph = lasagne_armgen::peephole_function_traced(&mut af, &self.trace);
+            let ph = lasagne_armgen::peephole_function(&mut af, &self.trace);
             sp.arg("removed", ph.removed() as u64);
             (af, ph, t0.elapsed().as_nanos())
         });
@@ -2420,19 +2360,6 @@ impl<'s> PassManager<'s> {
 mod tests {
     use super::*;
     use lasagne_phoenix::all_benchmarks;
-
-    #[test]
-    fn par_map_preserves_order_and_values() {
-        for jobs in [1, 2, 7, 64] {
-            let out = par_map(jobs, (0..100u64).collect(), |i, v| {
-                assert_eq!(i as u64, v);
-                v * v
-            });
-            assert_eq!(out, (0..100u64).map(|v| v * v).collect::<Vec<_>>());
-        }
-        let empty: Vec<u64> = par_map(4, Vec::<u64>::new(), |_, v| v);
-        assert!(empty.is_empty());
-    }
 
     #[test]
     fn parallel_matches_serial_on_histogram() {

@@ -39,6 +39,7 @@ pub mod xcfg;
 
 use lasagne_lir::func::{ExternDecl, Function, GlobalVar, Module};
 use lasagne_lir::types::{Pointee, Ty};
+use lasagne_trace::{ArgVal, TraceCtx};
 use lasagne_x86::binary::Binary;
 use std::collections::BTreeMap;
 use translate::SymbolEnv;
@@ -135,7 +136,7 @@ pub fn lift_binary(bin: &Binary) -> Result<Module, LiftError> {
 pub fn lift_binary_with(bin: &Binary, opts: TranslateOptions) -> Result<Module, LiftError> {
     let plan = LiftPlan::prepare(bin, opts)?;
     let bodies = (0..plan.num_functions())
-        .map(|i| plan.lift_function(i))
+        .map(|i| plan.lift_function(i, &TraceCtx::disabled()))
         .collect::<Result<Vec<_>, _>>()?;
     plan.finish(bodies)
 }
@@ -367,52 +368,10 @@ impl LiftPlan {
         }
     }
 
-    /// [`LiftPlan::lift_function`] recording the function's profile into
-    /// `ctx`: `lift.*` counters, a size histogram, and (when tracing is
-    /// enabled) a `lift-function` instant event. Produces the exact same
-    /// body as [`lift_function`](LiftPlan::lift_function).
-    ///
-    /// # Errors
-    ///
-    /// See [`lift_function`](LiftPlan::lift_function).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn lift_function_traced(
-        &self,
-        i: usize,
-        ctx: &lasagne_trace::TraceCtx,
-    ) -> Result<Function, LiftError> {
-        let body = self.lift_function(i)?;
-        let p = self.function_profile(i);
-        let lir_insts = body.iter_insts().count();
-        ctx.add("lift.funcs", 1);
-        ctx.add("lift.x86_insts", p.x86_insts as u64);
-        ctx.add("lift.lir_insts", lir_insts as u64);
-        ctx.add("lift.params_discovered", p.params as u64);
-        ctx.observe(
-            "lift.func_x86_insts",
-            &[8, 32, 128, 512],
-            p.x86_insts as u64,
-        );
-        if ctx.is_enabled() {
-            ctx.instant(
-                "lift",
-                "lift-function",
-                vec![
-                    ("func", lasagne_trace::ArgVal::from(self.function_name(i))),
-                    ("addr", lasagne_trace::ArgVal::from(p.addr)),
-                    ("x86_insts", lasagne_trace::ArgVal::from(p.x86_insts)),
-                    ("lir_insts", lasagne_trace::ArgVal::from(lir_insts)),
-                    ("params", lasagne_trace::ArgVal::from(p.params)),
-                ],
-            );
-        }
-        Ok(body)
-    }
-
-    /// Translates the body of work item `i`.
+    /// Translates the body of work item `i`, recording the function's
+    /// profile into `ctx`: `lift.*` counters, a size histogram, and a
+    /// `lift-function` instant event. A disabled context records nothing;
+    /// tracing never changes the body.
     ///
     /// This reads only immutable plan state, so distinct work items may be
     /// lifted concurrently and the result for a given item is independent
@@ -426,7 +385,7 @@ impl LiftPlan {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn lift_function(&self, i: usize) -> Result<Function, LiftError> {
+    pub fn lift_function(&self, i: usize, ctx: &TraceCtx) -> Result<Function, LiftError> {
         let (_, name, cfg) = &self.work[i];
         let mut tr = translate::translate_function(
             name,
@@ -439,6 +398,30 @@ impl LiftPlan {
         .map_err(LiftError::Translate)?;
         translate::promote_registers(&mut tr);
         tr.func.compact();
+        if ctx.is_enabled() {
+            let p = self.function_profile(i);
+            let lir_insts = tr.func.iter_insts().count();
+            ctx.add("lift.funcs", 1);
+            ctx.add("lift.x86_insts", p.x86_insts as u64);
+            ctx.add("lift.lir_insts", lir_insts as u64);
+            ctx.add("lift.params_discovered", p.params as u64);
+            ctx.observe(
+                "lift.func_x86_insts",
+                &[8, 32, 128, 512],
+                p.x86_insts as u64,
+            );
+            ctx.instant(
+                "lift",
+                "lift-function",
+                vec![
+                    ("func", ArgVal::from(self.function_name(i))),
+                    ("addr", ArgVal::from(p.addr)),
+                    ("x86_insts", ArgVal::from(p.x86_insts)),
+                    ("lir_insts", ArgVal::from(lir_insts)),
+                    ("params", ArgVal::from(p.params)),
+                ],
+            );
+        }
         Ok(tr.func)
     }
 
@@ -507,6 +490,34 @@ mod tests {
         });
         assert_eq!(m.func(id).params, vec![Ty::I64, Ty::I64]);
         assert_eq!(run(&m, id, &[Val::B64(40), Val::B64(2)]), Val::B64(42));
+    }
+
+    /// A collecting context must not change the lifted body, and its
+    /// counters must mirror the function's profile.
+    #[test]
+    fn collecting_trace_leaves_the_lifted_body_unchanged() {
+        let mut b = BinaryBuilder::new();
+        let mut a = Asm::new();
+        a.push(Inst::MovRRm {
+            w: Width::W64,
+            dst: Gpr::Rax,
+            src: Rm::Reg(Gpr::Rdi),
+        });
+        a.push(Inst::Ret);
+        let addr = b.next_function_addr();
+        b.add_function("id", a.finish(addr).unwrap());
+        let plan = LiftPlan::prepare(&b.finish(), TranslateOptions::default()).unwrap();
+        let plain = plan.lift_function(0, &TraceCtx::disabled()).unwrap();
+        let ctx = TraceCtx::collecting();
+        let traced = plan.lift_function(0, &ctx).unwrap();
+        assert_eq!(traced, plain, "tracing changed the lifted body");
+        let snap = ctx.metrics_snapshot().expect("collecting context");
+        assert_eq!(snap.counter("lift.funcs"), 1);
+        assert_eq!(snap.counter("lift.x86_insts"), 2);
+        assert_eq!(
+            snap.counter("lift.lir_insts"),
+            plain.iter_insts().count() as u64
+        );
     }
 
     #[test]

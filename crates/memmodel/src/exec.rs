@@ -6,6 +6,7 @@
 //! orders — which a model then filters for consistency.
 
 use crate::rel::Rel;
+use lasagne_pool::Pool;
 use std::collections::BTreeMap;
 
 /// A shared memory location.
@@ -324,28 +325,16 @@ pub fn enumerate_partition(prog: &Program, part: ExecPartition) -> Vec<Execution
     out
 }
 
-/// [`enumerate_executions`] with the partitions fanned out over the
-/// process-wide work-stealing pool ([`enumerate_executions_on`] with
-/// [`Pool::shared`]) — same executions, same order, for every `jobs`
-/// value: the partition list follows serial enumeration order and the
-/// per-partition results are concatenated by partition index.
-///
-/// [`Pool::shared`]: lasagne::pipeline::pool::Pool::shared
-pub fn enumerate_executions_par(prog: &Program, jobs: usize) -> Vec<Execution> {
-    enumerate_executions_on(lasagne::pipeline::pool::Pool::shared(), prog, jobs)
-}
-
-/// [`enumerate_executions_par`] on an explicit work-stealing pool. The
+/// [`enumerate_executions`] with the partitions fanned out over up to
+/// `jobs` workers of `pool` — same executions, same order, for every
+/// `jobs` value: the partition list follows serial enumeration order and
+/// the per-partition results are concatenated by partition index. The
 /// litmus sweeps call this from inside pipeline work items; submitting to
 /// the same pool (rather than spawning scoped threads) keeps one set of
 /// worker threads busy across the nesting — a worker that hits this fan
 /// out pushes the partitions onto its own deque and idle siblings steal
 /// them.
-pub fn enumerate_executions_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    prog: &Program,
-    jobs: usize,
-) -> Vec<Execution> {
+pub fn enumerate_executions_par(pool: &Pool, jobs: usize, prog: &Program) -> Vec<Execution> {
     let parts = execution_partitions(prog);
     pool.par_map(jobs, parts, |_, p| enumerate_partition(prog, p))
         .into_iter()
@@ -843,7 +832,7 @@ mod tests {
             for jobs in [1, 2, 8] {
                 assert_eq!(
                     serial,
-                    enumerate_executions_par(prog, jobs),
+                    enumerate_executions_par(Pool::shared(), jobs, prog),
                     "jobs={jobs} diverged from serial"
                 );
             }

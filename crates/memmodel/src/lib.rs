@@ -25,10 +25,12 @@
 //! ```
 //! use lasagne_memmodel::litmus;
 //! use lasagne_memmodel::mapping::check_chain;
+//! use lasagne_pool::Pool;
 //!
 //! // Theorems 7.3 + 7.4 on the message-passing litmus test: translating
-//! // MP from x86 through LIMM to Arm introduces no new behaviours.
-//! check_chain(&litmus::mp()).unwrap();
+//! // MP from x86 through LIMM to Arm introduces no new behaviours (one
+//! // job: the enumeration runs inline on the calling thread).
+//! check_chain(Pool::shared(), 1, &litmus::mp()).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -41,9 +43,5 @@ pub mod rel;
 pub mod transform;
 
 pub use exec::{Event, Execution, FenceTy, Lab, Op, Outcome, Program};
-pub use litmus::{
-    sweep_row, sweep_row_on, sweep_suite, sweep_suite_on, sweep_suite_within,
-    sweep_suite_within_on, SuiteRow,
-};
-pub use mapping::check_chain_all;
-pub use models::{consistent, outcomes, outcomes_on, outcomes_par, Model};
+pub use litmus::{sweep_row, sweep_suite, SuiteRow};
+pub use models::{consistent, outcomes, outcomes_par, Model};

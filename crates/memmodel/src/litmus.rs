@@ -2,6 +2,8 @@
 //! classics, as x86-level [`Program`]s.
 
 use crate::exec::{FenceTy, Op, Program};
+use crate::models::{outcomes_par, Model};
+use lasagne_pool::Pool;
 
 /// SB — store buffering (Figure 1 left).
 pub fn sb() -> Program {
@@ -243,48 +245,33 @@ pub struct SuiteRow {
     pub reverse: Result<(), String>,
 }
 
-/// Runs the exhaustive mapping sweep over the whole [`paper_suite`] on up
-/// to `jobs` worker threads (via [`lasagne::pipeline::par_map`]). Each
-/// program's outcome enumeration is independent of every other's, so the
-/// result is order-identical to the serial sweep for any `jobs`.
-pub fn sweep_suite(jobs: usize) -> Vec<SuiteRow> {
-    sweep_suite_on(lasagne::pipeline::pool::Pool::shared(), jobs)
+/// Runs the exhaustive mapping sweep over the whole [`paper_suite`].
+/// Programs are visited serially, in suite order, and each program's own
+/// candidate-execution space fans out across up to `jobs` workers of
+/// `pool` ([`sweep_row`]). Turning the parallelism inward keeps the pool
+/// busy even on a suite whose wall time is dominated by one large program
+/// (e.g. IRIW), where per-program parallelism would leave all but one
+/// worker idle on the tail. Outcome sets are canonical, so the rows are
+/// identical for any `jobs`.
+pub fn sweep_suite(pool: &Pool, jobs: usize) -> Vec<SuiteRow> {
+    paper_suite()
+        .into_iter()
+        .map(|(name, program)| sweep_row(pool, jobs, name, program))
+        .collect()
 }
 
-/// [`sweep_suite`] on an explicit work-stealing pool: the per-program
-/// fan-out submits to `pool` instead of the process-wide shared one, so a
-/// caller that already owns worker threads (the pipeline, `report`'s
-/// whole sweep) reuses them.
-pub fn sweep_suite_on(pool: &lasagne::pipeline::pool::Pool, jobs: usize) -> Vec<SuiteRow> {
-    pool.par_map(jobs, paper_suite(), |_, (name, program)| {
-        sweep_row_on(pool, name, program, 1)
-    })
-}
-
-/// Builds one [`SuiteRow`], spending up to `jobs` worker threads *inside*
-/// the program: outcome enumeration is partitioned by candidate-execution
-/// prefix ([`crate::exec::execution_partitions`]) and the mapping chains
-/// run through [`crate::mapping::check_chain_within`]. Outcome sets are
-/// canonical, so the row is identical to the serial one for any `jobs`.
-pub fn sweep_row(name: &'static str, program: Program, jobs: usize) -> SuiteRow {
-    sweep_row_on(lasagne::pipeline::pool::Pool::shared(), name, program, jobs)
-}
-
-/// [`sweep_row`] on an explicit work-stealing pool.
-pub fn sweep_row_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    name: &'static str,
-    program: Program,
-    jobs: usize,
-) -> SuiteRow {
-    let x86_outcomes =
-        crate::models::outcomes_on(pool, crate::models::Model::X86, &program, jobs).len();
-    let arm_outcomes =
-        crate::models::outcomes_on(pool, crate::models::Model::Arm, &program, jobs).len();
-    let limm_outcomes =
-        crate::models::outcomes_on(pool, crate::models::Model::Limm, &program, jobs).len();
-    let chain = crate::mapping::check_chain_on(pool, &program, jobs);
-    let reverse = crate::mapping::check_reverse_chain_on(pool, &program, jobs);
+/// Builds one [`SuiteRow`], spending up to `jobs` workers of `pool`
+/// *inside* the program: outcome enumeration is partitioned by
+/// candidate-execution prefix ([`crate::exec::execution_partitions`]) and
+/// the mapping chains run through [`crate::mapping::check_chain`]. Outcome
+/// sets are canonical, so the row is identical to the serial one for any
+/// `jobs`.
+pub fn sweep_row(pool: &Pool, jobs: usize, name: &'static str, program: Program) -> SuiteRow {
+    let x86_outcomes = outcomes_par(pool, jobs, Model::X86, &program).len();
+    let arm_outcomes = outcomes_par(pool, jobs, Model::Arm, &program).len();
+    let limm_outcomes = outcomes_par(pool, jobs, Model::Limm, &program).len();
+    let chain = crate::mapping::check_chain(pool, jobs, &program);
+    let reverse = crate::mapping::check_reverse_chain(pool, jobs, &program);
     SuiteRow {
         name,
         program,
@@ -296,52 +283,36 @@ pub fn sweep_row_on(
     }
 }
 
-/// Runs the mapping sweep with the parallelism turned *inward*: programs
-/// are visited serially, in suite order, and each program's own
-/// candidate-execution space fans out across up to `jobs` workers
-/// ([`sweep_row`]). This is the schedule the `litmus` CLI uses at
-/// `--jobs > 1` — it keeps the worker pool busy even on a suite whose
-/// wall time is dominated by one large program (e.g. IRIW), where
-/// per-program parallelism ([`sweep_suite`]) would leave all but one
-/// worker idle on the tail. Row-identical to `sweep_suite` for any
-/// `jobs`.
-pub fn sweep_suite_within(jobs: usize) -> Vec<SuiteRow> {
-    sweep_suite_within_on(lasagne::pipeline::pool::Pool::shared(), jobs)
-}
-
-/// [`sweep_suite_within`] on an explicit work-stealing pool.
-pub fn sweep_suite_within_on(pool: &lasagne::pipeline::pool::Pool, jobs: usize) -> Vec<SuiteRow> {
-    paper_suite()
-        .into_iter()
-        .map(|(name, program)| sweep_row_on(pool, name, program, jobs))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{outcomes, Model};
+    use crate::models::outcomes;
 
+    /// The sweep is row-identical at every `jobs` value, and equal to
+    /// rows built from the serial reference enumerator.
     #[test]
-    fn parallel_sweep_is_order_identical_to_serial() {
-        let serial = sweep_suite(1);
-        assert_eq!(serial.len(), paper_suite().len());
-        for jobs in [2, 4, 8] {
-            assert_eq!(serial, sweep_suite(jobs), "sweep diverged at jobs={jobs}");
-        }
-        for row in &serial {
+    fn sweep_is_row_identical_for_every_jobs_value() {
+        let pool = Pool::shared();
+        let reference: Vec<SuiteRow> = paper_suite()
+            .into_iter()
+            .map(|(name, program)| SuiteRow {
+                x86_outcomes: outcomes(Model::X86, &program).len(),
+                arm_outcomes: outcomes(Model::Arm, &program).len(),
+                limm_outcomes: outcomes(Model::Limm, &program).len(),
+                chain: crate::mapping::check_chain(pool, 1, &program),
+                reverse: crate::mapping::check_reverse_chain(pool, 1, &program),
+                name,
+                program,
+            })
+            .collect();
+        for row in &reference {
             assert!(row.chain.is_ok(), "{}: {:?}", row.name, row.chain);
         }
-    }
-
-    #[test]
-    fn within_program_sweep_is_row_identical_to_serial() {
-        let serial = sweep_suite(1);
         for jobs in [1, 2, 4, 8] {
             assert_eq!(
-                serial,
-                sweep_suite_within(jobs),
-                "within-program sweep diverged at jobs={jobs}"
+                reference,
+                sweep_suite(pool, jobs),
+                "sweep diverged at jobs={jobs}"
             );
         }
     }

@@ -4,7 +4,8 @@
 //! source outcome.
 
 use crate::exec::{FenceTy, Op, Outcome, Program};
-use crate::models::Model;
+use crate::models::{outcomes_par, Model};
+use lasagne_pool::Pool;
 use std::collections::BTreeSet;
 
 /// Figure 8a: x86 → IR.
@@ -203,80 +204,39 @@ pub fn limm_to_x86(p: &Program) -> Program {
     }
 }
 
-/// Checks the Appendix B chain Arm → IR → x86 on one program.
-pub fn check_reverse_chain(p: &Program) -> Result<(), String> {
-    check_reverse_chain_within(p, 1)
-}
-
-/// [`check_reverse_chain`] with each enumeration partitioned across up to
-/// `jobs` worker threads ([`check_mapping_within`]). Same verdict for any
-/// `jobs`.
-pub fn check_reverse_chain_within(p: &Program, jobs: usize) -> Result<(), String> {
-    check_reverse_chain_on(lasagne::pipeline::pool::Pool::shared(), p, jobs)
-}
-
-/// [`check_reverse_chain_within`] on an explicit work-stealing pool.
-pub fn check_reverse_chain_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    p: &Program,
-    jobs: usize,
-) -> Result<(), String> {
+/// Checks the Appendix B chain Arm → IR → x86 on one program, each
+/// enumeration partitioned across up to `jobs` workers of `pool`
+/// ([`check_mapping`]). Same verdict for any `jobs`.
+pub fn check_reverse_chain(pool: &Pool, jobs: usize, p: &Program) -> Result<(), String> {
     let ir = arm_to_limm(p);
     let x86 = limm_to_x86(&ir);
-    check_mapping_on(pool, jobs, Model::Arm, p, Model::Limm, &ir)
+    check_mapping(pool, jobs, Model::Arm, p, Model::Limm, &ir)
         .map_err(|e| format!("Arm→IR introduces {} outcome(s): {e:?}", e.len()))?;
-    check_mapping_on(pool, jobs, Model::Limm, &ir, Model::X86, &x86)
+    check_mapping(pool, jobs, Model::Limm, &ir, Model::X86, &x86)
         .map_err(|e| format!("IR→x86 introduces {} outcome(s): {e:?}", e.len()))?;
-    check_mapping_on(pool, jobs, Model::Arm, p, Model::X86, &x86)
+    check_mapping(pool, jobs, Model::Arm, p, Model::X86, &x86)
         .map_err(|e| format!("Arm→x86 introduces {} outcome(s): {e:?}", e.len()))?;
     Ok(())
 }
 
 /// The empirical statement of Theorem 7.1 for a mapping `Ps → Pt`:
-/// `outcomes(Mt, Pt) ⊆ outcomes(Ms, Ps)`.
+/// `outcomes(Mt, Pt) ⊆ outcomes(Ms, Ps)`, with both outcome enumerations
+/// partitioned across up to `jobs` workers of `pool`
+/// ([`crate::models::outcomes_par`]). Outcomes are canonical `BTreeSet`s,
+/// so the verdict is identical for any `jobs`.
 ///
 /// Returns `Ok(())` or the set of target outcomes with no source
 /// counterpart.
 pub fn check_mapping(
-    src_model: Model,
-    src: &Program,
-    tgt_model: Model,
-    tgt: &Program,
-) -> Result<(), BTreeSet<Outcome>> {
-    check_mapping_within(1, src_model, src, tgt_model, tgt)
-}
-
-/// [`check_mapping`] with both outcome enumerations partitioned across up
-/// to `jobs` worker threads ([`crate::models::outcomes_par`]). Outcomes
-/// are canonical `BTreeSet`s, so the verdict is identical for any `jobs`.
-pub fn check_mapping_within(
+    pool: &Pool,
     jobs: usize,
     src_model: Model,
     src: &Program,
     tgt_model: Model,
     tgt: &Program,
 ) -> Result<(), BTreeSet<Outcome>> {
-    check_mapping_on(
-        lasagne::pipeline::pool::Pool::shared(),
-        jobs,
-        src_model,
-        src,
-        tgt_model,
-        tgt,
-    )
-}
-
-/// [`check_mapping_within`] on an explicit work-stealing pool.
-pub fn check_mapping_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    jobs: usize,
-    src_model: Model,
-    src: &Program,
-    tgt_model: Model,
-    tgt: &Program,
-) -> Result<(), BTreeSet<Outcome>> {
-    let src_out = crate::models::outcomes_on(pool, src_model, src, jobs);
-    let tgt_out = crate::models::outcomes_on(pool, tgt_model, tgt, jobs);
+    let src_out = outcomes_par(pool, jobs, src_model, src);
+    let tgt_out = outcomes_par(pool, jobs, tgt_model, tgt);
     let extra: BTreeSet<Outcome> = tgt_out.difference(&src_out).cloned().collect();
     if extra.is_empty() {
         Ok(())
@@ -286,40 +246,19 @@ pub fn check_mapping_on(
 }
 
 /// Checks the full x86 → IR → Arm chain on one program: each stage must not
-/// introduce new behaviors (Theorems 7.3, 7.4 and their composition).
-pub fn check_chain(p: &Program) -> Result<(), String> {
-    check_chain_within(p, 1)
-}
-
-/// [`check_chain`] with each enumeration partitioned across up to `jobs`
-/// worker threads ([`check_mapping_within`]). Same verdict for any `jobs`.
-pub fn check_chain_within(p: &Program, jobs: usize) -> Result<(), String> {
-    check_chain_on(lasagne::pipeline::pool::Pool::shared(), p, jobs)
-}
-
-/// [`check_chain_within`] on an explicit work-stealing pool.
-pub fn check_chain_on(
-    pool: &lasagne::pipeline::pool::Pool,
-    p: &Program,
-    jobs: usize,
-) -> Result<(), String> {
+/// introduce new behaviors (Theorems 7.3, 7.4 and their composition). Each
+/// enumeration is partitioned across up to `jobs` workers of `pool`
+/// ([`check_mapping`]); same verdict for any `jobs`.
+pub fn check_chain(pool: &Pool, jobs: usize, p: &Program) -> Result<(), String> {
     let ir = x86_to_limm(p);
     let arm = limm_to_arm(&ir);
-    check_mapping_on(pool, jobs, Model::X86, p, Model::Limm, &ir)
+    check_mapping(pool, jobs, Model::X86, p, Model::Limm, &ir)
         .map_err(|extra| format!("x86→IR introduces {} outcome(s): {extra:?}", extra.len()))?;
-    check_mapping_on(pool, jobs, Model::Limm, &ir, Model::Arm, &arm)
+    check_mapping(pool, jobs, Model::Limm, &ir, Model::Arm, &arm)
         .map_err(|extra| format!("IR→Arm introduces {} outcome(s): {extra:?}", extra.len()))?;
-    check_mapping_on(pool, jobs, Model::X86, p, Model::Arm, &arm)
+    check_mapping(pool, jobs, Model::X86, p, Model::Arm, &arm)
         .map_err(|extra| format!("x86→Arm introduces {} outcome(s): {extra:?}", extra.len()))?;
     Ok(())
-}
-
-/// [`check_chain`] over many programs on up to `jobs` worker threads (via
-/// [`lasagne::pipeline::par_map`]). Verdicts come back in input order —
-/// the parallel sweep is indistinguishable from mapping `check_chain`
-/// serially.
-pub fn check_chain_all(jobs: usize, programs: Vec<Program>) -> Vec<Result<(), String>> {
-    lasagne::pipeline::par_map(jobs, programs, |_, p| check_chain(&p))
 }
 
 #[cfg(test)]
@@ -386,7 +325,7 @@ mod tests {
     #[test]
     fn chain_correct_on_paper_litmus() {
         for (name, p) in litmus::paper_suite() {
-            check_chain(&p).unwrap_or_else(|e| panic!("{name}: {e}"));
+            check_chain(Pool::shared(), 1, &p).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
@@ -395,7 +334,7 @@ mod tests {
     #[test]
     fn identity_mapping_is_incorrect() {
         let mp = litmus::mp();
-        let err = check_mapping(Model::X86, &mp, Model::Arm, &mp);
+        let err = check_mapping(Pool::shared(), 1, Model::X86, &mp, Model::Arm, &mp);
         assert!(err.is_err(), "unfenced Arm MP must exhibit extra outcomes");
     }
 
@@ -422,7 +361,8 @@ mod tests {
                     })
                     .collect(),
             };
-            check_reverse_chain(&arm_src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            check_reverse_chain(Pool::shared(), 1, &arm_src)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
@@ -505,7 +445,7 @@ mod tests {
             "release/acquire MP must be tight"
         );
         // And the reverse chain carries the guarantee to x86.
-        check_reverse_chain(&arm).unwrap();
+        check_reverse_chain(Pool::shared(), 1, &arm).unwrap();
     }
 
     /// Appendix A ablation: lowering RMWsc to acquire/release exclusives
@@ -518,9 +458,9 @@ mod tests {
         let ir = x86_to_limm(&p);
         let correct = limm_to_arm(&ir);
         let acqrel = limm_to_arm_acqrel(&ir);
-        assert!(check_mapping(Model::X86, &p, Model::Arm, &correct).is_ok());
+        assert!(check_mapping(Pool::shared(), 1, Model::X86, &p, Model::Arm, &correct).is_ok());
         assert!(
-            check_mapping(Model::X86, &p, Model::Arm, &acqrel).is_err(),
+            check_mapping(Pool::shared(), 1, Model::X86, &p, Model::Arm, &acqrel).is_err(),
             "ldaxr/stlxr RMWs must leak an x86-forbidden outcome on Figure 10"
         );
     }
@@ -572,9 +512,9 @@ mod tests {
                 .collect(),
         };
         let correct = limm_to_arm(&ir);
-        assert!(check_mapping(Model::X86, &p, Model::Arm, &correct).is_ok());
+        assert!(check_mapping(Pool::shared(), 1, Model::X86, &p, Model::Arm, &correct).is_ok());
         assert!(
-            check_mapping(Model::X86, &p, Model::Arm, &weak_arm).is_err(),
+            check_mapping(Pool::shared(), 1, Model::X86, &p, Model::Arm, &weak_arm).is_err(),
             "dropping the DMBFF pair around RMWs must be observable"
         );
     }

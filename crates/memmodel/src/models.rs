@@ -171,27 +171,18 @@ pub fn outcomes(
 }
 
 /// [`outcomes`] with the candidate-execution space of *one* program
-/// partitioned across up to `jobs` worker threads (see
-/// [`crate::exec::execution_partitions`]). Consistency filtering and
-/// outcome projection happen inside each worker; the per-partition sets
-/// are unioned at the end. `BTreeSet` union is commutative, so the result
-/// equals the serial [`outcomes`] for any `jobs`.
-pub fn outcomes_par(
-    model: Model,
-    prog: &crate::exec::Program,
-    jobs: usize,
-) -> std::collections::BTreeSet<crate::exec::Outcome> {
-    outcomes_on(lasagne::pipeline::pool::Pool::shared(), model, prog, jobs)
-}
-
-/// [`outcomes_par`] on an explicit work-stealing pool (see
-/// [`crate::exec::enumerate_executions_on`] for why nested enumerations
+/// partitioned across up to `jobs` workers of `pool` (see
+/// [`crate::exec::enumerate_executions_par`] for why nested enumerations
 /// share the pipeline's pool instead of spawning their own threads).
-pub fn outcomes_on(
-    pool: &lasagne::pipeline::pool::Pool,
+/// Consistency filtering and outcome projection happen inside each
+/// worker; the per-partition sets are unioned at the end. `BTreeSet`
+/// union is commutative, so the result equals the serial [`outcomes`]
+/// for any `jobs`.
+pub fn outcomes_par(
+    pool: &lasagne_pool::Pool,
+    jobs: usize,
     model: Model,
     prog: &crate::exec::Program,
-    jobs: usize,
 ) -> std::collections::BTreeSet<crate::exec::Outcome> {
     let parts = crate::exec::execution_partitions(prog);
     let per_part = pool.par_map(jobs, parts, |_, part| {

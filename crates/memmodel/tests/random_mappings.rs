@@ -7,6 +7,7 @@
 use lasagne_memmodel::exec::{FenceTy, Op, Program};
 use lasagne_memmodel::mapping::{check_chain, check_reverse_chain, x86_to_limm};
 use lasagne_memmodel::transform::check_safe_swaps;
+use lasagne_pool::Pool;
 use lasagne_qc::collection;
 use lasagne_qc::prelude::*;
 
@@ -80,7 +81,7 @@ properties! {
     /// Theorem 7.1 for the full Figure 8 chain on random programs.
     fn random_programs_map_correctly(p in any_program()) {
         prop_assume!(rmw_count(&p) <= 2);
-        check_chain(&p).map_err(|e| TestCaseError::fail(e))?;
+        check_chain(Pool::shared(), 1, &p).map_err(|e| TestCaseError::fail(e))?;
     }
 
     /// Theorem 7.5: Figure 11a-safe swaps are sound under LIMM on random
@@ -95,6 +96,6 @@ properties! {
     /// accesses): Arm → IR → x86 must not introduce behaviours.
     fn random_reverse_chain_correct(p in any_arm_program()) {
         prop_assume!(rmw_count(&p) <= 2);
-        check_reverse_chain(&p).map_err(TestCaseError::fail)?;
+        check_reverse_chain(Pool::shared(), 1, &p).map_err(TestCaseError::fail)?;
     }
 }

@@ -123,13 +123,17 @@ pub fn run_pass(kind: PassKind, m: &mut Module) -> usize {
     // constants locally afterwards, as LLVM does.
     let mut total = 0;
     if kind.is_interprocedural() {
-        total += sccp::ipsccp(m);
+        total += sccp::ipsccp(m, &mut Vec::new(), &lasagne_trace::TraceCtx::disabled());
     }
-    total + for_each_function(m, |mm, f| run_pass_on_function(kind, mm, f))
+    total
+        + for_each_function(m, |mm, f| {
+            run_pass_on_function(kind, mm, f, &mut Analyses::new()).changes
+        })
 }
 
-/// Runs the per-function half of one pass on a single function. Returns
-/// the number of changes made.
+/// Runs the per-function half of one pass on a single function against a
+/// shared per-function analysis cache `an`, reporting a full
+/// [`PassEffect`].
 ///
 /// For local passes this *is* the whole pass; for [`PassKind::IpSccp`] it
 /// is the local constant-propagation cleanup that follows the
@@ -137,12 +141,6 @@ pub fn run_pass(kind: PassKind, m: &mut Module) -> usize {
 /// function reads `m` solely for operand typing — never for other function
 /// bodies — so the pipeline driver may invoke it on distinct functions
 /// concurrently with results identical to any serial order.
-pub fn run_pass_on_function(kind: PassKind, m: &Module, f: &mut Function) -> usize {
-    run_pass_on_function_eff(kind, m, f, &mut Analyses::new()).changes
-}
-
-/// [`run_pass_on_function`] reporting a full [`PassEffect`] and running
-/// against a shared per-function analysis cache `an`.
 ///
 /// Every arm upholds the scheduler's soundness invariant — **a clean
 /// effect means the pass made zero mutations** — and keeps `an` honest:
@@ -150,7 +148,7 @@ pub fn run_pass_on_function(kind: PassKind, m: &Module, f: &mut Function) -> usi
 /// `instcombine`'s erasure) store them back, everything else notes the
 /// class of state it invalidated. Only sccp can change control flow, so
 /// only its arm ever drops the cached CFG/dominators.
-pub fn run_pass_on_function_eff(
+pub fn run_pass_on_function(
     kind: PassKind,
     m: &Module,
     f: &mut Function,
@@ -294,7 +292,7 @@ pub fn scheduled_pipeline(m: &mut Module, max_rounds: usize) -> SchedStats {
                 st.ran += 1;
                 let mut f =
                     std::mem::replace(&mut m.funcs[fi], Function::new("", vec![], Ty::Void));
-                let eff = run_pass_on_function_eff(p, m, &mut f, &mut states[fi].analyses);
+                let eff = run_pass_on_function(p, m, &mut f, &mut states[fi].analyses);
                 m.funcs[fi] = f;
                 states[fi].note_ran(p, &eff);
                 round += eff.changes;

@@ -6,6 +6,7 @@ use crate::sched::PassEffect;
 use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand, Terminator};
+use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Folds constants (and constant conditions into unconditional branches)
 /// and removes unreachable blocks, fixing φ-nodes — constant propagation
@@ -182,23 +183,34 @@ pub struct IpsccpFact {
 /// Interprocedural SCCP: when every call site of a function passes the same
 /// constant for a parameter, the parameter's uses are replaced by that
 /// constant inside the callee. (`main`-like roots — functions with no call
-/// sites — are left untouched.)
-pub fn ipsccp(m: &mut Module) -> usize {
-    ipsccp_logged(m, &mut Vec::new())
-}
-
-/// [`ipsccp_logged`] recording each lattice transition into `ctx`: the
+/// sites — are left untouched.) Returns the substitution count.
+///
+/// Every substitution decision is appended to `facts`. A decision is
+/// logged even when the callee no longer uses the parameter (zero textual
+/// substitutions): the decision itself depends on the other functions'
+/// call sites, which is what cache invalidation needs to observe. Each
+/// lattice transition is also recorded into `ctx`: the
 /// `opt.ipsccp.facts` / `opt.ipsccp.substitutions` counters plus (when
 /// tracing is enabled) a `lattice-fact` instant event per newly discovered
-/// fact — a parameter dropping from ⊤ (unknown) to a constant. Produces
-/// the exact same module, facts, and count as [`ipsccp_logged`].
-pub fn ipsccp_traced(
-    m: &mut Module,
-    facts: &mut Vec<IpsccpFact>,
-    ctx: &lasagne_trace::TraceCtx,
-) -> usize {
+/// fact — a parameter dropping from ⊤ (unknown) to a constant.
+///
+/// Structured as a superstep — parallel-friendly gather of per-function
+/// [`CallSummary`] snapshots, a serial [`ipsccp_join`] that replays the
+/// lattice decisions (including the intra-invocation cascade) over those
+/// frozen summaries, and an [`apply_ipsccp_facts`] substitution phase that
+/// is independent per function. The `lasagne::pipeline` pass manager runs
+/// the gather and apply phases on its worker pool; this serial entry point runs
+/// the identical phases inline and produces the identical module, facts,
+/// and substitution count.
+pub fn ipsccp(m: &mut Module, facts: &mut Vec<IpsccpFact>, ctx: &TraceCtx) -> usize {
     let before = facts.len();
-    let subs = ipsccp_logged(m, facts);
+    let mut summaries: Vec<CallSummary> = m.funcs.iter().map(summarize_calls).collect();
+    let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
+    let new = ipsccp_join(&param_counts, &mut summaries, facts);
+    let mut subs = 0;
+    for (target, f) in m.funcs.iter_mut().enumerate() {
+        subs += apply_ipsccp_facts(f, target as u32, &new);
+    }
     ctx.add("opt.ipsccp.facts", (facts.len() - before) as u64);
     ctx.add("opt.ipsccp.substitutions", subs as u64);
     if ctx.is_enabled() {
@@ -209,43 +221,15 @@ pub fn ipsccp_traced(
                 vec![
                     (
                         "func",
-                        lasagne_trace::ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
+                        ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
                     ),
-                    ("param", lasagne_trace::ArgVal::from(fact.param as u64)),
-                    (
-                        "value",
-                        lasagne_trace::ArgVal::from(format!("{:?}", fact.value)),
-                    ),
+                    ("param", ArgVal::from(fact.param as u64)),
+                    ("value", ArgVal::from(format!("{:?}", fact.value))),
                 ],
             );
         }
     }
     subs
-}
-
-/// [`ipsccp`], additionally appending every substitution decision to
-/// `facts`. A decision is logged even when the callee no longer uses the
-/// parameter (zero textual substitutions): the decision itself depends on
-/// the other functions' call sites, which is what cache invalidation needs
-/// to observe.
-///
-/// Structured as a superstep — parallel-friendly gather of per-function
-/// [`CallSummary`] snapshots, a serial [`ipsccp_join`] that replays the
-/// lattice decisions (including the intra-invocation cascade) over those
-/// frozen summaries, and an [`apply_ipsccp_facts`] substitution phase that
-/// is independent per function. The driver in `lasagne::pipeline` runs the
-/// gather and apply phases on its worker pool; this serial entry point runs
-/// the identical phases inline and produces the identical module, facts,
-/// and substitution count.
-pub fn ipsccp_logged(m: &mut Module, facts: &mut Vec<IpsccpFact>) -> usize {
-    let mut summaries: Vec<CallSummary> = m.funcs.iter().map(summarize_calls).collect();
-    let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
-    let new = ipsccp_join(&param_counts, &mut summaries, facts);
-    let mut changed = 0;
-    for (target, f) in m.funcs.iter_mut().enumerate() {
-        changed += apply_ipsccp_facts(f, target as u32, &new);
-    }
-    changed
 }
 
 /// Frozen snapshot of everything `ipsccp` reads from one function's body:
@@ -511,7 +495,7 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert!(ipsccp(&mut m) > 0);
+        assert!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()) > 0);
         // The callee's multiply now has a constant operand.
         let f = &m.funcs[0];
         let has_const = f.iter_insts().any(|(_, id)| {
@@ -559,10 +543,10 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert_eq!(ipsccp(&mut m), 0);
+        assert_eq!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()), 0);
     }
 
-    /// The original single-threaded `ipsccp_logged` loop, kept verbatim as
+    /// The original single-threaded `ipsccp` loop, kept verbatim as
     /// the oracle the superstep decomposition must match bit for bit.
     fn ipsccp_serial_reference(m: &mut Module, facts: &mut Vec<IpsccpFact>) -> usize {
         let mut changed = 0;
@@ -713,7 +697,7 @@ mod tests {
     fn superstep_cascades_through_forwarded_params() {
         let mut m = cascade_module();
         let mut facts = Vec::new();
-        let subs = ipsccp_logged(&mut m, &mut facts);
+        let subs = ipsccp(&mut m, &mut facts, &TraceCtx::disabled());
         // mid.param0 = 7 (decided first), then leaf.param0 = 7 via the
         // now-constant forwarded argument inside mid.
         assert_eq!(
@@ -798,11 +782,29 @@ mod tests {
             let mut serial_facts = Vec::new();
             let mut phased_facts = Vec::new();
             let serial_subs = ipsccp_serial_reference(&mut serial, &mut serial_facts);
-            let phased_subs = ipsccp_logged(&mut phased, &mut phased_facts);
+            let phased_subs = ipsccp(&mut phased, &mut phased_facts, &TraceCtx::disabled());
             assert_eq!(serial_facts, phased_facts, "fact streams diverged");
             assert_eq!(serial_subs, phased_subs, "substitution counts diverged");
             assert_eq!(serial, phased, "modules diverged");
         }
+    }
+
+    /// A collecting context must not change the module, the facts or the
+    /// substitution count, and its counters must mirror them.
+    #[test]
+    fn collecting_trace_leaves_ipsccp_unchanged() {
+        let mut plain = cascade_module();
+        let mut traced = plain.clone();
+        let (mut plain_facts, mut facts) = (Vec::new(), Vec::new());
+        let plain_subs = ipsccp(&mut plain, &mut plain_facts, &TraceCtx::disabled());
+        let ctx = TraceCtx::collecting();
+        let subs = ipsccp(&mut traced, &mut facts, &ctx);
+        assert_eq!(traced, plain, "tracing changed the module");
+        assert_eq!(facts, plain_facts);
+        assert_eq!(subs, plain_subs);
+        let snap = ctx.metrics_snapshot().expect("collecting context");
+        assert_eq!(snap.counter("opt.ipsccp.facts"), facts.len() as u64);
+        assert_eq!(snap.counter("opt.ipsccp.substitutions"), subs as u64);
     }
 
     #[test]
@@ -845,6 +847,6 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert_eq!(ipsccp(&mut m), 0);
+        assert_eq!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()), 0);
     }
 }

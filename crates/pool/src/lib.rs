@@ -1,7 +1,7 @@
 //! A long-lived, std-only work-stealing thread pool shared by every
-//! parallel section of the pipeline.
+//! parallel section of the pipeline and by the memory-model checker.
 //!
-//! Before this module existed, every parallel section spawned fresh
+//! Before this crate existed, every parallel section spawned fresh
 //! [`std::thread::scope`] workers and joined them at the section's end.
 //! At Phoenix scale that overhead dominated: `BENCH_pipeline.json`
 //! recorded jobs=4 running at 0.68× of jobs=1, with milliseconds of
@@ -51,7 +51,7 @@
 //! # Example
 //!
 //! ```
-//! use lasagne::pipeline::pool::Pool;
+//! use lasagne_pool::Pool;
 //!
 //! let squares = Pool::shared().par_map(4, (0..64u64).collect(), |_, v| v * v);
 //! assert_eq!(squares, (0..64u64).map(|v| v * v).collect::<Vec<_>>());
@@ -66,6 +66,8 @@
 //! });
 //! assert_eq!(nested[3], 3 * 28);
 //! ```
+
+#![warn(missing_docs)]
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -337,10 +339,9 @@ impl Pool {
 
     /// The process-wide shared pool: spawned lazily, grown to the largest
     /// worker count any caller has requested, never shut down. Every
-    /// [`Pipeline`](super::Pipeline) and every
-    /// [`par_map`](super::par_map) call rides this pool by default, so
-    /// one `report` sweep, a `difftest` run, and nested litmus
-    /// enumerations all reuse the same threads.
+    /// pipeline rides this pool by default, so one `report` sweep, a
+    /// `difftest` run, and nested litmus enumerations all reuse the same
+    /// threads.
     pub fn shared() -> &'static Pool {
         static SHARED: OnceLock<Pool> = OnceLock::new();
         SHARED.get_or_init(|| Pool::new(0))

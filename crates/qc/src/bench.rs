@@ -11,6 +11,7 @@
 //! Environment knobs: `LASAGNE_BENCH_WARMUP_MS`, `LASAGNE_BENCH_SAMPLES`,
 //! `LASAGNE_BENCH_SAMPLE_MS`, `LASAGNE_BENCH_JSON`.
 
+use lasagne_trace::json::escape;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -180,7 +181,7 @@ impl Runner {
         let mut s = String::new();
         s.push_str(&format!(
             "{{\"group\":{},\"warmup_ms\":{},\"samples\":{},\"sample_ms\":{},\"benches\":[",
-            json_str(&self.group),
+            escape(&self.group),
             self.cfg.warmup_ms,
             self.cfg.samples,
             self.cfg.sample_ms
@@ -192,7 +193,7 @@ impl Runner {
             s.push_str(&format!(
                 "{{\"name\":{},\"iters_per_sample\":{},\"samples\":{},\"median_ns\":{:.1},\
                  \"mean_ns\":{:.1},\"stddev_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1}}}",
-                json_str(&r.name),
+                escape(&r.name),
                 r.iters_per_sample,
                 r.samples,
                 r.median_ns,
@@ -209,7 +210,7 @@ impl Runner {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!("{}:{v}", json_str(k)));
+                s.push_str(&format!("{}:{v}", escape(k)));
             }
             s.push('}');
         }
@@ -230,24 +231,6 @@ impl Runner {
             }
         }
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -281,10 +264,5 @@ mod tests {
             json.ends_with(",\"meta\":{\"cache_hits\":9,\"cache_misses\":1}}"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -154,16 +154,11 @@ fn position_of(f: &Function, id: InstId) -> Option<(BlockId, usize)> {
 
 /// Applies the generalised Figure 5 peephole rules to one function.
 ///
-/// Returns the number of `inttoptr` instructions rewritten.
-pub fn expose_pointers(m: &Module, f: &mut Function) -> usize {
-    expose_pointers_traced(m, f, &TraceCtx::disabled())
-}
-
-/// [`expose_pointers`] recording each rule firing into `ctx`: one
-/// `refine.rule.*` counter increment and (when tracing is enabled) a
-/// `peephole` instant event per rewritten `inttoptr`. Produces the exact
-/// same function as [`expose_pointers`].
-pub fn expose_pointers_traced(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
+/// Returns the number of `inttoptr` instructions rewritten. Each rule
+/// firing is recorded into `ctx`: one `refine.rule.*` counter increment
+/// and (when tracing is enabled) a `peephole` instant event per rewritten
+/// `inttoptr`. Tracing never changes the function.
+pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
     let mut rewritten = 0;
     // Snapshot the inttoptr instructions first; rewriting adds instructions.
     let targets: Vec<InstId> = f
@@ -274,16 +269,11 @@ pub fn expose_pointers_traced(m: &Module, f: &mut Function, ctx: &TraceCtx) -> u
 /// Promotes `i64` parameters used only as raw addresses to typed pointer
 /// parameters (§5.2), rewriting all call sites in the module.
 ///
-/// Returns the number of parameters promoted.
-pub fn promote_pointer_params(m: &mut Module) -> usize {
-    promote_pointer_params_traced(m, &TraceCtx::disabled())
-}
-
-/// [`promote_pointer_params`] recording each promotion into `ctx`: one
-/// `refine.params.promoted` counter increment and (when tracing is enabled)
-/// a `promote-param` instant event naming the function and parameter.
-/// Produces the exact same module as [`promote_pointer_params`].
-pub fn promote_pointer_params_traced(m: &mut Module, ctx: &TraceCtx) -> usize {
+/// Returns the number of parameters promoted. Each promotion is recorded
+/// into `ctx`: one `refine.params.promoted` counter increment and (when
+/// tracing is enabled) a `promote-param` instant event naming the function
+/// and parameter. Tracing never changes the module.
+pub fn promote_pointer_params(m: &mut Module, ctx: &TraceCtx) -> usize {
     let mut promoted = 0;
     for fi in 0..m.funcs.len() {
         let fid = lasagne_lir::FuncId(fi as u32);
@@ -499,21 +489,16 @@ pub fn sweep_dead(f: &mut Function) -> usize {
 
 /// One per-function refinement step: pointer exposure ([`expose_pointers`])
 /// followed by a dead-arithmetic sweep ([`sweep_dead`]). Returns the number
-/// of `inttoptr` instructions rewritten.
+/// of `inttoptr` instructions rewritten. Rule firings are traced into
+/// `ctx` (see [`expose_pointers`]), and swept dead address arithmetic is
+/// counted into `refine.swept`.
 ///
 /// This is the intraprocedural half of [`refine_module`], split out for the
 /// pipeline driver: it mutates only `f` and reads `m` solely for operand
 /// typing (never other function bodies), so distinct functions may be
 /// refined concurrently with results identical to any serial order.
-pub fn refine_function(m: &Module, f: &mut Function) -> usize {
-    refine_function_traced(m, f, &TraceCtx::disabled())
-}
-
-/// [`refine_function`] with rule-firing tracing (see
-/// [`expose_pointers_traced`]); also counts swept dead address arithmetic
-/// into `refine.swept`.
-pub fn refine_function_traced(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
-    let n = expose_pointers_traced(m, f, ctx);
+pub fn refine_function(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
+    let n = expose_pointers(m, f, ctx);
     let swept = sweep_dead(f);
     ctx.add("refine.swept", swept as u64);
     n
@@ -529,12 +514,12 @@ pub fn refine_module(m: &mut Module) -> RefineStats {
         let mut changed = 0;
         for fi in 0..m.funcs.len() {
             let mut f = std::mem::replace(&mut m.funcs[fi], Function::new("", vec![], Ty::Void));
-            let n = refine_function(m, &mut f);
+            let n = refine_function(m, &mut f, &TraceCtx::disabled());
             m.funcs[fi] = f;
             changed += n;
             stats.inttoptr_rewritten += n;
         }
-        let p = promote_pointer_params(m);
+        let p = promote_pointer_params(m, &TraceCtx::disabled());
         for f in &mut m.funcs {
             sweep_dead(f);
         }
@@ -591,7 +576,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        let n = expose_pointers(&m, &mut f);
+        let n = expose_pointers(&m, &mut f, &TraceCtx::disabled());
         assert_eq!(n, 1);
         assert!(
             matches!(
@@ -654,7 +639,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        assert_eq!(expose_pointers(&m, &mut f), 1);
+        assert_eq!(expose_pointers(&m, &mut f, &TraceCtx::disabled()), 1);
         // A GEP from the alloca must now exist and feed the bitcast.
         let has_gep = f.iter_insts().any(|(_, id)| {
             matches!(&f.inst(id).kind, InstKind::Gep { base, .. } if *base == Operand::Inst(stack))
@@ -745,7 +730,7 @@ mod tests {
             },
         );
         m.add_func(f);
-        assert_eq!(promote_pointer_params(&mut m), 1);
+        assert_eq!(promote_pointer_params(&mut m, &TraceCtx::disabled()), 1);
         assert_eq!(m.funcs[0].params[0], Ty::Ptr(Pointee::F64));
         verify_module(&m).unwrap();
     }
@@ -772,7 +757,7 @@ mod tests {
             },
         );
         m.add_func(f);
-        assert_eq!(promote_pointer_params(&mut m), 0);
+        assert_eq!(promote_pointer_params(&mut m, &TraceCtx::disabled()), 0);
         assert_eq!(m.funcs[0].params[0], Ty::I64);
     }
 

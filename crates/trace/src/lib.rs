@@ -82,9 +82,9 @@ pub fn current_track() -> u32 {
 /// instrumentation) guards is either append-only or written in a single
 /// statement, so recovery is always safe — and an `unwrap()` here would
 /// let one panicking worker take the whole trace (or the work-stealing
-/// pool) down with it. Public so the pipeline's `TimingSink` and
-/// `pipeline::pool` share the one poison policy; `ci.sh` greps both
-/// crates for raw `lock().unwrap()` calls.
+/// pool) down with it. Public so the pipeline's `TimingSink` and the
+/// `lasagne-pool` work-stealing pool share the one poison policy; `ci.sh`
+/// greps both crates for raw `lock().unwrap()` calls.
 ///
 /// ```
 /// use std::sync::Mutex;

@@ -8,6 +8,7 @@
 
 use lasagne_repro::memmodel::mapping::{check_mapping, limm_to_arm, x86_to_limm};
 use lasagne_repro::memmodel::{litmus, outcomes, Model, Outcome};
+use lasagne_repro::pool::Pool;
 
 fn show(name: &str, p: &lasagne_repro::memmodel::Program) {
     println!("--- {name} ---");
@@ -46,7 +47,7 @@ fn main() {
     println!("  Arm thread 0: {:?}", arm.threads[0]);
     println!("  Arm thread 1: {:?}", arm.threads[1]);
 
-    match check_mapping(Model::X86, &mp, Model::Arm, &arm) {
+    match check_mapping(Pool::shared(), 1, Model::X86, &mp, Model::Arm, &arm) {
         Ok(()) => println!("  mapping is correct: Arm outcomes ⊆ x86 outcomes"),
         Err(extra) => println!("  MAPPING BUG: extra outcomes {extra:?}"),
     }
@@ -55,7 +56,7 @@ fn main() {
     // reappear (Theorem 7.3's necessity argument).
     let mut weak = arm.clone();
     weak.threads[1].retain(|op| !matches!(op, lasagne_repro::memmodel::Op::Fence(_)));
-    match check_mapping(Model::X86, &mp, Model::Arm, &weak) {
+    match check_mapping(Pool::shared(), 1, Model::X86, &mp, Model::Arm, &weak) {
         Ok(()) => println!("  (unexpected: weakened mapping still correct)"),
         Err(extra) => println!(
             "  without the reader's DMBLD, {} x86-forbidden outcome(s) appear — the fence is necessary",

@@ -8,7 +8,7 @@
 
 use lasagne_repro::bench::{measure_native, measure_version};
 use lasagne_repro::phoenix::all_benchmarks;
-use lasagne_repro::translator::Version;
+use lasagne_repro::translator::{Pipeline, Version};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "HT".to_string());
@@ -43,7 +43,7 @@ fn main() {
         "-"
     );
     for v in Version::ALL {
-        let (t, m) = measure_version(b, v);
+        let (t, m, _) = measure_version(b, &Pipeline::new(v));
         println!(
             "{:<8} {:>10} {:>10} {:>8} {:>8.2} {:>8}",
             v.name(),

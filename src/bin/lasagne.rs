@@ -312,16 +312,8 @@ fn main() {
             }
         }
         "litmus" => {
-            // At --jobs > 1 the parallelism goes *inside* each program
-            // (candidate-execution partitioning) rather than across the
-            // suite — row-identical output either way, but the pool stays
-            // busy on enumeration-heavy programs like IRIW.
-            let rows = if jobs > 1 {
-                lasagne_repro::memmodel::sweep_suite_within(jobs)
-            } else {
-                lasagne_repro::memmodel::sweep_suite(jobs)
-            };
-            for row in rows {
+            let pool = lasagne_repro::pool::Pool::shared();
+            for row in lasagne_repro::memmodel::sweep_suite(pool, jobs) {
                 println!(
                     "{:<16} x86 {:>2} outcomes | Arm {:>2} | x86→IR→Arm {}",
                     row.name,

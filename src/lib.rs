@@ -19,6 +19,7 @@
 //! | [`mod@bench`] | §9 | measurement harness behind `report` and the benches |
 //! | [`cache`] | — | content-addressed on-disk translation cache |
 //! | [`trace`] | — | structured tracing, metrics, Chrome trace export |
+//! | [`pool`] | — | std-only work-stealing pool shared by the pipeline and `memmodel` |
 
 pub use lasagne as translator;
 pub use lasagne_armgen as armgen;
@@ -30,6 +31,7 @@ pub use lasagne_lir as lir;
 pub use lasagne_memmodel as memmodel;
 pub use lasagne_opt as opt;
 pub use lasagne_phoenix as phoenix;
+pub use lasagne_pool as pool;
 pub use lasagne_refine as refine;
 pub use lasagne_trace as trace;
 pub use lasagne_x86 as x86;

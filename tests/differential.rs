@@ -28,7 +28,7 @@ properties! {
 
     fn all_configurations_agree(body in collection::vec(any_op(), 1..24)) {
         let bin = build_binary(&body);
-        check_threeway(&bin, "fuzz")
+        check_threeway(&bin, "fuzz", None)
             .map(drop)
             .map_err(TestCaseError::fail)?;
     }
@@ -43,7 +43,7 @@ properties! {
         )
     ) {
         let bin = build_cfg_binary(&segments);
-        check_threeway(&bin, "cfg-fuzz")
+        check_threeway(&bin, "cfg-fuzz", None)
             .map(drop)
             .map_err(TestCaseError::fail)?;
     }
@@ -77,7 +77,7 @@ fn regression_w32_mov_around_sse_scalar_add() {
         },
     ];
     let bin = build_binary(&body);
-    check_threeway(&bin, "persisted regression").unwrap_or_else(|e| panic!("{e}"));
+    check_threeway(&bin, "persisted regression", None).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The minimal counterexamples behind seeds `qc a22d3d68…` and
@@ -99,7 +99,7 @@ fn regression_unused_leading_param() {
         Shape::Straight,
     )];
     let bin = build_cfg_binary(&segments);
-    check_threeway(&bin, "persisted regression").unwrap_or_else(|e| panic!("{e}"));
+    check_threeway(&bin, "persisted regression", None).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The minimal counterexample behind seed `qc e70950b8…` in
@@ -132,5 +132,5 @@ fn regression_narrow_shiftcl_count_masking() {
         ),
     ];
     let bin = build_cfg_binary(&segments);
-    check_threeway(&bin, "persisted regression").unwrap_or_else(|e| panic!("{e}"));
+    check_threeway(&bin, "persisted regression", None).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -23,7 +23,7 @@ fn case(name: &str, body: &[Inst], expected: u64) {
         ret, expected,
         "{name}: x86 interpreter disagrees with the hand-computed value"
     );
-    check_threeway(&bin, name).unwrap_or_else(|e| panic!("{e}"));
+    check_threeway(&bin, name, None).unwrap_or_else(|e| panic!("{e}"));
 }
 
 fn movq(dst: Gpr, imm: i32) -> Inst {

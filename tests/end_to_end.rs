@@ -6,7 +6,8 @@ use lasagne_repro::bench::{measure_native, measure_version, run_arm};
 use lasagne_repro::memmodel::mapping::check_chain;
 use lasagne_repro::memmodel::{litmus, outcomes, Model};
 use lasagne_repro::phoenix::all_benchmarks;
-use lasagne_repro::translator::{translate, Version};
+use lasagne_repro::pool::Pool;
+use lasagne_repro::translator::{translate, Pipeline, Version};
 
 /// The headline result (Figure 14): the full pipeline reduces fences by a
 /// large factor versus the unrefined placement, on every benchmark, while
@@ -15,7 +16,7 @@ use lasagne_repro::translator::{translate, Version};
 fn headline_fence_reduction() {
     let mut reductions = Vec::new();
     for b in all_benchmarks(96) {
-        let (t, m) = measure_version(&b, Version::PPOpt);
+        let (t, m, _) = measure_version(&b, &Pipeline::new(Version::PPOpt));
         assert_eq!(m.checksum, b.workload.expected_ret);
         reductions.push(t.stats.fence_reduction_pct());
     }
@@ -36,8 +37,8 @@ fn headline_fence_reduction() {
 fn runtime_shape() {
     for b in all_benchmarks(96) {
         let native = measure_native(&b).runtime_cycles as f64;
-        let (_, lifted) = measure_version(&b, Version::Lifted);
-        let (_, ppopt) = measure_version(&b, Version::PPOpt);
+        let (_, lifted, _) = measure_version(&b, &Pipeline::new(Version::Lifted));
+        let (_, ppopt, _) = measure_version(&b, &Pipeline::new(Version::PPOpt));
         let lifted_norm = lifted.runtime_cycles as f64 / native;
         let ppopt_norm = ppopt.runtime_cycles as f64 / native;
         assert!(
@@ -63,7 +64,7 @@ fn runtime_shape() {
 #[test]
 fn concurrency_contract_on_litmus_suite() {
     for (name, p) in litmus::paper_suite() {
-        check_chain(&p).unwrap_or_else(|e| panic!("{name}: {e}"));
+        check_chain(Pool::shared(), 1, &p).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -113,8 +114,8 @@ fn translation_is_deterministic() {
 #[test]
 fn dynamic_barriers_drop() {
     for b in all_benchmarks(48) {
-        let (_, lifted) = measure_version(&b, Version::Lifted);
-        let (_, ppopt) = measure_version(&b, Version::PPOpt);
+        let (_, lifted, _) = measure_version(&b, &Pipeline::new(Version::Lifted));
+        let (_, ppopt, _) = measure_version(&b, &Pipeline::new(Version::PPOpt));
         let ld = lifted.dmbs.0 + lifted.dmbs.1 + lifted.dmbs.2;
         let pp = ppopt.dmbs.0 + ppopt.dmbs.1 + ppopt.dmbs.2;
         assert!(pp <= ld, "{}: dynamic barriers grew {ld} -> {pp}", b.name);

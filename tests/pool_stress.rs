@@ -2,7 +2,7 @@
 //! panics.
 //!
 //! The pool is shared process-wide: the pipeline's fused sections, the
-//! memory-model litmus sweeps, and any `par_map` caller all submit to the
+//! memory-model litmus sweeps, and any `Pool::par_map` caller all submit to the
 //! same worker set. The two hazards of that design are (a) deadlock —
 //! a worker that blocks on a nested fan-out while every sibling does the
 //! same would starve the queue — and (b) lost panics — a work item that
@@ -11,10 +11,10 @@
 //! real shared pool (not a private test pool), so the tests also prove
 //! the pool survives for later translations in the same process.
 
+use lasagne_pool::Pool;
 use lasagne_repro::armgen::print::print_module;
 use lasagne_repro::memmodel;
 use lasagne_repro::phoenix::all_benchmarks;
-use lasagne_repro::translator::pipeline::{par_map, pool::Pool};
 use lasagne_repro::translator::{Pipeline, Version};
 
 /// Nested fan-out on the shared pool must not deadlock: an outer
@@ -27,9 +27,9 @@ use lasagne_repro::translator::{Pipeline, Version};
 fn nested_litmus_sweep_inside_par_map_does_not_deadlock() {
     let pool = Pool::shared();
     pool.ensure_workers(4);
-    let serial = memmodel::sweep_suite_within(1);
-    let nested = par_map(4, vec![4usize, 2, 4], |_, jobs| {
-        memmodel::sweep_suite_within_on(pool, jobs)
+    let serial = memmodel::sweep_suite(pool, 1);
+    let nested = pool.par_map(4, vec![4usize, 2, 4], |_, jobs| {
+        memmodel::sweep_suite(pool, jobs)
     });
     for rows in &nested {
         assert_eq!(rows, &serial, "nested sweep diverged from serial");
@@ -43,9 +43,9 @@ fn nested_litmus_sweep_inside_par_map_does_not_deadlock() {
 fn litmus_sweep_nested_inside_a_pipeline_translation_is_safe() {
     let b = &all_benchmarks(24)[0];
     let (serial, _) = Pipeline::new(Version::PPOpt).run(&b.binary).unwrap();
-    let out = par_map(4, vec![(); 2], |i, ()| {
+    let out = Pool::shared().par_map(4, vec![(); 2], |i, ()| {
         if i == 0 {
-            let rows = memmodel::sweep_suite_on(Pool::shared(), 4);
+            let rows = memmodel::sweep_suite(Pool::shared(), 4);
             assert!(rows.iter().all(|r| r.chain.is_ok()));
         }
         let (t, _) = Pipeline::new(Version::PPOpt)
@@ -66,7 +66,7 @@ fn litmus_sweep_nested_inside_a_pipeline_translation_is_safe() {
 fn work_item_panic_surfaces_and_pool_survives() {
     Pool::shared().ensure_workers(4);
     let caught = std::panic::catch_unwind(|| {
-        par_map(4, (0..16).collect::<Vec<u32>>(), |_, i| {
+        Pool::shared().par_map(4, (0..16).collect::<Vec<u32>>(), |_, i| {
             if i == 7 {
                 panic!("injected work-item failure");
             }
@@ -160,14 +160,14 @@ fn nested_fan_out_provokes_a_cross_thread_steal() {
 fn nested_panic_under_load_still_propagates() {
     Pool::shared().ensure_workers(4);
     let caught = std::panic::catch_unwind(|| {
-        par_map(4, (0..4).collect::<Vec<u32>>(), |_, outer| {
+        Pool::shared().par_map(4, (0..4).collect::<Vec<u32>>(), |_, outer| {
             // Inner fan-out: one branch panics while siblings grind real
             // enumeration work, so the panic has to cross a nested join.
-            par_map(2, vec![outer, outer + 10], |_, inner| {
+            Pool::shared().par_map(2, vec![outer, outer + 10], |_, inner| {
                 if inner == 12 {
                     panic!("nested failure");
                 }
-                memmodel::sweep_suite_within(1).len()
+                memmodel::sweep_suite(Pool::shared(), 1).len()
             })
         })
     });
