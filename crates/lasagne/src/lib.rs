@@ -50,10 +50,7 @@ use lasagne_lir::Module;
 use lasagne_x86::binary::Binary;
 
 pub use lasagne_lifter::LiftError;
-pub use pipeline::{
-    CacheReport, FuncFenceRecord, PassManager, Pipeline, PipelineReport, Stage, TimingSink,
-    REPORT_SCHEMA,
-};
+pub use pipeline::{CacheReport, FuncFenceRecord, Pipeline, PipelineReport, Stage, REPORT_SCHEMA};
 
 /// The translation configurations of §9.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,18 +137,17 @@ pub struct Translation {
 
 /// Runs the full pipeline on `bin` under the chosen configuration.
 ///
-/// This is the serial form of [`pipeline::Pipeline`]: the same
-/// [`pipeline::PassManager`] stages run on one thread and the timing
-/// report is discarded. Use `Pipeline::new(version).with_jobs(n).run(bin)`
-/// for parallel, instrumented translation — the output is byte-identical
-/// for every job count.
+/// This is [`Pipeline::new(version).run(bin)`](Pipeline::run) with the
+/// timing report discarded: the same stages on one thread. Use
+/// `Pipeline::new(version).with_jobs(n).run(bin)` for parallel,
+/// instrumented translation — the output is byte-identical for every job
+/// count.
 ///
 /// # Errors
 ///
 /// Returns a [`LiftError`] if the binary cannot be lifted.
 pub fn translate(bin: &Binary, version: Version) -> Result<Translation, LiftError> {
-    let sink = TimingSink::new();
-    PassManager::new(version, 1, &sink).translate(bin)
+    Pipeline::new(version).run(bin).map(|(t, _)| t)
 }
 
 #[cfg(test)]

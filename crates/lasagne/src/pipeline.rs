@@ -4,19 +4,20 @@
 //! The Figure 3 pipeline decomposes into six [`Stage`]s — `lift`,
 //! `refine`, `fences`, `merge`, `opt`, `armgen` — each of which (apart
 //! from a handful of interprocedural barrier steps) is a map over
-//! independent per-function work items. The [`PassManager`] exploits that
-//! twice over. First, all fan-outs run on one long-lived work-stealing
-//! [`Pool`] (std-only; shared process-wide by default), so worker
-//! threads are spawned once and then park between sections instead of
-//! being re-created per stage. Second, the *schedule* is fused: a
-//! function flows lift → refine → fence placement → merge → opt-prefix
-//! as one continuation-style work item, and only the true
+//! independent per-function work items. [`Pipeline`] is the one driver,
+//! and it exploits that twice over. First, all fan-outs run on one
+//! long-lived work-stealing [`Pool`] (std-only; shared process-wide by
+//! default), so worker threads are spawned once and then park between
+//! sections instead of being re-created per stage. Second, the *schedule*
+//! is fused: a function flows lift → refine → fence placement → merge →
+//! opt-prefix as one continuation-style work item, and only the true
 //! interprocedural joins remain barriers — signature discovery /
 //! module assembly (`LiftPlan::finish` + parameter promotion), the fence
 //! merge join (module-wide fence totals + provenance assembly), and the
-//! `ipsccp` gather/join/apply superstep. The manager records a
-//! [`PassEvent`] per (stage, function) into a [`TimingSink`] and merges
-//! results *by function index*, which makes the output bit-for-bit
+//! `ipsccp` gather/join/apply superstep. Every step is one *unit* of
+//! work: it opens its trace span and records its time, change count and
+//! instruction count exactly once, from the worker that runs it. Results
+//! merge *by function index*, which makes the output bit-for-bit
 //! independent of thread scheduling.
 //!
 //! # Determinism
@@ -80,7 +81,7 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use lasagne_cache::ser as cache_ser;
@@ -91,7 +92,7 @@ use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand};
 use lasagne_opt::sccp::IpsccpFact;
 use lasagne_opt::sched::{hist_bucket, HIST_BUCKETS};
-use lasagne_opt::{FuncState, PassKind, SchedStats};
+use lasagne_opt::{FuncState, PassKind, SchedStats, OPT_ORDER};
 use lasagne_pool::{Pool, PoolStats};
 use lasagne_trace::{lock_clean, TraceCtx};
 use lasagne_x86::binary::Binary;
@@ -125,9 +126,9 @@ use crate::{LiftError, Translation, TranslationStats, Version};
 /// * **5** — per-stage `"wall_nanos"` is a disjoint extent again: each
 ///   fused region's wall is split across its member stages in
 ///   proportion to the CPU time that stage's work items consumed inside
-///   the region ([`TimingSink::record_region_wall`]), so summing stage
-///   walls once more recovers the translation's wall (up to scheduling
-///   noise around the serial joins). No fields are added or removed
+///   the region's fan-out, so summing stage walls once more recovers the
+///   translation's wall (up to scheduling noise around the serial
+///   joins). No fields are added or removed
 ///   relative to schema 4 — only the overlap caveat is retired — which
 ///   restores apples-to-apples stage-wall comparison against the
 ///   schema-3 era numbers in `BENCH_pipeline.json`.
@@ -195,28 +196,6 @@ impl FuncFenceRecord {
         self.decisions.iter().filter(|d| d.fence.is_some()).count()
     }
 }
-
-/// The Figure 17 optimization schedule: the `standard_pipeline` order, run
-/// for up to three rounds with `ipsccp` as the interprocedural barrier
-/// (executed as a gather/join/apply superstep; the computation is the
-/// serial algorithm's). Hoisted to a module constant so the cache's
-/// pass-list key and the executed schedule can never drift apart — the
-/// fused blocks are carved out of this same constant at its barrier.
-const OPT_ORDER: [PassKind; 13] = [
-    PassKind::Mem2Reg,
-    PassKind::Sroa,
-    PassKind::Mem2Reg,
-    PassKind::InstCombine,
-    PassKind::Reassociate,
-    PassKind::InstCombine,
-    PassKind::Sccp,
-    PassKind::IpSccp,
-    PassKind::Gvn,
-    PassKind::Licm,
-    PassKind::Dse,
-    PassKind::Adce,
-    PassKind::Dce,
-];
 
 /// The stable description of the pass schedule `version` runs, as folded
 /// into every cache key. Any change to the schedule changes this string
@@ -450,28 +429,29 @@ impl Stage {
         }
     }
 
+    /// Position in [`Stage::ALL`]: the variants are declared in pipeline
+    /// order, so this is the discriminant.
     fn index(self) -> usize {
-        Stage::ALL.iter().position(|s| *s == self).unwrap()
+        self as usize
     }
 }
 
-/// One instrumentation record: a unit of pass work on one function (or a
-/// module-wide barrier step when `func` is `None`).
-#[derive(Debug, Clone)]
-pub struct PassEvent {
-    /// The pipeline stage this work belongs to.
-    pub stage: Stage,
-    /// `(function index, function name)`, or `None` for module-level work
-    /// (type discovery, parameter promotion, `ipsccp`, verification).
-    pub func: Option<(usize, String)>,
+/// One instrumentation record: a unit of pass work on one function, or a
+/// module-level step (type discovery, parameter promotion, the `ipsccp`
+/// join, the naive-fence baseline) when `func` is `None`.
+#[derive(Debug, Clone, Copy)]
+struct PassEvent {
+    stage: Stage,
+    /// Function index; the report resolves names from the final module.
+    func: Option<usize>,
     /// Wall time spent on this unit of work.
-    pub nanos: u128,
+    nanos: u128,
     /// Stage-specific change count: instructions lifted, casts rewritten,
     /// fences placed, fences merged away, rewrites applied, or peephole
     /// instructions removed.
-    pub changes: u64,
+    changes: u64,
     /// Live instruction count of the function after this unit of work.
-    pub insts: u64,
+    insts: u64,
 }
 
 /// Aggregated wall time for one optimization pass across every function
@@ -515,83 +495,88 @@ pub struct IpsccpRoundTiming {
     pub substitutions: u64,
 }
 
-/// Collects [`PassEvent`]s from (possibly concurrent) pass executions and
-/// folds them into a [`PipelineReport`].
-///
-/// The sink is `Sync`; events may arrive in any order. Reports are built
-/// by grouping on `(stage, function index)` and sorting, so the report
+/// Collects one run's records from (possibly concurrent) workers and
+/// folds them into a [`PipelineReport`]. Records may arrive in any order:
+/// the report groups on `(stage, function index)` and sorts, so its
 /// *structure* is deterministic even though the recorded durations vary
 /// run to run.
 #[derive(Debug, Default)]
-pub struct TimingSink {
-    events: Mutex<Vec<PassEvent>>,
-    opt_passes: Mutex<Vec<(&'static str, u128, u64)>>,
-    ipsccp_rounds: Mutex<Vec<IpsccpRoundTiming>>,
-    opt_sched: Mutex<Option<SchedStats>>,
-    barrier_waits: Mutex<Vec<u128>>,
-    parallel_sections: Mutex<[u64; 6]>,
-    stage_walls: Mutex<[u128; 6]>,
-    fused_sections: Mutex<u64>,
-    fused_wall: Mutex<u128>,
+struct TimingSink {
+    state: Mutex<SinkState>,
+}
+
+#[derive(Debug, Default)]
+struct SinkState {
+    events: Vec<PassEvent>,
+    /// Per-stage sum of the events' nanos: the CPU basis a fused region's
+    /// wall is split by.
+    stage_cpu: [u128; 6],
+    opt_passes: Vec<(PassKind, u128, u64)>,
+    ipsccp_rounds: Vec<IpsccpRoundTiming>,
+    opt_sched: Option<SchedStats>,
+    barrier_waits: Vec<u128>,
+    parallel_sections: [u64; 6],
+    stage_walls: [u128; 6],
+    fused_sections: u64,
+    fused_wall: u128,
 }
 
 impl TimingSink {
-    /// Creates an empty sink.
-    pub fn new() -> TimingSink {
-        TimingSink::default()
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        lock_clean(&self.state)
     }
 
-    /// Records one event.
-    pub fn record(&self, ev: PassEvent) {
-        lock_clean(&self.events).push(ev);
+    /// Records one unit of work (see [`PassEvent`]).
+    fn record(&self, stage: Stage, func: Option<usize>, nanos: u128, changes: u64, insts: u64) {
+        let mut s = self.state();
+        s.stage_cpu[stage.index()] += nanos;
+        s.events.push(PassEvent {
+            stage,
+            func,
+            nanos,
+            changes,
+            insts,
+        });
     }
 
-    /// Records one pass execution inside a fused opt work item.
-    pub fn record_opt_pass(&self, pass: &'static str, nanos: u128, changes: u64) {
-        lock_clean(&self.opt_passes).push((pass, nanos, changes));
+    /// Records one pass execution inside an opt block.
+    fn record_opt_pass(&self, pass: PassKind, nanos: u128, changes: u64) {
+        self.state().opt_passes.push((pass, nanos, changes));
     }
 
-    /// Records the phase breakdown of one `ipsccp` superstep.
-    pub fn record_ipsccp_round(&self, round: IpsccpRoundTiming) {
-        lock_clean(&self.ipsccp_rounds).push(round);
+    fn record_ipsccp_round(&self, round: IpsccpRoundTiming) {
+        self.state().ipsccp_rounds.push(round);
     }
 
-    /// Records the opt stage's change-driven scheduler counters. Merged
-    /// if recorded more than once (counts sum, rounds take the max), so
-    /// the counters stay meaningful for sinks shared across runs.
-    pub fn record_opt_sched(&self, stats: &SchedStats) {
-        let mut slot = lock_clean(&self.opt_sched);
-        match slot.as_mut() {
-            Some(acc) => acc.merge(stats),
-            None => *slot = Some(*stats),
-        }
+    fn record_opt_sched(&self, stats: SchedStats) {
+        self.state().opt_sched = Some(stats);
+    }
+
+    /// CPU recorded so far per stage, indexed by [`Stage::index`].
+    fn stage_cpu(&self) -> [u128; 6] {
+        self.state().stage_cpu
     }
 
     /// Accounts wall-clock time the orchestrating thread spent inside a
-    /// region owned by a single `stage` (the refine fixpoint sections,
-    /// the opt continuation, Arm code generation). Multi-stage fused
-    /// regions go through [`TimingSink::record_region_wall`] instead, so
-    /// that stage walls stay disjoint. (`StageTiming::nanos` is a
-    /// different axis: it sums per-function work across concurrent
+    /// region owned by a single `stage` (the opt continuation, Arm code
+    /// generation). Fused regions go through
+    /// [`TimingSink::record_region_wall`] instead. (`StageTiming::nanos`
+    /// is a different axis: it sums per-function work across concurrent
     /// worker threads and can exceed the wall.)
-    pub fn record_stage_wall(&self, stage: Stage, nanos: u128) {
-        lock_clean(&self.stage_walls)[stage.index()] += nanos;
+    fn record_stage_wall(&self, stage: Stage, nanos: u128) {
+        self.state().stage_walls[stage.index()] += nanos;
     }
 
-    /// Accounts the wall clock of one *fused* region by splitting it
-    /// across the region's member stages in proportion to the CPU time
-    /// each stage's work items consumed inside that region (`parts`
-    /// pairs every member with its in-region CPU nanos; a zero-CPU
-    /// region falls back to an equal split). The shares partition the
-    /// region's wall exactly — the schema-5 guarantee that per-stage
-    /// `wall_nanos` are disjoint extents summing to the fused wall,
-    /// instead of schema 4's every-member-charged-in-full overlap.
-    pub fn record_region_wall(&self, parts: &[(Stage, u128)], wall: u128) {
-        if parts.is_empty() {
-            return;
-        }
+    /// Accounts the wall clock of one *fused* region: adds it to the fused
+    /// wall and splits it across the region's member stages in proportion
+    /// to the CPU each consumed inside the region's fan-out (`parts` pairs
+    /// every member with that CPU; a zero-CPU region falls back to an
+    /// equal split). The shares partition the wall exactly — the schema-5
+    /// guarantee that per-stage `wall_nanos` are disjoint extents.
+    fn record_region_wall(&self, parts: &[(Stage, u128)], wall: u128) {
         let total: u128 = parts.iter().map(|(_, cpu)| *cpu).sum();
-        let mut walls = lock_clean(&self.stage_walls);
+        let mut s = self.state();
+        s.fused_wall += wall;
         let mut assigned = 0u128;
         for (i, (stage, cpu)) in parts.iter().enumerate() {
             let share = if i + 1 == parts.len() {
@@ -604,121 +589,102 @@ impl TimingSink {
                 wall * cpu / total
             };
             assigned += share;
-            walls[stage.index()] += share;
+            s.stage_walls[stage.index()] += share;
         }
     }
 
-    /// Accounts one completed parallel section in `stage`: per worker
-    /// slot, the time it idled between finishing its last work item and
-    /// the slowest worker reaching the section's join point.
-    pub fn record_parallel_section(&self, stage: Stage, waits: &[u128]) {
-        lock_clean(&self.parallel_sections)[stage.index()] += 1;
-        self.fold_waits(waits);
-    }
-
-    /// Accounts one completed *fused* parallel section — a single
-    /// fan-out whose work items each flow through several `stages` back
-    /// to back. Every participating stage's `parallel_sections` counter
-    /// is bumped, the per-slot barrier waits are folded in **once** (one
-    /// barrier formed, not one per stage), and the section counts toward
-    /// the report's `"fused"` block.
-    pub fn record_fused_section(&self, stages: &[Stage], waits: &[u128]) {
-        {
-            let mut sections = lock_clean(&self.parallel_sections);
-            for s in stages {
-                sections[s.index()] += 1;
-            }
+    /// Accounts one completed parallel section whose work items flowed
+    /// through `stages`: every member's `parallel_sections` counter moves,
+    /// the per-slot barrier waits (the time each worker idled between its
+    /// last item and the slowest worker reaching the join) are folded in
+    /// once, and a `fused` section counts toward the `"fused"` block.
+    fn record_section(&self, stages: &[Stage], fused: bool, waits: &[u128]) {
+        let mut s = self.state();
+        for st in stages {
+            s.parallel_sections[st.index()] += 1;
         }
-        *lock_clean(&self.fused_sections) += 1;
-        self.fold_waits(waits);
-    }
-
-    /// Accounts wall-clock time spent inside fused regions (summed over
-    /// the run's fused sections and their adjacent serial joins, as seen
-    /// by the orchestrating thread).
-    pub fn record_fused_wall(&self, nanos: u128) {
-        *lock_clean(&self.fused_wall) += nanos;
-    }
-
-    fn fold_waits(&self, waits: &[u128]) {
-        let mut acc = lock_clean(&self.barrier_waits);
-        if acc.len() < waits.len() {
-            acc.resize(waits.len(), 0);
+        s.fused_sections += u64::from(fused);
+        if s.barrier_waits.len() < waits.len() {
+            s.barrier_waits.resize(waits.len(), 0);
         }
         for (slot, w) in waits.iter().enumerate() {
-            acc[slot] += w;
+            s.barrier_waits[slot] += w;
         }
     }
 
-    /// Builds the aggregated report. Events for the same (stage, function)
-    /// have their times and change counts summed; the instruction count
-    /// keeps the last recorded value.
-    pub fn report(&self, version: Version, jobs: usize, total_nanos: u128) -> PipelineReport {
-        let events = lock_clean(&self.events);
-        let sections = *lock_clean(&self.parallel_sections);
-        let walls = *lock_clean(&self.stage_walls);
+    /// Builds the aggregated report, naming functions after `m`'s. Events
+    /// for the same (stage, function) have their times and change counts
+    /// summed; the instruction count keeps the last recorded value.
+    fn report(
+        &self,
+        version: Version,
+        jobs: usize,
+        total_nanos: u128,
+        m: &Module,
+    ) -> PipelineReport {
+        let s = self.state();
         let mut stages: Vec<StageTiming> = Stage::ALL
             .iter()
-            .map(|s| StageTiming {
-                stage: *s,
+            .map(|st| StageTiming {
+                stage: *st,
                 nanos: 0,
                 module_nanos: 0,
-                wall_nanos: walls[s.index()],
-                parallel_sections: sections[s.index()],
+                wall_nanos: s.stage_walls[st.index()],
+                parallel_sections: s.parallel_sections[st.index()],
                 funcs: Vec::new(),
             })
             .collect();
-        for ev in events.iter() {
+        for ev in &s.events {
             let st = &mut stages[ev.stage.index()];
             st.nanos += ev.nanos;
-            match &ev.func {
-                None => st.module_nanos += ev.nanos,
-                Some((index, name)) => match st.funcs.binary_search_by_key(index, |ft| ft.index) {
-                    Ok(pos) => {
-                        let ft = &mut st.funcs[pos];
-                        ft.nanos += ev.nanos;
-                        ft.changes += ev.changes;
-                        ft.insts = ev.insts;
-                    }
-                    Err(pos) => st.funcs.insert(
-                        pos,
-                        FuncTiming {
-                            func: name.clone(),
-                            index: *index,
-                            nanos: ev.nanos,
-                            changes: ev.changes,
-                            insts: ev.insts,
-                        },
-                    ),
-                },
+            let Some(index) = ev.func else {
+                st.module_nanos += ev.nanos;
+                continue;
+            };
+            match st.funcs.binary_search_by_key(&index, |ft| ft.index) {
+                Ok(pos) => {
+                    let ft = &mut st.funcs[pos];
+                    ft.nanos += ev.nanos;
+                    ft.changes += ev.changes;
+                    ft.insts = ev.insts;
+                }
+                Err(pos) => st.funcs.insert(
+                    pos,
+                    FuncTiming {
+                        func: m.funcs[index].name.clone(),
+                        index,
+                        nanos: ev.nanos,
+                        changes: ev.changes,
+                        insts: ev.insts,
+                    },
+                ),
             }
         }
-        // Aggregate per-pass executions by pass name, in first-seen order
-        // (which is schedule order: the fused blocks walk `OPT_ORDER`).
         let mut opt_passes: Vec<OptPassTiming> = Vec::new();
-        for (pass, nanos, changes) in lock_clean(&self.opt_passes).iter() {
-            let bucket = hist_bucket(*changes as usize);
-            match opt_passes.iter_mut().find(|p| p.pass == *pass) {
-                Some(p) => {
-                    p.nanos += nanos;
-                    p.changes += changes;
-                    p.invocations += 1;
-                    p.hist[bucket] += 1;
-                }
+        for &(pass, nanos, changes) in &s.opt_passes {
+            let pos = match opt_passes.iter().position(|p| p.pass == pass.name()) {
+                Some(pos) => pos,
                 None => {
-                    let mut hist = [0u64; HIST_BUCKETS];
-                    hist[bucket] = 1;
                     opt_passes.push(OptPassTiming {
-                        pass,
-                        nanos: *nanos,
-                        changes: *changes,
-                        invocations: 1,
-                        hist,
-                    })
+                        pass: pass.name(),
+                        nanos: 0,
+                        changes: 0,
+                        invocations: 0,
+                        hist: [0; HIST_BUCKETS],
+                    });
+                    opt_passes.len() - 1
                 }
-            }
+            };
+            let p = &mut opt_passes[pos];
+            p.nanos += nanos;
+            p.changes += changes;
+            p.invocations += 1;
+            p.hist[hist_bucket(changes as usize)] += 1;
         }
-        let mut ipsccp_rounds = lock_clean(&self.ipsccp_rounds).clone();
+        // Schedule order — each pass's first slot in `OPT_ORDER` — not
+        // arrival order, which depends on how workers interleave.
+        opt_passes.sort_by_key(|p| OPT_ORDER.iter().position(|k| k.name() == p.pass));
+        let mut ipsccp_rounds = s.ipsccp_rounds.clone();
         ipsccp_rounds.sort_by_key(|r| r.round);
         PipelineReport {
             version,
@@ -727,10 +693,10 @@ impl TimingSink {
             stages,
             opt_passes,
             ipsccp_rounds,
-            opt_sched: *lock_clean(&self.opt_sched),
-            barrier_wait_nanos: lock_clean(&self.barrier_waits).clone(),
-            fused_sections: *lock_clean(&self.fused_sections),
-            fused_wall_nanos: *lock_clean(&self.fused_wall),
+            opt_sched: s.opt_sched,
+            barrier_wait_nanos: s.barrier_waits.clone(),
+            fused_sections: s.fused_sections,
+            fused_wall_nanos: s.fused_wall,
             pool: None,
             cache: None,
             metrics: None,
@@ -741,13 +707,11 @@ impl TimingSink {
     /// stages, indexed by function index. Taken just before Arm code
     /// generation on the cold path, this is exactly the work a warm cache
     /// hit skips — it becomes each cached entry's `cold_nanos`.
-    pub fn per_func_nanos(&self, nfuncs: usize) -> Vec<u128> {
+    fn per_func_nanos(&self, nfuncs: usize) -> Vec<u128> {
         let mut out = vec![0u128; nfuncs];
-        for ev in lock_clean(&self.events).iter() {
-            if let Some((i, _)) = &ev.func {
-                if *i < nfuncs {
-                    out[*i] += ev.nanos;
-                }
+        for ev in &self.state().events {
+            if let Some(i) = ev.func.filter(|i| *i < nfuncs) {
+                out[i] += ev.nanos;
             }
         }
         out
@@ -800,7 +764,9 @@ pub struct FuncTiming {
     /// Total wall time spent on this function in this stage (summed over
     /// rounds and sub-passes).
     pub nanos: u128,
-    /// Total stage-specific changes (see [`PassEvent::changes`]).
+    /// Total stage-specific changes: instructions lifted, casts
+    /// rewritten, fences placed, fences merged away, rewrites applied, or
+    /// peephole instructions removed.
     pub changes: u64,
     /// Live instruction count after the stage last touched the function.
     pub insts: u64,
@@ -1188,21 +1154,20 @@ impl Pipeline {
     ///
     /// Returns a [`LiftError`] if the binary cannot be lifted.
     pub fn run(&self, bin: &Binary) -> Result<(Translation, PipelineReport), LiftError> {
-        let sink = TimingSink::new();
         let t0 = Instant::now();
         let pool_before = (self.jobs > 1).then(|| self.pool.stats());
         let cache = self
             .cache_dir
             .as_ref()
             .and_then(|dir| TranslationCache::open(dir).ok());
-        let mut pm = PassManager::new(self.version, self.jobs, &sink)
-            .with_trace(self.trace.clone())
-            .with_pool(self.pool.clone());
-        if let Some(c) = &cache {
-            pm = pm.with_cache(c);
-        }
-        let translation = pm.translate(bin)?;
-        let mut report = sink.report(self.version, self.jobs, t0.elapsed().as_nanos());
+        let run = Run::new(self, cache.as_ref(), false);
+        let (translation, _) = run.translate(bin)?;
+        let mut report = run.sink.report(
+            self.version,
+            self.jobs,
+            t0.elapsed().as_nanos(),
+            &translation.module,
+        );
         if let Some(c) = &cache {
             report.cache = Some(CacheReport::from(c.stats()));
         }
@@ -1226,10 +1191,11 @@ impl Pipeline {
     }
 
     /// Runs the pipeline with fence-provenance collection and returns the
-    /// per-function records alongside the translation. The cache is
-    /// deliberately bypassed: provenance is a property of the placement
-    /// and merge decisions themselves, which only the cold path makes.
-    /// The translation is still byte-identical to [`Pipeline::run`]'s.
+    /// per-function records, sorted by function index, alongside the
+    /// translation. The cache is deliberately bypassed: provenance is a
+    /// property of the placement and merge decisions themselves, which
+    /// only the cold path makes. The translation is still byte-identical
+    /// to [`Pipeline::run`]'s.
     ///
     /// # Errors
     ///
@@ -1238,109 +1204,79 @@ impl Pipeline {
         &self,
         bin: &Binary,
     ) -> Result<(Translation, Vec<FuncFenceRecord>), LiftError> {
-        let sink = TimingSink::new();
-        let pm = PassManager::new(self.version, self.jobs, &sink)
-            .with_trace(self.trace.clone())
-            .with_pool(self.pool.clone())
-            .with_explain();
-        let translation = pm.translate(bin)?;
-        let provenance = pm.take_provenance();
-        Ok((translation, provenance))
+        Run::new(self, None, true).translate(bin)
     }
 }
 
-/// Executes the six stages over per-function work items, recording a
-/// [`PassEvent`] for every unit of work into the [`TimingSink`].
-pub struct PassManager<'s> {
+/// One translation in flight: the [`Pipeline`]'s settings, the opened
+/// cache, whether fence provenance is collected, and the sink every unit
+/// of work records into from wherever it runs.
+struct Run<'p> {
     version: Version,
     jobs: usize,
-    sink: &'s TimingSink,
-    cache: Option<&'s TranslationCache>,
-    trace: TraceCtx,
+    trace: &'p TraceCtx,
+    pool: &'p Pool,
+    cache: Option<&'p TranslationCache>,
     explain: bool,
-    provenance: Mutex<Vec<FuncFenceRecord>>,
-    pool: Pool,
+    sink: TimingSink,
 }
 
-impl<'s> PassManager<'s> {
-    /// Creates a manager writing instrumentation into `sink`, uncached,
-    /// untraced, on the process-wide shared pool.
-    pub fn new(version: Version, jobs: usize, sink: &'s TimingSink) -> PassManager<'s> {
-        PassManager {
-            version,
-            jobs: jobs.max(1),
-            sink,
-            cache: None,
-            trace: TraceCtx::disabled(),
-            explain: false,
-            provenance: Mutex::new(Vec::new()),
-            pool: Pool::shared().clone(),
+impl<'p> Run<'p> {
+    fn new(p: &'p Pipeline, cache: Option<&'p TranslationCache>, explain: bool) -> Run<'p> {
+        Run {
+            version: p.version,
+            jobs: p.jobs,
+            trace: &p.trace,
+            pool: &p.pool,
+            cache,
+            explain,
+            sink: TimingSink::default(),
         }
     }
 
-    /// Replaces the worker pool every parallel section runs on (default:
-    /// [`Pool::shared`]).
-    pub fn with_pool(mut self, pool: Pool) -> PassManager<'s> {
-        self.pool = pool;
-        self
-    }
-
-    /// Attaches an open translation cache: [`PassManager::translate`] will
-    /// serve whole modules from it when possible and populate it after
-    /// cold runs.
-    pub fn with_cache(mut self, cache: &'s TranslationCache) -> PassManager<'s> {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches a tracing context shared with the caller.
-    pub fn with_trace(mut self, trace: TraceCtx) -> PassManager<'s> {
-        self.trace = trace;
-        self
-    }
-
-    /// Turns on fence-provenance collection: the placement and merge
-    /// stages hand a provenance sink to `place_fences` / `merge_fences`,
-    /// and the per-function records become available through
-    /// [`PassManager::take_provenance`].
-    pub fn with_explain(mut self) -> PassManager<'s> {
-        self.explain = true;
-        self
-    }
-
-    /// The fence-provenance records collected during [`translate`]
-    /// (empty unless [`PassManager::with_explain`] was set), sorted by
-    /// function index.
-    ///
-    /// [`translate`]: PassManager::translate
-    pub fn take_provenance(&self) -> Vec<FuncFenceRecord> {
-        let mut records = std::mem::take(&mut *lock_clean(&self.provenance));
-        records.sort_by_key(|r| r.index);
-        records
-    }
-
-    /// Times a serial module-level barrier step and records it. `label`
-    /// names the step's trace span (e.g. `"prepare"`, `"ipsccp"`).
-    fn module_step<R>(&self, stage: Stage, label: &str, work: impl FnOnce() -> (R, u64)) -> R {
-        let mut sp = self.trace.span(stage.name(), label);
+    /// One unit of pipeline work, recorded once, where it runs: opens the
+    /// `stage`/`name` trace span, times `work`, tags the span with the
+    /// unit's change count under `arg`, and records the [`PassEvent`] —
+    /// per-function when `func` is `Some(index)`, a module-level step
+    /// otherwise. `work` returns its result, its change count, and the
+    /// function's live instruction count after it.
+    fn unit<R>(
+        &self,
+        stage: Stage,
+        name: &str,
+        func: Option<usize>,
+        arg: &'static str,
+        work: impl FnOnce() -> (R, u64, u64),
+    ) -> R {
+        let mut sp = self.trace.span(stage.name(), name);
         let t0 = Instant::now();
-        let (r, changes) = work();
-        sp.arg("changes", changes);
-        self.sink.record(PassEvent {
-            stage,
-            func: None,
-            nanos: t0.elapsed().as_nanos(),
-            changes,
-            insts: 0,
-        });
+        let (r, changes, insts) = work();
+        sp.arg(arg, changes);
+        self.sink
+            .record(stage, func, t0.elapsed().as_nanos(), changes, insts);
         r
     }
 
-    /// [`Pool::par_map_waits`] with section accounting: each parallel
-    /// fan-out bumps the stage's `parallel_sections` counter and folds its
-    /// per-slot barrier waits into the sink. Serial executions (one job or
-    /// one item) record nothing — a section only counts when a barrier
-    /// actually formed.
+    /// [`Run::unit`] for one intraprocedural step on function `i`: the
+    /// span is named after the function and `work` returns the change
+    /// count.
+    fn func_unit(
+        &self,
+        stage: Stage,
+        i: usize,
+        f: &mut Function,
+        work: impl FnOnce(&mut Function) -> u64,
+    ) -> u64 {
+        let name = f.name.clone();
+        self.unit(stage, &name, Some(i), "changes", || {
+            let changes = work(f);
+            (changes, changes, f.live_inst_count() as u64)
+        })
+    }
+
+    /// [`Pool::par_map_waits`] with section accounting. Serial executions
+    /// (one job or one item) record nothing — a section only counts when
+    /// a barrier actually formed.
     fn par_section<T, R, F>(&self, stage: Stage, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -1349,71 +1285,76 @@ impl<'s> PassManager<'s> {
     {
         let (out, waits) = self.pool.par_map_waits(self.jobs, items, f);
         if !waits.is_empty() {
-            self.sink.record_parallel_section(stage, &waits);
+            self.sink.record_section(&[stage], false, &waits);
         }
         out
     }
 
-    /// [`PassManager::par_section`] for a *fused* section: one fan-out
-    /// whose work items flow through several `stages` back to back (the
-    /// lift→refine head and the sweep→fences→merge→opt-prefix tail of
-    /// the schedule). Accounting goes through
-    /// [`TimingSink::record_fused_section`] so the barrier is counted
-    /// once while every participating stage's section counter moves.
-    fn fused_section<T, R, F>(&self, stages: &[Stage], items: Vec<T>, f: F) -> Vec<R>
+    /// [`Run::par_section`] for a *fused* section: one fan-out whose work
+    /// items flow through several `stages` back to back. The barrier is
+    /// counted once while every member's section counter moves. Also
+    /// returns each member's CPU consumed inside the fan-out — the basis
+    /// [`TimingSink::record_region_wall`] splits the region's wall by.
+    fn fused_section<T, R, F>(
+        &self,
+        stages: &[Stage],
+        items: Vec<T>,
+        f: F,
+    ) -> (Vec<R>, Vec<(Stage, u128)>)
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        let before = self.sink.stage_cpu();
         let (out, waits) = self.pool.par_map_waits(self.jobs, items, f);
         if !waits.is_empty() {
-            self.sink.record_fused_section(stages, &waits);
+            self.sink.record_section(stages, true, &waits);
         }
-        out
-    }
-
-    /// Runs one per-function pass over every function of `m`, in parallel,
-    /// and records one event per function. `pass` receives the module
-    /// *without its function table* (taken out for ownership) — every
-    /// current pass only consults the module for operand typing, which
-    /// never reads other function bodies. Returns the summed change count.
-    fn func_pass(
-        &self,
-        stage: Stage,
-        m: &mut Module,
-        pass: impl Fn(&Module, usize, &mut Function) -> u64 + Sync,
-    ) -> u64 {
-        let funcs = std::mem::take(&mut m.funcs);
-        let shell: &Module = m;
-        let results = self.par_section(stage, funcs, |i, mut f| {
-            let mut sp = self.trace.span(stage.name(), &f.name);
-            let t0 = Instant::now();
-            let changes = pass(shell, i, &mut f);
-            sp.arg("changes", changes);
-            (f, changes, t0.elapsed().as_nanos())
-        });
-        let mut total = 0;
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, (f, changes, nanos))| {
-                self.sink.record(PassEvent {
-                    stage,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                });
-                total += changes;
-                f
-            })
+        let after = self.sink.stage_cpu();
+        let parts = stages
+            .iter()
+            .map(|s| (*s, after[s.index()] - before[s.index()]))
             .collect();
-        total
+        (out, parts)
     }
 
-    /// Runs a block of intraprocedural passes back to back on every
-    /// function as *one* fused parallel work item — one fan-out and one
+    /// Runs one block of the opt schedule on function `i` as one `opt`
+    /// unit. Each pass whose dirty bit in `st` is set runs against the
+    /// module `shell`, is timed into the `opt_passes` table, and
+    /// re-dirties its consumers; clean passes are skipped — provably
+    /// no-ops, see `opt::sched` — and record no invocation. Runs and skips
+    /// are tallied into `sched`; returns the block's change count.
+    fn opt_block(
+        &self,
+        i: usize,
+        shell: &Module,
+        f: &mut Function,
+        st: &mut FuncState,
+        passes: &[PassKind],
+        sched: &mut SchedStats,
+    ) -> u64 {
+        self.func_unit(Stage::Opt, i, f, |f| {
+            let mut changes = 0;
+            for &pass in passes {
+                if !st.should_run(pass) {
+                    sched.skipped += 1;
+                    continue;
+                }
+                sched.ran += 1;
+                let tp = Instant::now();
+                let eff = lasagne_opt::run_pass_on_function(pass, shell, f, &mut st.analyses);
+                st.note_ran(pass, &eff);
+                self.sink
+                    .record_opt_pass(pass, tp.elapsed().as_nanos(), eff.changes as u64);
+                changes += eff.changes as u64;
+            }
+            changes
+        })
+    }
+
+    /// Runs a block of intraprocedural passes on every function as *one*
+    /// fused parallel work item per function — one fan-out and one
     /// barrier for the whole block, instead of one per pass.
     ///
     /// Fusion is output-equivalent to the old per-pass module sweeps
@@ -1422,16 +1363,7 @@ impl<'s> PassManager<'s> {
     /// stage), never through another function's body; the per-function
     /// pass sequence is therefore the same computation in both schedules,
     /// and the round's change count is a sum, which reordering cannot
-    /// change. Per-pass wall time is still attributed: each pass is timed
-    /// inside the fused item and recorded via
-    /// [`TimingSink::record_opt_pass`].
-    ///
-    /// Since schema 6 the block is change-driven: each function's
-    /// [`FuncState`] travels with the work item, passes whose dirty bit
-    /// is clear are skipped (provably clean — see `opt::sched`), and the
-    /// per-function [`lasagne_opt::Analyses`] cache is threaded through
-    /// the executed passes. Skips and runs are tallied into `sched`;
-    /// skipped slots record no `opt_passes` invocation.
+    /// change. Each function's [`FuncState`] travels with its work item.
     fn fused_opt_block(
         &self,
         m: &mut Module,
@@ -1439,61 +1371,23 @@ impl<'s> PassManager<'s> {
         states: &mut Vec<FuncState>,
         sched: &mut SchedStats,
     ) -> u64 {
-        let funcs = std::mem::take(&mut m.funcs);
-        let items: Vec<(Function, FuncState)> =
-            funcs.into_iter().zip(std::mem::take(states)).collect();
+        let items: Vec<(Function, FuncState)> = std::mem::take(&mut m.funcs)
+            .into_iter()
+            .zip(std::mem::take(states))
+            .collect();
         let shell: &Module = m;
-        let results = self.par_section(Stage::Opt, items, |_, (mut f, mut st)| {
-            let mut sp = self.trace.span("opt", &f.name);
-            let t0 = Instant::now();
-            let mut per_pass: Vec<(PassKind, u128, u64)> = Vec::with_capacity(passes.len());
-            let mut changes = 0;
-            let (mut ran, mut skipped) = (0u64, 0u64);
-            for &pass in passes {
-                if !st.should_run(pass) {
-                    skipped += 1;
-                    continue;
-                }
-                ran += 1;
-                let tp = Instant::now();
-                let eff = lasagne_opt::run_pass_on_function(pass, shell, &mut f, &mut st.analyses);
-                st.note_ran(pass, &eff);
-                per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
-                changes += eff.changes as u64;
-            }
-            sp.arg("changes", changes);
-            (
-                f,
-                st,
-                per_pass,
-                changes,
-                ran,
-                skipped,
-                t0.elapsed().as_nanos(),
-            )
+        let results = self.par_section(Stage::Opt, items, |i, (mut f, mut st)| {
+            let mut tally = SchedStats::default();
+            let changes = self.opt_block(i, shell, &mut f, &mut st, passes, &mut tally);
+            (f, st, tally, changes)
         });
         let mut total = 0;
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, (f, st, per_pass, changes, ran, skipped, nanos))| {
-                for (pass, pn, pc) in per_pass {
-                    self.sink.record_opt_pass(pass.name(), pn, pc);
-                }
-                self.sink.record(PassEvent {
-                    stage: Stage::Opt,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                });
-                states.push(st);
-                sched.ran += ran;
-                sched.skipped += skipped;
-                total += changes;
-                f
-            })
-            .collect();
+        for (f, st, tally, changes) in results {
+            m.funcs.push(f);
+            states.push(st);
+            sched.merge(&tally);
+            total += changes;
+        }
         total
     }
 
@@ -1524,57 +1418,43 @@ impl<'s> PassManager<'s> {
         let mut sp = self.trace.span("opt", "ipsccp");
 
         // Phase A (parallel): snapshot every function's call sites and
-        // address-taken references against the frozen module.
-        let tg = Instant::now();
+        // address-taken references against the frozen module. One clock
+        // times all three phases as laps.
+        let clock = Instant::now();
         let mut summaries = {
             let funcs = &m.funcs;
             self.par_section(Stage::Opt, (0..funcs.len()).collect(), |_, i| {
                 lasagne_opt::sccp::summarize_calls(&funcs[i])
             })
         };
-        let gather_nanos = tg.elapsed().as_nanos();
+        let gather_nanos = clock.elapsed().as_nanos();
 
         // Phase B (serial): replay the lattice decisions over summaries.
-        let tj = Instant::now();
         let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
         let new_facts = lasagne_opt::sccp::ipsccp_join(&param_counts, &mut summaries, ip_facts);
-        let join_nanos = tj.elapsed().as_nanos();
-        self.sink.record(PassEvent {
-            stage: Stage::Opt,
-            func: None,
-            nanos: join_nanos,
-            changes: new_facts.len() as u64,
-            insts: 0,
-        });
+        let join_nanos = clock.elapsed().as_nanos() - gather_nanos;
+        self.sink
+            .record(Stage::Opt, None, join_nanos, new_facts.len() as u64, 0);
 
         // Phase C (parallel): substitute the decided constants into each
         // target function. Skipped entirely when the round converged with
         // no new facts — the common case from round 1 on.
-        let ta = Instant::now();
-        let subs: u64 = if new_facts.is_empty() {
-            0
-        } else {
-            let funcs = std::mem::take(&mut m.funcs);
+        let mut subs = 0;
+        if !new_facts.is_empty() {
             let facts: &[IpsccpFact] = &new_facts;
-            let results = self.par_section(Stage::Opt, funcs, |i, mut f| {
+            let results = self.par_section(Stage::Opt, std::mem::take(&mut m.funcs), |i, mut f| {
                 let n = lasagne_opt::sccp::apply_ipsccp_facts(&mut f, i as u32, facts) as u64;
                 (f, n)
             });
-            let mut total = 0;
-            m.funcs = results
-                .into_iter()
-                .enumerate()
-                .map(|(i, (f, n))| {
-                    if n > 0 {
-                        states[i].note_external_change();
-                    }
-                    total += n;
-                    f
-                })
-                .collect();
-            total
-        };
-        let apply_nanos = ta.elapsed().as_nanos();
+            for (i, (f, n)) in results.into_iter().enumerate() {
+                if n > 0 {
+                    states[i].note_external_change();
+                }
+                subs += n;
+                m.funcs.push(f);
+            }
+        }
+        let apply_nanos = clock.elapsed().as_nanos() - gather_nanos - join_nanos;
 
         self.trace.add("opt.ipsccp.facts", new_facts.len() as u64);
         self.trace.add("opt.ipsccp.substitutions", subs);
@@ -1609,12 +1489,10 @@ impl<'s> PassManager<'s> {
         subs
     }
 
-    /// Runs the Figure 3 pipeline on `bin`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`LiftError`] if the binary cannot be lifted.
-    pub fn translate(&self, bin: &Binary) -> Result<Translation, LiftError> {
+    /// Runs the Figure 3 pipeline on `bin`. Also returns the fence
+    /// provenance, sorted by function index, when the run collects it
+    /// (empty otherwise).
+    fn translate(&self, bin: &Binary) -> Result<(Translation, Vec<FuncFenceRecord>), LiftError> {
         let version = self.version;
         if self.jobs > 1 {
             self.trace.declare_tracks(self.jobs as u32);
@@ -1647,7 +1525,7 @@ impl<'s> PassManager<'s> {
                 }
                 let mut sp = self.trace.span("cache", "cache-hit");
                 sp.arg("funcs", cached.module.funcs.len());
-                return Ok(self.armgen(cached.module, stats));
+                return Ok((self.armgen(cached.module, stats), Vec::new()));
             }
         }
 
@@ -1668,13 +1546,14 @@ impl<'s> PassManager<'s> {
         //              fused suffix, remaining rounds, compaction
         //
         // Six stage-wide barriers under the old schedule; three joins now.
+        // Every step records itself from the worker that runs it.
 
         // ---- Region A: the whole-binary analysis (CFGs, type discovery,
         // shells) is the serial prologue; everything per-function flows as
         // one fused work item.
         let wall_a = Instant::now();
-        let plan = self.module_step(Stage::Lift, "prepare", || {
-            (LiftPlan::prepare(bin, TranslateOptions::default()), 0)
+        let plan = self.unit(Stage::Lift, "prepare", None, "changes", || {
+            (LiftPlan::prepare(bin, TranslateOptions::default()), 0, 0)
         })?;
         // x86 entry addresses, captured while the plan still exists: work
         // index i is FuncId(i), so this is parallel to `m.funcs` below.
@@ -1683,8 +1562,9 @@ impl<'s> PassManager<'s> {
             .collect();
         // The module shell refine round 0 runs against *before* finish:
         // globals + externs with an empty function table — exactly the
-        // view `func_pass` gives passes after finish (the function table
-        // is taken out for ownership), so fusing changes nothing.
+        // view the per-function sections give passes after finish (the
+        // function table is taken out for ownership), so fusing changes
+        // nothing.
         let shell_a = plan.shell_module();
         let a_stages: &[Stage] = if version == Version::PPOpt {
             &[Stage::Lift, Stage::Fences, Stage::Refine]
@@ -1692,212 +1572,124 @@ impl<'s> PassManager<'s> {
             &[Stage::Lift, Stage::Fences]
         };
         struct LiftOut {
-            body: Result<Function, LiftError>,
-            lift_nanos: u128,
+            f: Function,
             /// Live instruction count straight out of the lifter.
             lifted_insts: u64,
             casts: u64,
             naive: u64,
-            naive_nanos: u128,
-            /// `(nanos, changes, insts_after)` of refine round 0 (PPOpt).
-            refine: Option<(u128, u64, u64)>,
+            /// Changes made by refine round 0 (PPOpt).
+            refined: u64,
         }
-        let lifted = self.fused_section(a_stages, (0..plan.num_functions()).collect(), |i, _| {
-            let mut sp = self.trace.span("lift", plan.function_name(i));
-            let t0 = Instant::now();
-            let body = plan.lift_function(i, &self.trace);
-            if let Ok(b) = &body {
-                sp.arg("insts", b.live_inst_count());
-            }
-            let lift_nanos = t0.elapsed().as_nanos();
-            drop(sp);
-            let mut f = match body {
-                Ok(f) => f,
-                Err(e) => {
-                    return LiftOut {
-                        body: Err(e),
-                        lift_nanos,
-                        lifted_insts: 0,
-                        casts: 0,
-                        naive: 0,
-                        naive_nanos: 0,
-                        refine: None,
-                    }
-                }
-            };
-            let lifted_insts = f.live_inst_count() as u64;
-            let casts = count_casts_fn(&f);
-            // Figure 14 baseline: fences the unrefined, unmerged lifted
-            // code would receive, measured on a scratch clone. A disabled
-            // context keeps the baseline out of the provenance counters —
-            // those describe the real placement.
-            let tn = Instant::now();
-            let mut scratch = f.clone();
-            let naive = lasagne_fences::place_fences(
-                &mut scratch,
-                Strategy::StackAware,
-                &TraceCtx::disabled(),
-                None,
-            )
-            .total() as u64;
-            let naive_nanos = tn.elapsed().as_nanos();
-            let refine = (version == Version::PPOpt).then(|| {
-                let mut sp = self.trace.span("refine", &f.name);
-                let t0 = Instant::now();
-                let c = lasagne_refine::refine_function(&shell_a, &mut f, &self.trace) as u64;
-                sp.arg("changes", c);
-                (t0.elapsed().as_nanos(), c, f.live_inst_count() as u64)
+        let (lifted, a_parts) =
+            self.fused_section(a_stages, (0..plan.num_functions()).collect(), |i, _| {
+                let body = self.unit(Stage::Lift, plan.function_name(i), Some(i), "insts", || {
+                    let body = plan.lift_function(i, self.trace);
+                    let insts = body.as_ref().map_or(0, |f| f.live_inst_count() as u64);
+                    (body, insts, insts)
+                });
+                let mut f = body?;
+                let lifted_insts = f.live_inst_count() as u64;
+                let casts = count_casts_fn(&f);
+                // Figure 14 baseline: fences the unrefined, unmerged
+                // lifted code would receive, measured on a scratch clone.
+                // A disabled context keeps the baseline out of the
+                // provenance counters — those describe the real placement
+                // — and a module-level record keeps it out of the fences
+                // stage's per-function entries for the same reason.
+                let tn = Instant::now();
+                let naive = lasagne_fences::place_fences(
+                    &mut f.clone(),
+                    Strategy::StackAware,
+                    &TraceCtx::disabled(),
+                    None,
+                )
+                .total() as u64;
+                self.sink
+                    .record(Stage::Fences, None, tn.elapsed().as_nanos(), naive, 0);
+                let refined = if version == Version::PPOpt {
+                    self.func_unit(Stage::Refine, i, &mut f, |f| {
+                        lasagne_refine::refine_function(&shell_a, f, self.trace) as u64
+                    })
+                } else {
+                    0
+                };
+                Ok(LiftOut {
+                    f,
+                    lifted_insts,
+                    casts,
+                    naive,
+                    refined,
+                })
             });
-            LiftOut {
-                body: Ok(f),
-                lift_nanos,
-                lifted_insts,
-                casts,
-                naive,
-                naive_nanos,
-                refine,
-            }
-        });
 
         // Join 1: propagate lift errors in index order, install the bodies
         // (`finish` verifies the module), fold the per-function counts.
-        let mut bodies = Vec::with_capacity(plan.num_functions());
+        let mut bodies = Vec::with_capacity(lifted.len());
         let mut refine_changed = 0u64;
-        let (mut casts_lifted, mut insts_lifted) = (0u64, 0u64);
-        let (mut naive_total, mut naive_nanos_total) = (0u64, 0u128);
-        let mut lift_nanos_total = 0u128;
-        let mut refine0_nanos_total = 0u128;
-        let mut refine_events: Vec<PassEvent> = Vec::new();
-        for (i, out) in lifted.into_iter().enumerate() {
-            let f = out.body?;
-            self.sink.record(PassEvent {
-                stage: Stage::Lift,
-                func: Some((i, plan.function_name(i).to_string())),
-                nanos: out.lift_nanos,
-                changes: out.lifted_insts,
-                insts: out.lifted_insts,
-            });
-            lift_nanos_total += out.lift_nanos;
+        let (mut casts_lifted, mut insts_lifted, mut naive) = (0u64, 0u64, 0u64);
+        for out in lifted {
+            let out = out?;
             casts_lifted += out.casts;
             insts_lifted += out.lifted_insts;
-            naive_total += out.naive;
-            naive_nanos_total += out.naive_nanos;
-            if let Some((nanos, changes, insts)) = out.refine {
-                refine_changed += changes;
-                refine0_nanos_total += nanos;
-                refine_events.push(PassEvent {
-                    stage: Stage::Refine,
-                    func: Some((i, f.name.clone())),
-                    nanos,
-                    changes,
-                    insts,
-                });
-            }
-            bodies.push(f);
+            naive += out.naive;
+            refine_changed += out.refined;
+            bodies.push(out.f);
         }
-        let mut m = self.module_step(Stage::Lift, "finish", || (plan.finish(bodies), 0))?;
-        for ev in refine_events {
-            self.sink.record(ev);
-        }
-
+        let mut m = self.unit(Stage::Lift, "finish", None, "changes", || {
+            (plan.finish(bodies), 0, 0)
+        })?;
         let mut stats = TranslationStats {
             casts_lifted: casts_lifted as usize,
             insts_lifted: insts_lifted as usize,
-            fences_naive: naive_total as usize,
+            fences_naive: naive as usize,
             ..TranslationStats::default()
         };
-        // The baseline was module-level serial work under the old
-        // schedule; keep it a module-level event (its nanos are the sum
-        // of the per-function measurements inside the fused items).
-        self.sink.record(PassEvent {
-            stage: Stage::Fences,
-            func: None,
-            nanos: naive_nanos_total,
-            changes: naive_total,
-            insts: 0,
-        });
-        self.trace.add("fences.naive", naive_total);
+        self.trace.add("fences.naive", naive);
 
         // #2 IR refinement (§5, PPOpt only): round 0 already ran inside
         // region A; each further round is a serial parameter-promotion
         // join followed by a fused [sweep → refine] section, matching
         // `lasagne_refine::refine_module`'s R→P→S iteration exactly —
         // the loop's final sweep is fused into the tail section below.
+        let promote = |m: &mut Module| {
+            self.unit(Stage::Refine, "promote-params", None, "changes", || {
+                let p = lasagne_refine::promote_pointer_params(m, self.trace) as u64;
+                (p, p, 0)
+            })
+        };
         let mut promoted = 0u64;
         if version == Version::PPOpt {
-            promoted = self.module_step(Stage::Refine, "promote-params", || {
-                let p = lasagne_refine::promote_pointer_params(&mut m, &self.trace) as u64;
-                (p, p)
-            });
+            promoted = promote(&mut m);
         }
-        let a_nanos = wall_a.elapsed().as_nanos();
-        let mut a_parts: Vec<(Stage, u128)> = vec![
-            (Stage::Lift, lift_nanos_total),
-            (Stage::Fences, naive_nanos_total),
-        ];
-        if version == Version::PPOpt {
-            a_parts.push((Stage::Refine, refine0_nanos_total));
-        }
-        self.sink.record_region_wall(&a_parts, a_nanos);
-        self.sink.record_fused_wall(a_nanos);
+        self.sink
+            .record_region_wall(&a_parts, wall_a.elapsed().as_nanos());
 
         if version == Version::PPOpt {
             // `r` counts completed refine→promote pairs; the pending
             // sweep for round r runs in the next section (or the tail).
             let mut r = 0u32;
-            loop {
-                if (refine_changed == 0 && promoted == 0) || r == 2 {
-                    break;
-                }
+            while (refine_changed != 0 || promoted != 0) && r < 2 {
                 let wall = Instant::now();
                 let funcs = std::mem::take(&mut m.funcs);
                 let shell: &Module = &m;
-                let results = self.fused_section(&[Stage::Refine], funcs, |_, mut f| {
-                    let mut sp = self.trace.span("refine", &f.name);
-                    let ts = Instant::now();
-                    let swept = lasagne_refine::sweep_dead(&mut f) as u64;
-                    let sweep_nanos = ts.elapsed().as_nanos();
-                    sp.arg("changes", swept);
-                    drop(sp);
-                    let mut sp = self.trace.span("refine", &f.name);
-                    let tr = Instant::now();
-                    let c = lasagne_refine::refine_function(shell, &mut f, &self.trace) as u64;
-                    sp.arg("changes", c);
-                    let refine_nanos = tr.elapsed().as_nanos();
-                    (f, swept, sweep_nanos, c, refine_nanos)
+                let (results, parts) = self.fused_section(&[Stage::Refine], funcs, |i, mut f| {
+                    self.func_unit(Stage::Refine, i, &mut f, |f| {
+                        lasagne_refine::sweep_dead(f) as u64
+                    });
+                    let changes = self.func_unit(Stage::Refine, i, &mut f, |f| {
+                        lasagne_refine::refine_function(shell, f, self.trace) as u64
+                    });
+                    (f, changes)
                 });
                 refine_changed = 0;
-                m.funcs = results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (f, swept, sweep_nanos, changes, refine_nanos))| {
-                        let insts = f.live_inst_count() as u64;
-                        self.sink.record(PassEvent {
-                            stage: Stage::Refine,
-                            func: Some((i, f.name.clone())),
-                            nanos: sweep_nanos,
-                            changes: swept,
-                            insts,
-                        });
-                        self.sink.record(PassEvent {
-                            stage: Stage::Refine,
-                            func: Some((i, f.name.clone())),
-                            nanos: refine_nanos,
-                            changes,
-                            insts,
-                        });
-                        refine_changed += changes;
-                        f
-                    })
-                    .collect();
+                for (f, changes) in results {
+                    refine_changed += changes;
+                    m.funcs.push(f);
+                }
                 r += 1;
-                promoted = self.module_step(Stage::Refine, "promote-params", || {
-                    let p = lasagne_refine::promote_pointer_params(&mut m, &self.trace) as u64;
-                    (p, p)
-                });
-                let nanos = wall.elapsed().as_nanos();
-                self.sink.record_stage_wall(Stage::Refine, nanos);
-                self.sink.record_fused_wall(nanos);
+                promoted = promote(&mut m);
+                self.sink
+                    .record_region_wall(&parts, wall.elapsed().as_nanos());
             }
         }
 
@@ -1937,264 +1729,114 @@ impl<'s> PassManager<'s> {
         }
         struct TailOut {
             f: Function,
-            /// `(nanos, changes, insts_after)` of the final sweep (PPOpt).
-            sweep: Option<(u128, u64, u64)>,
             casts: u64,
-            place_nanos: u128,
-            place_insts: u64,
             ps: PlacementStats,
-            decisions: Option<Vec<FenceDecision>>,
-            /// `(nanos, removed, insts_after)` of the merge (POpt/PPOpt).
-            merge: Option<(u128, u64, u64)>,
-            merges: Option<Vec<FenceMerge>>,
+            /// Placement decisions and merge steps (explain runs only).
+            decisions: Vec<FenceDecision>,
+            merges: Vec<FenceMerge>,
             /// Post-merge `(Frm, Fww, Fsc)` counts.
             fences: (usize, usize, usize),
-            /// Opt-prefix round 0 output (non-Lifted).
-            prefix: Option<PrefixOut>,
-        }
-        /// Round 0 of the opt prefix, run inside the fused tail item: the
-        /// timing/change numbers plus the function's scheduler state,
-        /// which the superstep and suffix blocks keep threading.
-        struct PrefixOut {
-            nanos: u128,
-            per_pass: Vec<(PassKind, u128, u64)>,
-            changes: u64,
-            insts: u64,
-            state: FuncState,
-            ran: u64,
-            skipped: u64,
+            /// Opt-prefix round 0 (non-Lifted): its changes, the
+            /// function's scheduler state, which the superstep and suffix
+            /// blocks keep threading, and its run/skip tally.
+            prefix: Option<(u64, FuncState, SchedStats)>,
         }
         let funcs = std::mem::take(&mut m.funcs);
         let shell: &Module = &m;
-        let results = self.fused_section(&tail_stages, funcs, |_, mut f| {
-            let sweep = (version == Version::PPOpt).then(|| {
-                let mut sp = self.trace.span("refine", &f.name);
-                let t0 = Instant::now();
-                let c = lasagne_refine::sweep_dead(&mut f) as u64;
-                sp.arg("changes", c);
-                (t0.elapsed().as_nanos(), c, f.live_inst_count() as u64)
-            });
+        let (results, tail_parts) = self.fused_section(&tail_stages, funcs, |i, mut f| {
+            if version == Version::PPOpt {
+                self.func_unit(Stage::Refine, i, &mut f, |f| {
+                    lasagne_refine::sweep_dead(f) as u64
+                });
+            }
             let casts = count_casts_fn(&f);
-            let mut sp = self.trace.span("fences", &f.name);
-            let t0 = Instant::now();
-            let mut dec: Option<Vec<FenceDecision>> = explain.then(Vec::new);
-            let ps = lasagne_fences::place_fences(
-                &mut f,
-                Strategy::StackAware,
-                &self.trace,
-                dec.as_mut(),
-            );
-            sp.arg("changes", ps.total() as u64);
-            let place_nanos = t0.elapsed().as_nanos();
-            drop(sp);
-            let place_insts = f.live_inst_count() as u64;
-            let (merge, merges) = if matches!(version, Version::POpt | Version::PPOpt) {
-                let mut sp = self.trace.span("merge", &f.name);
-                let t0 = Instant::now();
-                let mut mg: Option<Vec<FenceMerge>> = explain.then(Vec::new);
-                let n = lasagne_fences::merge_fences(&mut f, &self.trace, mg.as_mut());
-                sp.arg("changes", n as u64);
-                (
-                    Some((
-                        t0.elapsed().as_nanos(),
-                        n as u64,
-                        f.live_inst_count() as u64,
-                    )),
-                    mg,
-                )
-            } else {
-                (None, None)
-            };
+            let mut decisions = explain.then(Vec::new);
+            let mut ps = PlacementStats::default();
+            self.func_unit(Stage::Fences, i, &mut f, |f| {
+                ps = lasagne_fences::place_fences(
+                    f,
+                    Strategy::StackAware,
+                    self.trace,
+                    decisions.as_mut(),
+                );
+                ps.total() as u64
+            });
+            let mut merges = explain.then(Vec::new);
+            if matches!(version, Version::POpt | Version::PPOpt) {
+                self.func_unit(Stage::Merge, i, &mut f, |f| {
+                    lasagne_fences::merge_fences(f, self.trace, merges.as_mut()) as u64
+                });
+            }
             let fences = lasagne_fences::count_fences_fn(&f);
             let prefix = opt_split.map(|(prefix, _)| {
-                let mut sp = self.trace.span("opt", &f.name);
-                let t0 = Instant::now();
                 let mut st = FuncState::new();
-                let mut per_pass: Vec<(PassKind, u128, u64)> = Vec::with_capacity(prefix.len());
-                let mut changes = 0u64;
-                let (mut ran, mut skipped) = (0u64, 0u64);
-                for &pass in prefix {
-                    if !st.should_run(pass) {
-                        skipped += 1;
-                        continue;
-                    }
-                    ran += 1;
-                    let tp = Instant::now();
-                    let eff =
-                        lasagne_opt::run_pass_on_function(pass, shell, &mut f, &mut st.analyses);
-                    st.note_ran(pass, &eff);
-                    per_pass.push((pass, tp.elapsed().as_nanos(), eff.changes as u64));
-                    changes += eff.changes as u64;
-                }
-                sp.arg("changes", changes);
-                PrefixOut {
-                    nanos: t0.elapsed().as_nanos(),
-                    per_pass,
-                    changes,
-                    insts: f.live_inst_count() as u64,
-                    state: st,
-                    ran,
-                    skipped,
-                }
+                let mut tally = SchedStats::default();
+                let changes = self.opt_block(i, shell, &mut f, &mut st, prefix, &mut tally);
+                (changes, st, tally)
             });
             TailOut {
                 f,
-                sweep,
                 casts,
-                place_nanos,
-                place_insts,
                 ps,
-                decisions: dec,
-                merge,
-                merges,
+                decisions: decisions.unwrap_or_default(),
+                merges: merges.unwrap_or_default(),
                 fences,
                 prefix,
             }
         });
 
-        // Join 2: reassemble the module, fold fence totals, record the
-        // per-segment events, and assemble provenance.
-        let nfuncs = results.len();
+        // Join 2: reassemble the module, fold fence totals, and assemble
+        // provenance.
         let mut casts_final = 0u64;
-        let mut fences_placed = 0u64;
-        let (mut frm, mut fww, mut fsc) = (0usize, 0usize, 0usize);
+        let mut fences_placed = 0usize;
+        let mut fences_final = 0usize;
         let mut prefix_changes = 0u64;
-        let mut states: Vec<FuncState> = Vec::with_capacity(nfuncs);
+        let mut states: Vec<FuncState> = Vec::with_capacity(results.len());
         let mut sched = SchedStats::default();
-        let mut sweep_nanos_total = 0u128;
-        let mut place_nanos_total = 0u128;
-        let mut merge_nanos_total = 0u128;
-        let mut prefix_nanos_total = 0u128;
-        let mut placement = vec![PlacementStats::default(); nfuncs];
-        let mut decision_by_func = vec![Vec::new(); nfuncs];
-        let mut merge_by_func = vec![Vec::new(); nfuncs];
-        m.funcs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| {
-                let TailOut {
-                    f,
-                    sweep,
-                    casts,
-                    place_nanos,
-                    place_insts,
-                    ps,
-                    decisions,
-                    merge,
-                    merges,
-                    fences,
-                    prefix,
-                } = out;
-                if let Some((nanos, changes, insts)) = sweep {
-                    sweep_nanos_total += nanos;
-                    self.sink.record(PassEvent {
-                        stage: Stage::Refine,
-                        func: Some((i, f.name.clone())),
-                        nanos,
-                        changes,
-                        insts,
-                    });
-                }
-                casts_final += casts;
-                place_nanos_total += place_nanos;
-                self.sink.record(PassEvent {
-                    stage: Stage::Fences,
-                    func: Some((i, f.name.clone())),
-                    nanos: place_nanos,
-                    changes: ps.total() as u64,
-                    insts: place_insts,
-                });
-                fences_placed += ps.total() as u64;
-                placement[i] = ps;
-                if let Some(d) = decisions {
-                    decision_by_func[i] = d;
-                }
-                if let Some((nanos, changes, insts)) = merge {
-                    merge_nanos_total += nanos;
-                    self.sink.record(PassEvent {
-                        stage: Stage::Merge,
-                        func: Some((i, f.name.clone())),
-                        nanos,
-                        changes,
-                        insts,
-                    });
-                }
-                if let Some(mg) = merges {
-                    merge_by_func[i] = mg;
-                }
-                frm += fences.0;
-                fww += fences.1;
-                fsc += fences.2;
-                if let Some(p) = prefix {
-                    prefix_nanos_total += p.nanos;
-                    for (pass, pn, pc) in p.per_pass {
-                        self.sink.record_opt_pass(pass.name(), pn, pc);
-                    }
-                    self.sink.record(PassEvent {
-                        stage: Stage::Opt,
-                        func: Some((i, f.name.clone())),
-                        nanos: p.nanos,
-                        changes: p.changes,
-                        insts: p.insts,
-                    });
-                    prefix_changes += p.changes;
-                    states.push(p.state);
-                    sched.ran += p.ran;
-                    sched.skipped += p.skipped;
-                }
-                f
-            })
-            .collect();
-        stats.casts_final = casts_final as usize;
-        stats.fences_placed = fences_placed as usize;
-        stats.fences_final = frm + fww + fsc;
-
-        // Per-function provenance: a merge that removed a fence
-        // re-attributes the matching placement decision from Placed to
-        // Merged. `InstId`s are arena-stable, so matching the inserted
-        // fence id is exact.
-        if explain {
-            let mut records = Vec::with_capacity(m.funcs.len());
-            for (i, f) in m.funcs.iter().enumerate() {
-                let mut decisions = std::mem::take(&mut decision_by_func[i]);
-                let merges = std::mem::take(&mut merge_by_func[i]);
-                for mg in &merges {
+        let mut placement = Vec::with_capacity(results.len());
+        let mut provenance = Vec::new();
+        for (i, out) in results.into_iter().enumerate() {
+            casts_final += out.casts;
+            fences_placed += out.ps.total();
+            placement.push(out.ps);
+            let (frm, fww, fsc) = out.fences;
+            fences_final += frm + fww + fsc;
+            if let Some((changes, st, tally)) = out.prefix {
+                prefix_changes += changes;
+                states.push(st);
+                sched.merge(&tally);
+            }
+            if explain {
+                // A merge that removed a fence re-attributes the matching
+                // placement decision from Placed to Merged. `InstId`s are
+                // arena-stable, so matching the inserted fence id is exact.
+                let mut decisions = out.decisions;
+                for mg in &out.merges {
                     if let Some(d) = decisions.iter_mut().find(|d| d.fence == Some(mg.removed)) {
                         d.fate = FenceFate::Merged;
                     }
                 }
-                records.push(FuncFenceRecord {
+                provenance.push(FuncFenceRecord {
                     index: i,
-                    name: f.name.clone(),
+                    name: out.f.name.clone(),
                     addr: addrs.get(i).copied().unwrap_or(0),
                     decisions,
-                    merges,
+                    merges: out.merges,
                 });
             }
-            *lock_clean(&self.provenance) = records;
+            m.funcs.push(out.f);
         }
-        let tail_nanos = wall_tail.elapsed().as_nanos();
-        let tail_parts: Vec<(Stage, u128)> = tail_stages
-            .iter()
-            .map(|s| {
-                let cpu = match s {
-                    Stage::Refine => sweep_nanos_total,
-                    Stage::Fences => place_nanos_total,
-                    Stage::Merge => merge_nanos_total,
-                    Stage::Opt => prefix_nanos_total,
-                    _ => 0,
-                };
-                (*s, cpu)
-            })
-            .collect();
-        self.sink.record_region_wall(&tail_parts, tail_nanos);
-        self.sink.record_fused_wall(tail_nanos);
+        stats.casts_final = casts_final as usize;
+        stats.fences_placed = fences_placed;
+        stats.fences_final = fences_final;
+        self.sink
+            .record_region_wall(&tail_parts, wall_tail.elapsed().as_nanos());
 
         // #5 continued (everything but Lifted): round 0's intraprocedural
         // prefix already ran inside the tail items, so finish the round
         // with the `ipsccp` superstep (parallel gather, serial join,
         // parallel apply — join 3) and the fused suffix, then run the
-        // remaining rounds on the 3-barrier schedule from PR 5. The
+        // remaining rounds on the same three-barrier schedule. The
         // ipsccp substitution decisions are logged: each one is an
         // interprocedural fact the target function's cache key digests.
         let mut ip_facts: Vec<IpsccpFact> = Vec::new();
@@ -2230,23 +1872,28 @@ impl<'s> PassManager<'s> {
             // Compaction is a no-op on a function whose arena is already
             // dense and in block order — `is_compacted()` proves it, so
             // the rebuild is skipped (byte-identical either way).
-            for f in &m.funcs {
-                if f.is_compacted() {
-                    sched.compact_skipped += 1;
-                } else {
-                    sched.compacted += 1;
-                }
-            }
-            self.func_pass(Stage::Opt, &mut m, |_, _, f| {
-                if !f.is_compacted() {
-                    f.compact();
-                }
-                0
+            let results = self.par_section(Stage::Opt, std::mem::take(&mut m.funcs), |i, mut f| {
+                let compact = !f.is_compacted();
+                self.func_unit(Stage::Opt, i, &mut f, |f| {
+                    if compact {
+                        f.compact();
+                    }
+                    0
+                });
+                (f, compact)
             });
+            for (f, compacted) in results {
+                if compacted {
+                    sched.compacted += 1;
+                } else {
+                    sched.compact_skipped += 1;
+                }
+                m.funcs.push(f);
+            }
             self.trace.add("opt.sched.ran", sched.ran);
             self.trace.add("opt.sched.skipped", sched.skipped);
             self.trace.add("opt.sched.retired", sched.retired);
-            self.sink.record_opt_sched(&sched);
+            self.sink.record_opt_sched(sched);
         }
         self.sink
             .record_stage_wall(Stage::Opt, wall.elapsed().as_nanos());
@@ -2258,7 +1905,7 @@ impl<'s> PassManager<'s> {
             self.store_cold(cache, bin, &m, &stats, &placement, &ip_facts);
         }
 
-        Ok(self.armgen(m, stats))
+        Ok((self.armgen(m, stats), provenance))
     }
 
     /// Writes the post-`opt` module into `cache`, keyed per function on
@@ -2325,25 +1972,15 @@ impl<'s> PassManager<'s> {
         debug_assert!(lasagne_lir::verify::verify_module(&m).is_ok());
 
         let wall = Instant::now();
-        let lowered = self.par_section(Stage::ArmGen, (0..m.funcs.len()).collect(), |_, i| {
-            let mut sp = self.trace.span("armgen", &m.funcs[i].name);
-            let t0 = Instant::now();
-            let mut af = lasagne_armgen::lower_function(&m, &m.funcs[i]);
-            let ph = lasagne_armgen::peephole_function(&mut af, &self.trace);
-            sp.arg("removed", ph.removed() as u64);
-            (af, ph, t0.elapsed().as_nanos())
+        let afuncs = self.par_section(Stage::ArmGen, (0..m.funcs.len()).collect(), |_, i| {
+            let f = &m.funcs[i];
+            self.unit(Stage::ArmGen, &f.name, Some(i), "removed", || {
+                let mut af = lasagne_armgen::lower_function(&m, f);
+                let removed = lasagne_armgen::peephole_function(&mut af, self.trace).removed();
+                let insts = af.blocks.iter().map(|b| b.insts.len() as u64).sum();
+                (af, removed as u64, insts)
+            })
         });
-        let mut afuncs = Vec::with_capacity(lowered.len());
-        for (i, (af, ph, nanos)) in lowered.into_iter().enumerate() {
-            self.sink.record(PassEvent {
-                stage: Stage::ArmGen,
-                func: Some((i, af.name.clone())),
-                nanos,
-                changes: ph.removed() as u64,
-                insts: af.blocks.iter().map(|b| b.insts.len() as u64).sum(),
-            });
-            afuncs.push(af);
-        }
         let arm = lasagne_armgen::assemble_module(&m, afuncs);
         self.sink
             .record_stage_wall(Stage::ArmGen, wall.elapsed().as_nanos());
@@ -2360,6 +1997,13 @@ impl<'s> PassManager<'s> {
 mod tests {
     use super::*;
     use lasagne_phoenix::all_benchmarks;
+
+    #[test]
+    fn stage_index_is_position_in_all() {
+        for (i, s) in Stage::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i, "{}", s.name());
+        }
+    }
 
     #[test]
     fn parallel_matches_serial_on_histogram() {

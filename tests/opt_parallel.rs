@@ -10,6 +10,7 @@ use lasagne_repro::armgen::print::print_module;
 use lasagne_repro::fences::{merge_fences_module, place_fences_module, Strategy};
 use lasagne_repro::lifter::lift_binary;
 use lasagne_repro::lir::Module;
+use lasagne_repro::opt::OPT_ORDER;
 use lasagne_repro::phoenix::all_benchmarks;
 use lasagne_repro::refine::refine_module;
 use lasagne_repro::translator::{Pipeline, Version};
@@ -96,6 +97,34 @@ fn fused_opt_matches_serial_reference_for_all_versions() {
                         b.name
                     ),
                 }
+                // The per-pass table is in schedule order — each pass at
+                // its first slot in `OPT_ORDER` — however the workers
+                // interleaved their records.
+                let slots: Vec<usize> = report
+                    .opt_passes
+                    .iter()
+                    .map(|p| {
+                        OPT_ORDER
+                            .iter()
+                            .position(|k| k.name() == p.pass)
+                            .expect("every reported pass is scheduled")
+                    })
+                    .collect();
+                assert!(
+                    slots.windows(2).all(|w| w[0] < w[1]),
+                    "{} under {} at jobs={jobs}: opt_passes out of schedule \
+                     order: {:?}",
+                    b.name,
+                    v.name(),
+                    report.opt_passes.iter().map(|p| p.pass).collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    slots.is_empty(),
+                    v == Version::Lifted,
+                    "{} under {} at jobs={jobs}: opt_passes presence",
+                    b.name,
+                    v.name()
+                );
             }
         }
     }

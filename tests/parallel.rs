@@ -4,7 +4,8 @@
 //! to the single-threaded run.
 //!
 //! This is the acceptance gate for `--jobs`: parallelism is an
-//! implementation detail that may never leak into the translation.
+//! implementation detail that may never leak into the translation. The
+//! timing report's wall accounting must stay consistent at any job count.
 
 use lasagne_repro::armgen::print::print_module;
 use lasagne_repro::phoenix::all_benchmarks;
@@ -70,6 +71,52 @@ fn report_covers_every_function_in_every_stage() {
                 st.stage.name(),
                 f.func
             );
+        }
+    }
+}
+
+#[test]
+fn wall_accounting_invariants_hold_at_every_jobs_value() {
+    for b in all_benchmarks(48) {
+        for v in Version::ALL {
+            for jobs in [1, 4] {
+                let (_, r) = Pipeline::new(v).with_jobs(jobs).run(&b.binary).unwrap();
+                let at = format!("{} under {} at jobs={jobs}", b.name, v.name());
+                // Stage walls are disjoint extents inside the run.
+                let walls: u128 = r.stages.iter().map(|s| s.wall_nanos).sum();
+                assert!(
+                    walls <= r.total_nanos,
+                    "{at}: stage walls {walls} exceed total {}",
+                    r.total_nanos
+                );
+                assert!(
+                    r.fused_wall_nanos <= r.total_nanos,
+                    "{at}: fused wall {} exceeds total {}",
+                    r.fused_wall_nanos,
+                    r.total_nanos
+                );
+                for st in &r.stages {
+                    assert!(
+                        st.funcs.windows(2).all(|w| w[0].index < w[1].index),
+                        "{at}: stage {} funcs not strictly increasing by index",
+                        st.stage.name()
+                    );
+                    if jobs == 1 {
+                        assert_eq!(
+                            st.parallel_sections,
+                            0,
+                            "{at}: serial run counted a parallel section in {}",
+                            st.stage.name()
+                        );
+                    }
+                }
+                if jobs == 1 {
+                    assert!(
+                        r.barrier_wait_nanos.is_empty(),
+                        "{at}: serial run recorded barrier waits"
+                    );
+                }
+            }
         }
     }
 }
