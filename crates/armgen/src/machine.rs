@@ -9,7 +9,6 @@
 
 use crate::inst::{ABlock, ACallee, AInst, AModule, ARet, ATerm, AluOp, Cc, Dmb, FpOp, D, X};
 use lasagne_lir::interp::{Memory, FUNC_ADDR_BASE, HEAP_BASE, STACK_SIZE, STACK_TOP};
-use std::collections::BTreeMap;
 
 /// Runtime errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -530,8 +529,8 @@ impl<'m> ArmMachine<'m> {
             AInst::Bl { callee } => match callee {
                 ACallee::Func(fi) => self.call(*fi as usize)?,
                 ACallee::Extern(e) => {
-                    let name = self.module.externs[*e as usize].clone();
-                    self.call_extern(&name)?;
+                    let module = self.module;
+                    self.call_extern(&module.externs[*e as usize])?;
                 }
                 ACallee::Reg(r) => {
                     let addr = self.xr(*r);
@@ -609,11 +608,7 @@ impl<'m> ArmMachine<'m> {
             }
             "memcpy" => {
                 let (dst, src, n) = (self.x[0], self.x[1], self.x[2]);
-                let mut buf = vec![0u8; n as usize];
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = self.mem.read(src + i as u64, 1)[0];
-                }
-                self.mem.write(dst, &buf);
+                self.mem.copy(dst, src, n as usize);
                 self.stats.cycles += n / 4;
             }
             "strlen" => {
@@ -734,8 +729,3 @@ fn apply_fp(op: FpOp, a: f64, b: f64) -> f64 {
         FpOp::FNeg => -a,
     }
 }
-
-/// Suppresses an unused-import warning path for BTreeMap (kept for future
-/// mutex state if needed).
-#[allow(dead_code)]
-type Reserved = BTreeMap<u64, bool>;

@@ -31,7 +31,7 @@
 use crate::{translate, Pipeline, Version};
 use lasagne_armgen::machine::ArmMachine;
 use lasagne_armgen::AModule;
-use lasagne_lir::interp::{Machine, Val};
+use lasagne_lir::interp::{Machine, Val, HEAP_BASE};
 use lasagne_lir::Module;
 use lasagne_phoenix::{all_benchmarks, Benchmark};
 use lasagne_qc::prelude::*;
@@ -40,8 +40,8 @@ use lasagne_qc::{collection, prop_oneof, regress};
 use lasagne_x86::asm::Asm;
 use lasagne_x86::binary::{Binary, BinaryBuilder};
 use lasagne_x86::inst::{AluOp, FpPrec, Inst, MemRef, Rm, ShiftOp, SseOp, XmmRm};
-use lasagne_x86::interp::{X86Machine, HEAP_BASE};
 use lasagne_x86::reg::{Cond, Gpr, Width, Xmm};
+use lasagne_x86::X86Machine;
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::time::Instant;

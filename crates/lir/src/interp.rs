@@ -13,7 +13,9 @@ use crate::inst::{
     Terminator,
 };
 use crate::types::Ty;
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Pseudo-address base where functions are "linked" so function pointers
 /// (e.g. the `pthread_create` start routine) have addressable values.
@@ -99,10 +101,28 @@ impl Val {
     }
 }
 
-/// Sparse paged memory.
+/// Bytes per guest page.
+const PAGE_SIZE: usize = 4096;
+/// `log2(PAGE_SIZE)`: an address's page number is `addr >> PAGE_SHIFT`.
+const PAGE_SHIFT: u32 = 12;
+/// Mask of an address's offset within its page.
+const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
+
+/// Sparse guest memory shared by every interpreter: the LIR
+/// [`Machine`], the x86 interpreter and the Arm core.
+///
+/// A page is mapped, zero-filled, by the first write that touches it.
+/// Reads never map a page: unmapped memory reads as zeros. Addresses wrap
+/// around at `u64::MAX`. An access that stays inside one page costs one
+/// page lookup, or none when it hits the page used last; an access that
+/// crosses pages is split page by page.
 #[derive(Debug, Default)]
 pub struct Memory {
-    pages: BTreeMap<u64, Box<[u8; 4096]>>,
+    /// Page number → index of its frame in `frames`.
+    index: BTreeMap<u64, usize>,
+    frames: Vec<Box<[u8; PAGE_SIZE]>>,
+    /// The mapped page used last, as `(page number, frame index)`.
+    last: Cell<Option<(u64, usize)>>,
 }
 
 impl Memory {
@@ -111,33 +131,90 @@ impl Memory {
         Memory::default()
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; 4096] {
-        self.pages
-            .entry(addr >> 12)
-            .or_insert_with(|| Box::new([0; 4096]))
+    /// The frame index of mapped page `page`, if any.
+    fn frame_of(&self, page: u64) -> Option<usize> {
+        match self.last.get() {
+            Some((p, f)) if p == page => Some(f),
+            _ => {
+                let f = *self.index.get(&page)?;
+                self.last.set(Some((page, f)));
+                Some(f)
+            }
+        }
     }
 
-    /// Reads `len ≤ 16` bytes.
-    pub fn read(&mut self, addr: u64, len: usize) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        for (i, o) in out.iter_mut().enumerate().take(len) {
-            let a = addr + i as u64;
-            *o = self.page_mut(a)[(a & 0xfff) as usize];
+    /// The frame of page `page`, mapping it zero-filled if needed.
+    fn frame_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
+        let f = match self.frame_of(page) {
+            Some(f) => f,
+            None => {
+                let f = self.frames.len();
+                self.frames.push(Box::new([0; PAGE_SIZE]));
+                self.index.insert(page, f);
+                self.last.set(Some((page, f)));
+                f
+            }
+        };
+        &mut self.frames[f]
+    }
+
+    /// Splits the `len` bytes at `addr` into per-page pieces and calls
+    /// `each(page, offset in page, range of the buffer)` for each.
+    fn for_each_page(addr: u64, len: usize, mut each: impl FnMut(u64, usize, Range<usize>)) {
+        let (mut a, mut done) = (addr, 0);
+        while done < len {
+            let off = (a & PAGE_MASK) as usize;
+            let n = (PAGE_SIZE - off).min(len - done);
+            each(a >> PAGE_SHIFT, off, done..done + n);
+            done += n;
+            a = a.wrapping_add(n as u64);
         }
+    }
+
+    /// Fills `buf` from the bytes at `addr`; unmapped bytes read as zero.
+    pub fn read_into(&self, addr: u64, buf: &mut [u8]) {
+        Memory::for_each_page(addr, buf.len(), |page, off, r| {
+            let dst = &mut buf[r];
+            match self.frame_of(page) {
+                Some(f) => dst.copy_from_slice(&self.frames[f][off..off + dst.len()]),
+                None => dst.fill(0),
+            }
+        });
+    }
+
+    /// Reads `len` bytes into the front of a zeroed 16-byte array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 16`.
+    pub fn read(&self, addr: u64, len: usize) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        self.read_into(addr, &mut out[..len]);
         out
     }
 
-    /// Writes `len ≤ 16` bytes.
+    /// Writes `bytes` at `addr`, of any length, mapping the pages it
+    /// touches.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            let a = addr + i as u64;
-            self.page_mut(a)[(a & 0xfff) as usize] = *b;
-        }
+        Memory::for_each_page(addr, bytes.len(), |page, off, r| {
+            let src = &bytes[r];
+            self.frame_mut(page)[off..off + src.len()].copy_from_slice(src);
+        });
+    }
+
+    /// Copies `n` bytes from `src` to `dst`, as if through a temporary
+    /// buffer (overlapping ranges behave like `memmove`).
+    pub fn copy(&mut self, dst: u64, src: u64, n: usize) {
+        let mut buf = vec![0u8; n];
+        self.read_into(src, &mut buf);
+        self.write(dst, &buf);
     }
 
     /// Reads a `u64`.
-    pub fn read_u64(&mut self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8)[..8].try_into().unwrap())
+    pub fn read_u64(&self, addr: u64) -> u64 {
+        let mut b = [0u8; 8];
+        self.read_into(addr, &mut b);
+        u64::from_le_bytes(b)
     }
 
     /// Writes a `u64`.
@@ -146,14 +223,25 @@ impl Memory {
     }
 
     /// Reads a NUL-terminated C string (up to 64 KiB).
-    pub fn read_cstr(&mut self, addr: u64) -> String {
+    pub fn read_cstr(&self, addr: u64) -> String {
+        const MAX: usize = 65536;
         let mut s = Vec::new();
-        for i in 0..65536 {
-            let b = self.read(addr + i, 1)[0];
-            if b == 0 {
+        let mut a = addr;
+        while s.len() < MAX {
+            let off = (a & PAGE_MASK) as usize;
+            let n = (PAGE_SIZE - off).min(MAX - s.len());
+            let Some(f) = self.frame_of(a >> PAGE_SHIFT) else {
                 break;
+            };
+            let chunk = &self.frames[f][off..off + n];
+            match chunk.iter().position(|&b| b == 0) {
+                Some(end) => {
+                    s.extend_from_slice(&chunk[..end]);
+                    break;
+                }
+                None => s.extend_from_slice(chunk),
             }
-            s.push(b);
+            a = a.wrapping_add(n as u64);
         }
         String::from_utf8_lossy(&s).into_owned()
     }
@@ -211,6 +299,9 @@ pub struct Machine<'m> {
     output: String,
     steps_left: u64,
     mutexes: BTreeMap<u64, bool>,
+    /// Scratch buffer for a block's phi parallel copy, reused across
+    /// block visits.
+    phi_writes: Vec<(InstId, Val)>,
 }
 
 impl<'m> Machine<'m> {
@@ -232,6 +323,7 @@ impl<'m> Machine<'m> {
             output: String::new(),
             steps_left: 500_000_000,
             mutexes: BTreeMap::new(),
+            phi_writes: Vec::new(),
         }
     }
 
@@ -302,7 +394,7 @@ impl<'m> Machine<'m> {
             // Phi reads must all happen against values from the predecessor,
             // so evaluate them as a parallel copy.
             let blk = f.block(block);
-            let mut phi_writes: Vec<(InstId, Val)> = Vec::new();
+            let mut phi_writes = std::mem::take(&mut self.phi_writes);
             for idx in &blk.insts {
                 let inst = f.inst(*idx);
                 if let InstKind::Phi { incoming } = &inst.kind {
@@ -322,16 +414,14 @@ impl<'m> Machine<'m> {
                     break;
                 }
             }
-            for (idx, v) in phi_writes {
+            // The phis are the block's prefix, one write each.
+            let n_phis = phi_writes.len();
+            for (idx, v) in phi_writes.drain(..) {
                 frame.vals[idx.0 as usize] = Some(v);
                 self.tick(&InstKind::Phi { incoming: vec![] })?;
             }
+            self.phi_writes = phi_writes;
             // Straight-line execution of the remainder.
-            let n_phis = blk
-                .insts
-                .iter()
-                .take_while(|i| matches!(f.inst(**i).kind, InstKind::Phi { .. }))
-                .count();
             for idx in &blk.insts[n_phis..] {
                 let inst = f.inst(*idx);
                 self.tick(&inst.kind)?;
@@ -448,7 +538,7 @@ impl<'m> Machine<'m> {
         frame: &mut Frame,
         id: InstId,
     ) -> Result<Option<Val>, ExecError> {
-        let inst = f.inst(id).clone();
+        let inst = f.inst(id);
         let ty = inst.ty;
         Ok(match &inst.kind {
             InstKind::Bin { op, lhs, rhs } => {
@@ -552,8 +642,8 @@ impl<'m> Machine<'m> {
                 match callee {
                     Callee::Func(fi) => self.call(*fi, argv)?,
                     Callee::Extern(e) => {
-                        let name = self.module.ext(*e).name.clone();
-                        self.call_extern(&name, &argv)?
+                        let module = self.module;
+                        self.call_extern(&module.ext(*e).name, &argv)?
                     }
                     Callee::Indirect(target) => {
                         let addr = self.eval(f, frame, target)?.bits();
@@ -622,11 +712,7 @@ impl<'m> Machine<'m> {
             }
             "memcpy" => {
                 let (dst, src, n) = (args[0].bits(), args[1].bits(), args[2].bits());
-                let mut buf = vec![0u8; n as usize];
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = self.mem.read(src + i as u64, 1)[0];
-                }
-                self.mem.write(dst, &buf);
+                self.mem.copy(dst, src, n as usize);
                 self.stats.cycles += n / 4;
                 Ok(Some(Val::B64(dst)))
             }
@@ -963,6 +1049,23 @@ mod tests {
         let id = m.add_func(f);
         let mut machine = Machine::new(&m);
         machine.run(id, args).unwrap()
+    }
+
+    #[test]
+    fn reads_do_not_map_pages() {
+        let mut mem = Memory::new();
+        assert_eq!(mem.read_u64(0x1234_5ff8), 0);
+        assert_eq!(mem.read_cstr(0x4000_0000), "");
+        assert!(mem.frames.is_empty() && mem.index.is_empty());
+        mem.write(0x1fff, &[1, 2]);
+        assert_eq!(mem.frames.len(), 2, "a write maps each page it touches");
+        assert_eq!(mem.read_u64(0x1ffe), 0x0002_0100);
+        assert_eq!(
+            mem.read_cstr(0x1fff),
+            "\u{1}\u{2}",
+            "the next page is unmapped"
+        );
+        assert_eq!(mem.frames.len(), 2);
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! * `f64`/`f32` arithmetic is IEEE via Rust, `min`/`max` are
 //!   NaN-ignoring (`f64::min`), `cvttsd2si` is Rust's saturating
 //!   `as i64` cast (NaN → 0);
-//! * the libc/pthread externs replicate `lir::interp`'s runtime model
-//!   exactly (same bump allocator, same sequential fork–join threads, same
-//!   per-thread stacks), so heap pointers and thread ids have identical
-//!   numeric values in all executors.
+//! * guest memory is `lir::interp`'s [`Memory`], and the heap and stack
+//!   layout constants are `lir::interp`'s too; the libc/pthread externs
+//!   replicate its runtime model exactly (same bump allocator, same
+//!   sequential fork–join threads, same per-thread stacks), so heap
+//!   pointers and thread ids have identical numeric values in all
+//!   executors.
 //!
 //! Flag bookkeeping goes through [`crate::flags`]' [`Flag`] vocabulary so
 //! the interpreter and the lifter's liveness metadata name the same state.
@@ -35,14 +37,8 @@ use crate::decode::decode_one;
 use crate::flags::Flag;
 use crate::inst::{AluOp, FpPrec, Inst, MemRef, MulDivOp, Rm, ShiftOp, SseOp, Target, XmmRm};
 use crate::reg::{Gpr, Width, Xmm};
+use lasagne_lir::interp::{Memory, HEAP_BASE, STACK_SIZE, STACK_TOP};
 use std::collections::BTreeMap;
-
-/// Heap base for `malloc` (matches `lir::interp::HEAP_BASE`).
-pub const HEAP_BASE: u64 = 0x7000_0000;
-/// Stack top for the main thread (matches `lir::interp::STACK_TOP`).
-pub const STACK_TOP: u64 = 0x6000_0000;
-/// Bytes reserved per simulated thread stack.
-pub const STACK_SIZE: u64 = 1 << 20;
 
 /// Pseudo return address pushed below every entry frame; reaching it ends
 /// the run (or the thread).
@@ -74,66 +70,6 @@ impl std::fmt::Display for X86Error {
 }
 
 impl std::error::Error for X86Error {}
-
-/// Sparse paged memory (same shape as the LIR interpreter's).
-#[derive(Debug, Default)]
-pub struct Memory {
-    pages: BTreeMap<u64, Box<[u8; 4096]>>,
-}
-
-impl Memory {
-    /// Creates empty memory.
-    pub fn new() -> Memory {
-        Memory::default()
-    }
-
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; 4096] {
-        self.pages
-            .entry(addr >> 12)
-            .or_insert_with(|| Box::new([0; 4096]))
-    }
-
-    /// Reads `len ≤ 16` bytes.
-    pub fn read(&mut self, addr: u64, len: usize) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        for (i, o) in out.iter_mut().enumerate().take(len) {
-            let a = addr.wrapping_add(i as u64);
-            *o = self.page_mut(a)[(a & 0xfff) as usize];
-        }
-        out
-    }
-
-    /// Writes `len ≤ 16` bytes.
-    pub fn write(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            let a = addr.wrapping_add(i as u64);
-            self.page_mut(a)[(a & 0xfff) as usize] = *b;
-        }
-    }
-
-    /// Reads a `u64`.
-    pub fn read_u64(&mut self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8)[..8].try_into().unwrap())
-    }
-
-    /// Writes a `u64`.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
-    /// Reads a NUL-terminated C string (up to 64 KiB).
-    pub fn read_cstr(&mut self, addr: u64) -> String {
-        let mut s = Vec::new();
-        for i in 0..65536 {
-            let b = self.read(addr + i, 1)[0];
-            if b == 0 {
-                break;
-            }
-            s.push(b);
-        }
-        String::from_utf8_lossy(&s).into_owned()
-    }
-}
 
 /// Dynamic execution statistics (mirrors `lir::interp::ExecStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,6 +138,13 @@ pub struct X86Machine<'b> {
     output: String,
     steps_left: u64,
     mutexes: BTreeMap<u64, bool>,
+    /// Decode cache: for each text offset, 1 + the index in `decoded` of
+    /// the instruction decoded there, or 0 if none has been yet. `.text`
+    /// is immutable (guest stores go to [`Memory`]), so an entry never
+    /// goes stale; decode errors are not cached.
+    decoded_at: Vec<u32>,
+    /// Decoded instructions and their encoded lengths.
+    decoded: Vec<(Inst, u8)>,
 }
 
 impl<'b> X86Machine<'b> {
@@ -229,6 +172,8 @@ impl<'b> X86Machine<'b> {
             output: String::new(),
             steps_left: 500_000_000,
             mutexes: BTreeMap::new(),
+            decoded_at: vec![0; bin.text.len()],
+            decoded: Vec::new(),
         }
     }
 
@@ -311,18 +256,35 @@ impl<'b> X86Machine<'b> {
                 .filter(|o| (*o as usize) < self.bin.text.len())
                 .ok_or_else(|| X86Error::BadCall(format!("rip {rip:#x} outside text")))?
                 as usize;
-            let d = decode_one(&self.bin.text[off..], rip)
-                .map_err(|e| X86Error::Decode(format!("at {rip:#x}: {e}")))?;
+            let (inst, len) = self.fetch(off, rip)?;
             self.stats.insts += 1;
-            self.stats.cycles += Self::cost_of(&d.inst);
-            if d.inst.reads_memory() {
+            self.stats.cycles += Self::cost_of(&inst);
+            if inst.reads_memory() {
                 self.stats.loads += 1;
             }
-            if d.inst.writes_memory() {
+            if inst.writes_memory() {
                 self.stats.stores += 1;
             }
-            rip = self.step(&d.inst, rip + d.len as u64)?;
+            rip = self.step(&inst, rip + u64::from(len))?;
         }
+    }
+
+    /// The instruction at text offset `off` (address `rip`) and its
+    /// length, decoded on first use and cached.
+    fn fetch(&mut self, off: usize, rip: u64) -> Result<(Inst, u8), X86Error> {
+        if let Some(i) = self.decoded_at[off].checked_sub(1) {
+            return Ok(self.decoded[i as usize]);
+        }
+        let d = decode_one(&self.bin.text[off..], rip)
+            .map_err(|e| X86Error::Decode(format!("at {rip:#x}: {e}")))?;
+        let entry = (
+            d.inst,
+            u8::try_from(d.len).expect("x86 instructions are ≤ 15 bytes"),
+        );
+        self.decoded.push(entry);
+        self.decoded_at[off] =
+            u32::try_from(self.decoded.len()).expect("fewer decoded instructions than text bytes");
+        Ok(entry)
     }
 
     /// Abstract cost of one instruction, aligned with the LIR
@@ -647,9 +609,9 @@ impl<'b> X86Machine<'b> {
     /// the runtime and fall through to `next`; text addresses push the
     /// return address.
     fn do_call(&mut self, target: u64, next: u64) -> Result<u64, X86Error> {
-        if let Some(ext) = self.bin.extern_at(target) {
-            let name = ext.name.clone();
-            self.call_extern(&name)?;
+        let bin = self.bin;
+        if let Some(ext) = bin.extern_at(target) {
+            self.call_extern(&ext.name)?;
             Ok(next)
         } else {
             self.push64(next);
@@ -776,10 +738,10 @@ impl<'b> X86Machine<'b> {
             }
             Inst::Jmp { target } => match target {
                 Target::Abs(t) => {
-                    if let Some(ext) = self.bin.extern_at(*t) {
+                    let bin = self.bin;
+                    if let Some(ext) = bin.extern_at(*t) {
                         // Tail call through a PLT stub.
-                        let name = ext.name.clone();
-                        self.call_extern(&name)?;
+                        self.call_extern(&ext.name)?;
                         return Ok(self.pop64());
                     }
                     return Ok(*t);
@@ -1054,11 +1016,7 @@ impl<'b> X86Machine<'b> {
                 self.write_gpr(Gpr::Rax, Width::W64, a0);
             }
             "memcpy" => {
-                let mut buf = vec![0u8; a2 as usize];
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = self.mem.read(a1 + i as u64, 1)[0];
-                }
-                self.mem.write(a0, &buf);
+                self.mem.copy(a0, a1, a2 as usize);
                 self.stats.cycles += a2 / 4;
                 self.write_gpr(Gpr::Rax, Width::W64, a0);
             }
