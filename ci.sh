@@ -83,8 +83,10 @@ cmp "$CACHE_DIR/HT.exp1.txt" "$CACHE_DIR/HT.exp4.txt"
 # persisted seeds in crates/lasagne/tests/difftest.qc-regressions replay
 # before any novel generation, so known-fixed lifter bugs stay pinned. A
 # nonzero exit means a divergence (the shrunk counterexample is printed).
-# The case count is sized to keep this step near 2 s on a 2-CPU host.
-./target/release/lasagne difftest --cases 64 --scale 48 \
+# The case count is the largest that kept this step within the wall time
+# of the previous count (64) on a 2-CPU host, about 2-3 s; see
+# EXPERIMENTS.md "Cold translation speed".
+./target/release/lasagne difftest --cases 72 --scale 48 \
     --cache-dir "$CACHE_DIR/difftest-cache"
 
 # Parallel-schedule regression gate: re-run the bench sweep at scale 192

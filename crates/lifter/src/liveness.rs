@@ -337,14 +337,13 @@ pub fn analyze_with(cfg: &XCfg, call_uses: impl Fn(u64) -> RegSet) -> Liveness {
                 // A tail-call jmp reads the callee's argument registers.
                 Inst::Jmp {
                     target: Target::Abs(t),
-                } if cfg.blocks.iter().all(|b| b.start != t) => call_uses(t),
+                } if cfg.block_index(t).is_none() => call_uses(t),
                 _ => uses(&d.inst),
             };
             gen[i] = gen[i].union(u.minus(kill[i]));
             kill[i] = kill[i].union(defs(&d.inst));
         }
     }
-    let index_of = |addr: u64| cfg.blocks.iter().position(|b| b.start == addr);
     let mut live_in = vec![RegSet::EMPTY; n];
     let mut live_out = vec![RegSet::EMPTY; n];
     let mut changed = true;
@@ -353,7 +352,7 @@ pub fn analyze_with(cfg: &XCfg, call_uses: impl Fn(u64) -> RegSet) -> Liveness {
         for i in (0..n).rev() {
             let mut out = RegSet::EMPTY;
             for succ in &cfg.blocks[i].succs {
-                if let Some(j) = index_of(*succ) {
+                if let Some(j) = cfg.block_index(*succ) {
                     out = out.union(live_in[j]);
                 }
             }

@@ -63,9 +63,10 @@ pub struct XCfg {
 }
 
 impl XCfg {
-    /// Index of the block starting at `addr`.
+    /// Index of the block starting at `addr` (a binary search: blocks are
+    /// sorted by start address).
     pub fn block_index(&self, addr: u64) -> Option<usize> {
-        self.blocks.iter().position(|b| b.start == addr)
+        self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
     }
 }
 
@@ -185,7 +186,7 @@ pub fn build_xcfg_with(
             } => {}
             _ => {
                 // Fallthrough into the next leader.
-                if next < end && starts.contains(&next) {
+                if next < end && starts.binary_search(&next).is_ok() {
                     b.succs.push(next);
                 }
             }

@@ -77,6 +77,14 @@ pub struct Dominators {
     /// Immediate dominator per block (`None` for the entry and unreachable
     /// blocks).
     pub idom: Vec<Option<BlockId>>,
+    /// Dominator-tree children of block `b`, in block order:
+    /// `child_list[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<u32>,
+    child_list: Vec<BlockId>,
+    /// Dominator-tree pre/post numbers: reachable `a` dominates reachable
+    /// `b` iff `b`'s interval nests in `a`'s.
+    pre: Vec<u32>,
+    post: Vec<u32>,
 }
 
 impl Dominators {
@@ -85,7 +93,7 @@ impl Dominators {
         let n = cfg.succs.len();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if cfg.rpo.is_empty() {
-            return Dominators { idom };
+            return Dominators::with_tree(cfg, idom);
         }
         idom[cfg.rpo[0].0 as usize] = Some(cfg.rpo[0]);
         let mut changed = true;
@@ -112,24 +120,67 @@ impl Dominators {
         }
         // Entry's idom is conventionally itself during computation; expose None.
         idom[cfg.rpo[0].0 as usize] = None;
-        Dominators { idom }
+        Dominators::with_tree(cfg, idom)
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Builds the child lists and pre/post numbers of the tree `idom`.
+    fn with_tree(cfg: &Cfg, idom: Vec<Option<BlockId>>) -> Dominators {
+        let n = idom.len();
+        let mut child_start = vec![0u32; n + 1];
+        for d in idom.iter().flatten() {
+            child_start[d.0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut fill = child_start.clone();
+        let mut child_list = vec![BlockId(0); child_start[n] as usize];
+        for (b, d) in idom.iter().enumerate() {
+            if let Some(d) = d {
+                child_list[fill[d.0 as usize] as usize] = BlockId(b as u32);
+                fill[d.0 as usize] += 1;
+            }
+        }
+        let mut doms = Dominators {
+            idom,
+            child_start,
+            child_list,
+            pre: vec![0; n],
+            post: vec![0; n],
+        };
+        let mut clock = 0u32;
+        let mut stack: Vec<(BlockId, usize)> = Vec::new();
+        if let Some(&entry) = cfg.rpo.first() {
+            stack.push((entry, 0));
+        }
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if let Some(&c) = doms.children(b).get(*next) {
+                *next += 1;
+                clock += 1;
+                doms.pre[c.0 as usize] = clock;
+                stack.push((c, 0));
+            } else {
+                clock += 1;
+                doms.post[b.0 as usize] = clock;
+                stack.pop();
+            }
+        }
+        doms
+    }
+
+    /// The blocks `b` immediately dominates, in block order.
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        let b = b.0 as usize;
+        &self.child_list[self.child_start[b] as usize..self.child_start[b + 1] as usize]
+    }
+
+    /// Whether `a` dominates `b` (reflexive). O(1).
     pub fn dominates(&self, cfg: &Cfg, a: BlockId, b: BlockId) -> bool {
-        if !cfg.reachable(b) {
+        if !cfg.reachable(a) || !cfg.reachable(b) {
             return false;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.0 as usize] {
-                Some(d) => cur = d,
-                None => return false,
-            }
-        }
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        self.pre[a] <= self.pre[b] && self.post[b] <= self.post[a]
     }
 
     /// Dominance frontier per block.
@@ -189,19 +240,30 @@ pub struct Loop {
 
 /// Finds natural loops via back edges (`latch → header` where the header
 /// dominates the latch).
+///
+/// Linear in the CFG plus the loop bodies: body membership is tracked
+/// with a stamp per block.
 pub fn find_loops(cfg: &Cfg, doms: &Dominators) -> Vec<Loop> {
+    let n = cfg.succs.len();
     let mut loops: Vec<Loop> = Vec::new();
+    let mut loop_of = vec![u32::MAX; n];
+    // `seen[b] == stamp`: `b` is already in the body being collected.
+    let mut seen = vec![0u32; n];
+    let mut stamp = 0u32;
     for &b in &cfg.rpo {
         for &s in &cfg.succs[b.0 as usize] {
             if doms.dominates(cfg, s, b) {
                 // Back edge b -> s; collect the loop body by walking preds.
                 let header = s;
+                stamp += 1;
+                seen[header.0 as usize] = stamp;
                 let mut body = vec![header];
                 let mut stack = vec![b];
                 while let Some(x) = stack.pop() {
-                    if body.contains(&x) {
+                    if seen[x.0 as usize] == stamp {
                         continue;
                     }
+                    seen[x.0 as usize] = stamp;
                     body.push(x);
                     for &p in &cfg.preds[x.0 as usize] {
                         if cfg.reachable(p) {
@@ -209,17 +271,27 @@ pub fn find_loops(cfg: &Cfg, doms: &Dominators) -> Vec<Loop> {
                         }
                     }
                 }
-                if let Some(existing) = loops.iter_mut().find(|l| l.header == header) {
-                    for x in body {
-                        if !existing.blocks.contains(&x) {
-                            existing.blocks.push(x);
+                match loop_of[header.0 as usize] {
+                    u32::MAX => {
+                        loop_of[header.0 as usize] = loops.len() as u32;
+                        loops.push(Loop {
+                            header,
+                            blocks: body,
+                        });
+                    }
+                    i => {
+                        let existing = &mut loops[i as usize];
+                        stamp += 1;
+                        for x in &existing.blocks {
+                            seen[x.0 as usize] = stamp;
+                        }
+                        for x in body {
+                            if seen[x.0 as usize] != stamp {
+                                seen[x.0 as usize] = stamp;
+                                existing.blocks.push(x);
+                            }
                         }
                     }
-                } else {
-                    loops.push(Loop {
-                        header,
-                        blocks: body,
-                    });
                 }
             }
         }
@@ -455,5 +527,62 @@ mod tests {
         assert_eq!(cfg.rpo.len(), 4);
         let doms = Dominators::compute(&cfg);
         assert!(!doms.dominates(&cfg, BlockId(0), dead));
+    }
+
+    /// On random CFGs (some blocks unreachable), the interval test agrees
+    /// with walking the `idom` chain, and `children` inverts `idom`.
+    #[test]
+    fn dominance_intervals_match_idom_chain() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for _ in 0..200 {
+            let mut f = Function::new("r", vec![Ty::I1], Ty::Void);
+            let n = 1 + next(10) as u32;
+            for _ in 1..n {
+                f.add_block();
+            }
+            for b in 0..n {
+                let term = match next(3) {
+                    0 => Terminator::Ret { val: None },
+                    1 => Terminator::Br {
+                        dest: BlockId(next(n as u64) as u32),
+                    },
+                    _ => Terminator::CondBr {
+                        cond: Operand::Param(0),
+                        if_true: BlockId(next(n as u64) as u32),
+                        if_false: BlockId(next(n as u64) as u32),
+                    },
+                };
+                f.set_term(BlockId(b), term);
+            }
+            let cfg = Cfg::compute(&f);
+            let doms = Dominators::compute(&cfg);
+            let by_chain = |a: BlockId, b: BlockId| {
+                let mut cur = Some(b);
+                while let Some(c) = cur {
+                    if c == a {
+                        return true;
+                    }
+                    cur = doms.idom[c.0 as usize];
+                }
+                false
+            };
+            for a in (0..n).map(BlockId) {
+                let kids: Vec<BlockId> = (0..n)
+                    .map(BlockId)
+                    .filter(|c| doms.idom[c.0 as usize] == Some(a))
+                    .collect();
+                assert_eq!(doms.children(a), &kids[..]);
+                for b in (0..n).map(BlockId) {
+                    let want = cfg.reachable(b) && by_chain(a, b);
+                    assert_eq!(doms.dominates(&cfg, a, b), want, "{a:?} {b:?}");
+                }
+            }
+        }
     }
 }

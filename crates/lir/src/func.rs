@@ -126,6 +126,10 @@ impl Function {
 
     /// Replaces every use of `from` (an instruction result) with operand
     /// `to`, in all instructions and terminators.
+    ///
+    /// One call costs O(arena): it visits every instruction ever pushed,
+    /// dead or alive. A pass that replaces values in a loop must record
+    /// them in a [`Subst`](crate::subst::Subst) and apply it once instead.
     pub fn replace_all_uses(&mut self, from: InstId, to: Operand) {
         for inst in &mut self.insts {
             inst.kind.for_each_operand_mut(|op| {

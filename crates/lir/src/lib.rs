@@ -50,9 +50,11 @@ pub mod inst;
 pub mod interp;
 pub mod print;
 pub mod ssa;
+pub mod subst;
 pub mod types;
 pub mod verify;
 
 pub use func::{Function, Module};
 pub use inst::{BlockId, FuncId, Inst, InstId, InstKind, Operand, Terminator};
+pub use subst::Subst;
 pub use types::{Pointee, Ty};

@@ -14,7 +14,7 @@ use std::fmt;
 /// pointer-to-pointer with an opaque second level), which is exactly the
 /// granularity the paper's peephole rules and pointer parameter promotion
 /// operate at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Pointee {
     /// `i8*` — the "raw memory" pointer the lifter starts from.
     I8,
@@ -63,7 +63,7 @@ impl Pointee {
 }
 
 /// An LIR type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Ty {
     /// No value (function returns only).
     Void,

@@ -8,6 +8,7 @@ use crate::fold::{const_int, fold_bin, fold_cast, fold_icmp};
 use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{BinOp, CastOp, InstId, InstKind, Operand};
+use lasagne_lir::Subst;
 
 /// One `instcombine` sweep over a function. Returns the number of
 /// simplifications applied (run to fixpoint by the pipeline).
@@ -26,24 +27,27 @@ pub fn instcombine(m: &Module, f: &mut Function) -> usize {
 /// round, and stores the maintained vector back for the next pass.
 pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usize {
     let mut changed = 0;
-    let mut dead: Vec<InstId> = Vec::new();
+    let mut subst = Subst::new();
+    let mut dead = vec![false; f.insts.len()];
     let ids: Vec<InstId> = f.iter_insts().map(|(_, id)| id).collect();
     for id in ids {
-        if let Some(rep) = simplify(m, f, id) {
+        subst.resolve_operands(&mut f.inst_mut(id).kind);
+        if let Some(rep) = simplify(m, f, id, &mut subst) {
             // Never replace an instruction with itself (possible via
             // `x + 0` where the operand aliases the result id after a
             // previous rewrite).
             if rep == Operand::Inst(id) {
                 continue;
             }
-            f.replace_all_uses(id, rep);
-            dead.push(id);
+            subst.replace(id, rep);
+            dead[id.0 as usize] = true;
             changed += 1;
         }
     }
-    if !dead.is_empty() {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).insts.retain(|i| !dead.contains(i));
+    if changed > 0 {
+        subst.apply(f);
+        for block in &mut f.blocks {
+            block.insts.retain(|i| !dead[i.0 as usize]);
         }
         an.note_insts_changed();
     }
@@ -69,8 +73,7 @@ pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usiz
         }
         erased[id.0 as usize] = true;
         removed += 1;
-        let kind = f.inst(id).kind.clone();
-        kind.for_each_operand(|op| {
+        f.inst(id).kind.for_each_operand(|op| {
             if let Operand::Inst(src) = op {
                 counts[src.0 as usize] -= 1;
                 if counts[src.0 as usize] == 0 && !erased[src.0 as usize] && erasable(f, *src) {
@@ -89,8 +92,10 @@ pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usiz
     changed
 }
 
-/// Computes a replacement operand for `id`, if it simplifies.
-fn simplify(m: &Module, f: &Function, id: InstId) -> Option<Operand> {
+/// Computes a replacement operand for `id`, if it simplifies. The
+/// operands of `id` must already be resolved through `subst`; those of
+/// the instructions it looks through are resolved on read.
+fn simplify(m: &Module, f: &Function, id: InstId, subst: &mut Subst) -> Option<Operand> {
     let inst = f.inst(id);
     let ty = inst.ty;
     match &inst.kind {
@@ -192,6 +197,7 @@ fn simplify(m: &Module, f: &Function, id: InstId) -> Option<Operand> {
                     val: orig,
                 } = &src_inst.kind
                 {
+                    let orig = &subst.resolve(*orig);
                     let orig_ty = m.operand_ty(f, orig);
                     match (src_op, op) {
                         // trunc(zext x) or trunc(sext x) back to the original type.

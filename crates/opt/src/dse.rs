@@ -3,6 +3,7 @@
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Elim, Label};
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::subst::{users_by_group, NO_GROUP};
 
 /// Eliminates overwritten non-atomic stores within basic blocks.
 ///
@@ -61,47 +62,55 @@ pub fn dse(f: &mut Function) -> usize {
 
 /// Removes stores to allocas that are never loaded anywhere in the function
 /// (and whose address never escapes) — common after register promotion.
+///
+/// One pass lists each alloca's users; slots are then decided in layout
+/// order, each against its own users minus the stores already removed.
 pub fn dse_dead_slots(f: &mut Function) -> usize {
+    let mut slot_no = vec![NO_GROUP; f.insts.len()];
+    let mut slots: Vec<InstId> = Vec::new();
+    for (_, id) in f.iter_insts() {
+        if matches!(f.inst(id).kind, InstKind::Alloca { .. }) {
+            slot_no[id.0 as usize] = slots.len() as u32;
+            slots.push(id);
+        }
+    }
+    if slots.is_empty() {
+        return 0;
+    }
+    let users = users_by_group(f, slots.len(), &slot_no);
+    let mut dead = vec![false; f.insts.len()];
     let mut removed = 0;
-    let allocas: Vec<InstId> = f
-        .iter_insts()
-        .filter(|(_, id)| matches!(f.inst(*id).kind, InstKind::Alloca { .. }))
-        .map(|(_, id)| id)
-        .collect();
-    for slot in allocas {
+    let mut stores: Vec<InstId> = Vec::new();
+    for (slot, users) in slots.into_iter().zip(users) {
         let this = Operand::Inst(slot);
-        let mut only_stores = true;
-        let mut stores: Vec<InstId> = Vec::new();
-        for (_, id) in f.iter_insts() {
-            let inst = f.inst(id);
-            let mut used = false;
-            inst.kind.for_each_operand(|op| {
-                if *op == this {
-                    used = true;
-                }
-            });
-            if !used {
-                continue;
-            }
-            match &inst.kind {
-                InstKind::Store {
-                    ptr,
-                    val,
-                    order: Ordering::NotAtomic,
-                } if *ptr == this && *val != this => {
+        stores.clear();
+        let only_stores = users
+            .into_iter()
+            .filter(|id| !dead[id.0 as usize])
+            .all(|id| {
+                let dead_store = matches!(
+                    &f.inst(id).kind,
+                    InstKind::Store {
+                        ptr,
+                        val,
+                        order: Ordering::NotAtomic,
+                    } if *ptr == this && *val != this
+                );
+                if dead_store {
                     stores.push(id);
                 }
-                _ => {
-                    only_stores = false;
-                    break;
-                }
-            }
-        }
+                dead_store
+            });
         if only_stores && !stores.is_empty() {
             removed += stores.len();
-            for b in f.block_ids().collect::<Vec<_>>() {
-                f.block_mut(b).insts.retain(|i| !stores.contains(i));
+            for id in &stores {
+                dead[id.0 as usize] = true;
             }
+        }
+    }
+    if removed > 0 {
+        for block in &mut f.blocks {
+            block.insts.retain(|i| !dead[i.0 as usize]);
         }
     }
     removed

@@ -10,10 +10,12 @@ use lasagne_fences::legality::{elim_adjacent, elim_fenced, Label};
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand};
 use lasagne_lir::BlockId;
+use lasagne_lir::Subst;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A hashable key for pure instructions.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Bin(lasagne_lir::inst::BinOp, OpKey, OpKey),
     ICmp(lasagne_lir::inst::IPred, OpKey, OpKey),
@@ -24,7 +26,7 @@ enum Key {
     Extract(OpKey, u32),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum OpKey {
     Inst(u32),
     Param(u32),
@@ -52,9 +54,10 @@ fn op_key(op: &Operand) -> OpKey {
 fn key_of(kind: &InstKind, ty: lasagne_lir::Ty) -> Option<Key> {
     Some(match kind {
         InstKind::Bin { op, lhs, rhs } => {
-            // Canonicalise commutative operands.
+            // Canonicalise commutative operands: any total order on
+            // `OpKey` makes `a op b` and `b op a` the same key.
             let (a, b) = (op_key(lhs), op_key(rhs));
-            if op.commutative() && format!("{b:?}") < format!("{a:?}") {
+            if op.commutative() && b < a {
                 Key::Bin(*op, b, a)
             } else {
                 Key::Bin(*op, a, b)
@@ -93,51 +96,77 @@ pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::An
     let (_, doms) = an.cfg_and_doms(f);
 
     // Walk the dominator tree depth-first, scoping the value table.
-    let mut dom_children: Vec<Vec<BlockId>> = vec![Vec::new(); f.blocks.len()];
-    for b in f.block_ids() {
-        if let Some(d) = doms.idom[b.0 as usize] {
-            dom_children[d.0 as usize].push(b);
-        }
-    }
 
-    let mut replaced = 0;
-    // (block, table snapshot) stack; tables are persistent maps simulated by
-    // cloning (fine at our function sizes).
-    let mut stack: Vec<(BlockId, HashMap<Key, InstId>)> = vec![(BlockId(0), HashMap::new())];
-    while let Some((b, mut table)) = stack.pop() {
-        replaced += number_block(f, b, &mut table);
-        for &c in &dom_children[b.0 as usize] {
-            stack.push((c, table.clone()));
+    enum Visit {
+        Enter(BlockId),
+        /// Leave a subtree: undo the table insertions past this log length.
+        Exit(usize),
+    }
+    let mut n = Numbering {
+        table: HashMap::new(),
+        undo: Vec::new(),
+        subst: Subst::new(),
+        dead: vec![false; f.insts.len()],
+        replaced: 0,
+    };
+    let mut stack = vec![Visit::Enter(BlockId(0))];
+    while let Some(visit) = stack.pop() {
+        match visit {
+            Visit::Enter(b) => {
+                stack.push(Visit::Exit(n.undo.len()));
+                n.number_block(f, b);
+                stack.extend(doms.children(b).iter().map(|c| Visit::Enter(*c)));
+            }
+            Visit::Exit(mark) => {
+                for key in n.undo.drain(mark..) {
+                    n.table.remove(&key);
+                }
+            }
         }
     }
-    replaced
+    n.subst.apply(f);
+    n.replaced
 }
 
-fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) -> usize {
-    let mut replaced = 0;
-    let ids: Vec<InstId> = f.block(b).insts.clone();
-    let mut kill: Vec<InstId> = Vec::new();
-    for id in ids {
-        let inst = f.inst(id);
-        let Some(key) = key_of(&inst.kind, inst.ty) else {
-            continue;
-        };
-        match table.get(&key) {
-            Some(prev) => {
-                let prev = *prev;
-                f.replace_all_uses(id, Operand::Inst(prev));
-                kill.push(id);
-                replaced += 1;
-            }
-            None => {
-                table.insert(key, id);
+/// GVN state for one dominator-tree walk: one scoped value table, the
+/// log of its insertions (unwound when a subtree is left) and the
+/// deferred replacements.
+struct Numbering {
+    table: HashMap<Key, InstId>,
+    undo: Vec<Key>,
+    subst: Subst,
+    dead: Vec<bool>,
+    replaced: usize,
+}
+
+impl Numbering {
+    fn number_block(&mut self, f: &mut Function, b: BlockId) {
+        let mut killed = false;
+        for i in 0..f.block(b).insts.len() {
+            let id = f.block(b).insts[i];
+            let inst = f.inst_mut(id);
+            self.subst.resolve_operands(&mut inst.kind);
+            let Some(key) = key_of(&inst.kind, inst.ty) else {
+                continue;
+            };
+            match self.table.entry(key) {
+                Entry::Occupied(prev) => {
+                    self.subst.replace(id, Operand::Inst(*prev.get()));
+                    self.dead[id.0 as usize] = true;
+                    killed = true;
+                    self.replaced += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                    self.undo.push(key);
+                }
             }
         }
+        if killed {
+            let dead = &self.dead;
+            f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
+        }
     }
-    if !kill.is_empty() {
-        f.block_mut(b).insts.retain(|i| !kill.contains(i));
-    }
-    replaced
 }
 
 /// Redundant load elimination within blocks, honouring Figure 11b.
@@ -148,6 +177,8 @@ fn number_block(f: &mut Function, b: BlockId, table: &mut HashMap<Key, InstId>) 
 /// fenced-elimination rules.
 pub fn load_elim(f: &mut Function) -> usize {
     let mut replaced = 0;
+    let mut subst = Subst::new();
+    let mut dead = vec![false; f.insts.len()];
     for b in f.block_ids().collect::<Vec<_>>() {
         // Available value per pointer: (value operand, producing label,
         // fence seen since (strongest first)).
@@ -158,11 +189,12 @@ pub fn load_elim(f: &mut Function) -> usize {
             fence: Option<FenceKind>,
         }
         let mut avail: HashMap<OpKey, Avail> = HashMap::new();
-        let ids: Vec<InstId> = f.block(b).insts.clone();
-        let mut kill: Vec<InstId> = Vec::new();
-        for id in ids {
-            let kind = f.inst(id).kind.clone();
-            match &kind {
+        let mut killed = false;
+        for i in 0..f.block(b).insts.len() {
+            let id = f.block(b).insts[i];
+            let kind = &mut f.inst_mut(id).kind;
+            subst.resolve_operands(kind);
+            match &*kind {
                 InstKind::Load {
                     ptr,
                     order: lasagne_lir::inst::Ordering::NotAtomic,
@@ -174,8 +206,9 @@ pub fn load_elim(f: &mut Function) -> usize {
                             Some(fk) => elim_fenced(a.label, fk, Label::Rna).is_some(),
                         };
                         if ok {
-                            f.replace_all_uses(id, a.val);
-                            kill.push(id);
+                            subst.replace(id, a.val);
+                            dead[id.0 as usize] = true;
+                            killed = true;
                             replaced += 1;
                             continue;
                         }
@@ -221,10 +254,11 @@ pub fn load_elim(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        if !kill.is_empty() {
-            f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        if killed {
+            f.block_mut(b).insts.retain(|i| !dead[i.0 as usize]);
         }
     }
+    subst.apply(f);
     replaced
 }
 

@@ -12,7 +12,7 @@
 use lasagne_lir::analysis::find_loops;
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{InstId, InstKind, Operand, Ordering};
-use lasagne_lir::BlockId;
+use lasagne_lir::{BlockId, Subst};
 use std::collections::BTreeSet;
 
 /// Hoists loop-invariant instructions. Returns the number hoisted.
@@ -27,6 +27,9 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
     let (cfg, doms) = an.cfg_and_doms(f);
     let loops = find_loops(cfg, doms);
     let mut hoisted = 0;
+    // Merged duplicates are replaced through one table for the whole run;
+    // every instruction's operands are resolved before they are read.
+    let mut subst = Subst::new();
 
     for lp in loops {
         let Some(preheader) = doms.idom[lp.header.0 as usize] else {
@@ -70,6 +73,7 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
                     if !def_in_loop.contains(&id) {
                         continue;
                     }
+                    subst.resolve_operands(&mut f.inst_mut(id).kind);
                     let inst = f.inst(id);
                     let hoistable = match &inst.kind {
                         InstKind::Bin { .. }
@@ -128,20 +132,22 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
             }
         }
         // Merge duplicate hoisted expressions in the preheader.
-        hoisted += dedup_block(f, preheader);
+        hoisted += dedup_block(f, preheader, &mut subst);
         let _ = in_loop;
     }
+    subst.apply(f);
     hoisted
 }
 
 /// Local value numbering within one block: replaces later duplicates of a
 /// pure expression with the first occurrence.
-fn dedup_block(f: &mut Function, b: BlockId) -> usize {
+fn dedup_block(f: &mut Function, b: BlockId, subst: &mut Subst) -> usize {
     use std::collections::HashMap;
     let mut seen: HashMap<String, InstId> = HashMap::new();
     let ids: Vec<InstId> = f.block(b).insts.clone();
     let mut kill: Vec<InstId> = Vec::new();
     for id in ids {
+        subst.resolve_operands(&mut f.inst_mut(id).kind);
         let inst = f.inst(id);
         let pure = matches!(
             inst.kind,
@@ -159,7 +165,7 @@ fn dedup_block(f: &mut Function, b: BlockId) -> usize {
         match seen.get(&key) {
             Some(prev) => {
                 let prev = *prev;
-                f.replace_all_uses(id, Operand::Inst(prev));
+                subst.replace(id, Operand::Inst(prev));
                 kill.push(id);
             }
             None => {

@@ -4,7 +4,8 @@
 //! scalar slots.
 
 use lasagne_lir::func::Function;
-use lasagne_lir::inst::{CastOp, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::inst::{BlockId, CastOp, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::subst::{group_of, users_by_group, NO_GROUP};
 use lasagne_lir::types::{Pointee, Ty};
 use std::collections::BTreeMap;
 
@@ -68,56 +69,55 @@ fn classify_access(f: &Function, slot: InstId, mem_inst: InstId, ptr: &Operand) 
 
 /// Splits allocas whose every use is a fixed-offset scalar access into one
 /// alloca per disjoint byte range. Returns the number of allocas split.
+///
+/// A few linear passes find every slot's users: one maps each derived
+/// pointer (`gep slot, const` and bitcast chains of such pointers, in
+/// layout order) to its root alloca, the next lists, per root, the
+/// instructions that use the root or a pointer derived from it. Each slot
+/// is then checked against its own users only.
 pub fn sroa(f: &mut Function) -> usize {
-    let slots: Vec<(InstId, u64)> = f
-        .iter_insts()
-        .filter_map(|(_, id)| match f.inst(id).kind {
-            InstKind::Alloca { size } => Some((id, size)),
-            _ => None,
-        })
-        .collect();
+    // `root[id]`: the index in `slots` of the alloca instruction `id` is,
+    // or derives its pointer from.
+    let mut root = vec![NO_GROUP; f.insts.len()];
+    let mut slots: Vec<(InstId, u64, BlockId)> = Vec::new();
+    for (b, id) in f.iter_insts() {
+        if let InstKind::Alloca { size } = f.inst(id).kind {
+            root[id.0 as usize] = slots.len() as u32;
+            slots.push((id, size, b));
+        }
+    }
+    if slots.is_empty() {
+        return 0;
+    }
+    for (_, id) in f.iter_insts() {
+        root[id.0 as usize] = match &f.inst(id).kind {
+            InstKind::Alloca { .. } => continue,
+            InstKind::Gep {
+                base: Operand::Inst(base),
+                offset,
+                ..
+            } if matches!(f.inst(*base).kind, InstKind::Alloca { .. })
+                && offset.as_const_int().is_some() =>
+            {
+                root[base.0 as usize]
+            }
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(v),
+            } => root[v.0 as usize],
+            _ => NO_GROUP,
+        };
+    }
+    let users = users_by_group(f, slots.len(), &root);
 
     let mut split = 0;
-    for (slot, size) in slots {
-        // Gather all uses; every use must be (transitively) a classified
-        // scalar access.
+    for (si, ((slot, size, slot_block), users)) in slots.into_iter().zip(users).enumerate() {
+        let derived = |op: &Operand| group_of(&root, op) == Some(si);
+        // Every use must be (transitively) a classified scalar access.
         let mut accesses: Vec<Access> = Vec::new();
         let mut ok = true;
-        // Intermediate pointer instructions (geps/bitcasts) rooted at slot.
-        let mut derived: Vec<InstId> = vec![slot];
-        // First collect derived pointers.
-        for (_, id) in f.iter_insts() {
-            match &f.inst(id).kind {
-                InstKind::Gep {
-                    base: Operand::Inst(b),
-                    offset,
-                    ..
-                } if *b == slot && offset.as_const_int().is_some() => {
-                    derived.push(id);
-                }
-                InstKind::Cast {
-                    op: CastOp::BitCast,
-                    val: Operand::Inst(v),
-                } if derived.contains(v) => {
-                    derived.push(id);
-                }
-                _ => {}
-            }
-        }
-        // Then check all uses of slot/derived.
-        for (_, id) in f.iter_insts() {
+        for id in users {
             let inst = f.inst(id);
-            let mut touches = false;
-            inst.kind.for_each_operand(|op| {
-                if let Operand::Inst(i) = op {
-                    if derived.contains(i) {
-                        touches = true;
-                    }
-                }
-            });
-            if !touches {
-                continue;
-            }
             match &inst.kind {
                 InstKind::Load {
                     ptr,
@@ -135,13 +135,7 @@ pub fn sroa(f: &mut Function) -> usize {
                     order: Ordering::NotAtomic,
                 } => {
                     // The value stored must not be the pointer itself.
-                    let mut escapes = false;
-                    if let Operand::Inst(v) = val {
-                        if derived.contains(v) {
-                            escapes = true;
-                        }
-                    }
-                    if escapes {
+                    if derived(val) {
                         ok = false;
                         break;
                     }
@@ -153,12 +147,14 @@ pub fn sroa(f: &mut Function) -> usize {
                         }
                     }
                 }
-                // Derived pointer computations are fine.
+                // Derived pointer computations are fine; any other gep or
+                // bitcast of the slot (a variable offset, a gep of a
+                // bitcast) would keep addressing the unsplit slot.
                 InstKind::Gep { .. }
                 | InstKind::Cast {
                     op: CastOp::BitCast,
                     ..
-                } => {}
+                } if root[id.0 as usize] == si as u32 => {}
                 _ => {
                     ok = false;
                     break;
@@ -201,18 +197,8 @@ pub fn sroa(f: &mut Function) -> usize {
 
         // Create one alloca per range, right where the original lives.
         let mut new_slots: BTreeMap<u64, InstId> = BTreeMap::new();
-        let (slot_block, slot_pos) = {
-            let mut found = None;
-            for b in f.block_ids() {
-                if let Some(p) = f.block(b).insts.iter().position(|i| *i == slot) {
-                    found = Some((b, p));
-                    break;
-                }
-            }
-            match found {
-                Some(x) => x,
-                None => continue,
-            }
+        let Some(slot_pos) = f.block(slot_block).insts.iter().position(|i| *i == slot) else {
+            continue;
         };
         for (off, (sz, pe)) in &ranges {
             let id = f.insert(
@@ -352,6 +338,106 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.ret.unwrap().f64(), 1.5);
+    }
+
+    /// A load through a variable-offset gep of the slot must keep seeing
+    /// the stores made through the constant-offset halves: such a gep is
+    /// not a derived pointer, so it blocks splitting.
+    #[test]
+    fn variable_offset_gep_blocks_sroa() {
+        let mut f = Function::new("f", vec![Ty::I64], Ty::F64);
+        let e = f.entry();
+        let slot = f.push(e, Ty::Ptr(Pointee::I8), InstKind::Alloca { size: 16 });
+        let lo = f.push(
+            e,
+            Ty::Ptr(Pointee::F64),
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(slot),
+            },
+        );
+        f.push(
+            e,
+            Ty::Void,
+            InstKind::Store {
+                ptr: Operand::Inst(lo),
+                val: Operand::f64(1.5),
+                order: Ordering::NotAtomic,
+            },
+        );
+        let hi = f.push(
+            e,
+            Ty::Ptr(Pointee::I8),
+            InstKind::Gep {
+                base: Operand::Inst(slot),
+                offset: Operand::i64(8),
+                elem_size: 1,
+            },
+        );
+        let hi_ptr = f.push(
+            e,
+            Ty::Ptr(Pointee::F64),
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(hi),
+            },
+        );
+        f.push(
+            e,
+            Ty::Void,
+            InstKind::Store {
+                ptr: Operand::Inst(hi_ptr),
+                val: Operand::f64(9.0),
+                order: Ordering::NotAtomic,
+            },
+        );
+        let at = f.push(
+            e,
+            Ty::Ptr(Pointee::I8),
+            InstKind::Gep {
+                base: Operand::Inst(slot),
+                offset: Operand::Param(0),
+                elem_size: 1,
+            },
+        );
+        let at_ptr = f.push(
+            e,
+            Ty::Ptr(Pointee::F64),
+            InstKind::Cast {
+                op: CastOp::BitCast,
+                val: Operand::Inst(at),
+            },
+        );
+        let l = f.push(
+            e,
+            Ty::F64,
+            InstKind::Load {
+                ptr: Operand::Inst(at_ptr),
+                order: Ordering::NotAtomic,
+            },
+        );
+        f.set_term(
+            e,
+            Terminator::Ret {
+                val: Some(Operand::Inst(l)),
+            },
+        );
+        let run = |f: &Function| {
+            let mut m = Module::new();
+            let id = m.add_func(f.clone());
+            verify_module(&m).unwrap();
+            let mut machine = lasagne_lir::interp::Machine::new(&m);
+            let r = machine
+                .run(id, &[lasagne_lir::interp::Val::B64(8)])
+                .unwrap();
+            r.ret.unwrap().f64()
+        };
+        assert_eq!(run(&f), 9.0);
+        let split = sroa(&mut f);
+        crate::dce::dce(&mut f);
+        mem2reg(&mut f);
+        assert_eq!(run(&f), 9.0, "the load must see the high half");
+        assert_eq!(split, 0);
     }
 
     /// Overlapping accesses (0..8 and 4..12) block splitting.

@@ -6,6 +6,7 @@ use crate::sched::PassEffect;
 use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand, Terminator};
+use lasagne_lir::Subst;
 use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Folds constants (and constant conditions into unconditional branches)
@@ -71,9 +72,11 @@ pub fn sccp_eff(m: &Module, f: &mut Function, an: &mut Analyses) -> PassEffect {
 /// the folded instruction. Returns the number of folds.
 fn const_fold(m: &Module, f: &mut Function) -> usize {
     let mut changed = 0;
-    let mut dead: Vec<lasagne_lir::InstId> = Vec::new();
+    let mut subst = Subst::new();
+    let mut dead = vec![false; f.insts.len()];
     let ids: Vec<lasagne_lir::InstId> = f.iter_insts().map(|(_, id)| id).collect();
     for id in ids {
+        subst.resolve_operands(&mut f.inst_mut(id).kind);
         let inst = f.inst(id);
         let ty = inst.ty;
         let rep = match &inst.kind {
@@ -99,14 +102,15 @@ fn const_fold(m: &Module, f: &mut Function) -> usize {
             _ => None,
         };
         if let Some(rep) = rep {
-            f.replace_all_uses(id, rep);
-            dead.push(id);
+            subst.replace(id, rep);
+            dead[id.0 as usize] = true;
             changed += 1;
         }
     }
-    if !dead.is_empty() {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).insts.retain(|i| !dead.contains(i));
+    if changed > 0 {
+        subst.apply(f);
+        for block in &mut f.blocks {
+            block.insts.retain(|i| !dead[i.0 as usize]);
         }
     }
     changed
