@@ -1,10 +1,7 @@
-//! Measurement harness shared by the `report` binary (which regenerates
-//! every table and figure of the paper's evaluation) and the in-tree
-//! bench harness.
+//! Measurement harness behind the `report` binary (which regenerates
+//! every table and figure of the paper's evaluation) and `lasagne run`.
 
 #![warn(missing_docs)]
-
-pub mod serve_load;
 
 use lasagne::{Pipeline, PipelineReport, Translation};
 use lasagne_armgen::machine::ArmMachine;

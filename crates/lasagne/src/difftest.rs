@@ -685,7 +685,7 @@ impl Default for DiffOptions {
     }
 }
 
-/// Summary of one differential sweep (the payload of `BENCH_diff.json`).
+/// Summary of one differential sweep, as `lasagne difftest` prints it.
 #[derive(Debug, Clone)]
 pub struct DiffSummary {
     /// qc-generated functions swept (straight-line + control-flow).

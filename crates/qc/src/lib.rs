@@ -1,9 +1,9 @@
 //! `lasagne-qc` — the workspace's in-tree, std-only, deterministic
-//! property-testing and benchmarking harness.
+//! property-testing harness.
 //!
 //! This container builds fully offline; no crates.io dependency is
 //! available. Everything the translator's correctness story needs from
-//! `proptest` and `criterion` is therefore reimplemented here, small and
+//! `proptest` is therefore reimplemented here, small and
 //! deterministic:
 //!
 //! * [`rng`] — splitmix64 / xoshiro256** PRNGs;
@@ -15,8 +15,7 @@
 //!   per-strategy code;
 //! * [`regress`] — persisted-seed regression files (and ingestion of the
 //!   legacy `*.proptest-regressions` files);
-//! * [`runner`] — the case loop behind the [`properties!`] macro;
-//! * [`mod@bench`] — a minimal wall-clock benchmark runner with JSON output.
+//! * [`runner`] — the case loop behind the [`properties!`] macro.
 //!
 //! # Writing a property
 //!
@@ -48,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod collection;
 pub mod regress;
 pub mod rng;

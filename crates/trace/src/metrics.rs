@@ -106,15 +106,15 @@ impl Histogram {
     /// The `p`-th percentile (0–100) estimated from the bucket counts by
     /// linear interpolation inside the target bucket.
     ///
-    /// The target rank is the nearest-rank `ceil(p/100 · total)` (the
-    /// same convention as the serve load generator's exact-sample
-    /// percentile, so client-side and server-side figures are
-    /// comparable). Within the bucket holding that rank the estimate
-    /// interpolates between the bucket's bounds — bucket `i` covers
-    /// `(bounds[i-1], bounds[i]]`, with an implicit lower edge of 0 —
-    /// so the error is bounded by one bucket width. Ranks landing in
-    /// the overflow bucket return the last finite bound (a floor: the
-    /// true value is at least that), and an empty histogram returns 0.
+    /// The target rank is the nearest-rank `ceil(p/100 · total)`; the
+    /// serve daemon and its replay client both read their latencies
+    /// through this one estimator. Within the bucket holding that rank
+    /// the estimate interpolates between the bucket's bounds — bucket
+    /// `i` covers `(bounds[i-1], bounds[i]]`, with an implicit lower
+    /// edge of 0 — so the error is bounded by one bucket width. Ranks
+    /// landing in the overflow bucket return the last finite bound (a
+    /// floor: the true value is at least that), and an empty histogram
+    /// returns 0.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.total == 0 || self.bounds.is_empty() {
             return 0;

@@ -452,39 +452,47 @@ fn main() {
                 );
                 std::process::exit(2);
             };
-            let opts = lasagne_repro::bench::serve_load::LoadOpts {
-                addr: addr.to_string(),
-                versions: vec![version],
-                concurrency: flag_value(&args, "--concurrency")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(4),
-                scale,
-                reps: flag_value(&args, "--reps")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(1),
-                jobs: jobs as u32,
+            let images: Vec<_> = all_benchmarks(scale)
+                .into_iter()
+                .map(|b| (b.binary, version))
+                .collect();
+            let concurrency = flag_value(&args, "--concurrency")
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(4);
+            let reps = flag_value(&args, "--reps")
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(1);
+            let r = match lasagne_repro::translator::serve::client::replay(
+                addr,
+                &images,
+                concurrency,
+                reps,
+                jobs as u32,
+            ) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("cannot connect to serve daemon at `{addr}`: {e}");
+                    std::process::exit(1);
+                }
             };
-            let summary = lasagne_repro::bench::serve_load::replay(&opts);
-            let lat = summary.ok_latencies();
-            use lasagne_repro::bench::serve_load::percentile;
             println!(
                 "{{\"requests\":{},\"hot\":{},\"coalesced\":{},\"disk\":{},\"cold\":{},\
                  \"shed\":{},\"timeouts\":{},\"errors\":{},\
                  \"p50_nanos\":{},\"p99_nanos\":{},\"p999_nanos\":{},\
                  \"throughput_rps\":{:.2},\"checksum\":\"{:016x}\"}}",
-                summary.samples.len(),
-                summary.hits[0],
-                summary.hits[1],
-                summary.hits[2],
-                summary.hits[3],
-                summary.shed,
-                summary.timeouts,
-                summary.errors,
-                percentile(&lat, 50.0),
-                percentile(&lat, 99.0),
-                percentile(&lat, 99.9),
-                summary.throughput_rps(),
-                summary.checksum,
+                r.requests,
+                r.hits[0],
+                r.hits[1],
+                r.hits[2],
+                r.hits[3],
+                r.shed,
+                r.timeouts,
+                r.errors,
+                r.latency.percentile(50.0),
+                r.latency.percentile(99.0),
+                r.latency.percentile(99.9),
+                r.throughput_rps(),
+                r.checksum,
             );
         }
         "serve-metrics" => {

@@ -16,7 +16,7 @@
 //! | [`armgen`] | §8 | AArch64 backend + cost-model interpreter |
 //! | [`phoenix`] | §9.1 | the Phoenix benchmarks as x86 binaries |
 //! | [`translator`] | §3 | the end-to-end pipeline and §9.1 versions |
-//! | [`mod@bench`] | §9 | measurement harness behind `report` and the benches |
+//! | [`mod@bench`] | §9 | measurement harness behind `report` and `lasagne run` |
 //! | [`cache`] | — | content-addressed on-disk translation cache |
 //! | [`trace`] | — | structured tracing, metrics, Chrome trace export |
 //! | [`pool`] | — | std-only work-stealing pool shared by the pipeline and `memmodel` |

@@ -321,3 +321,19 @@ fn unknown_benchmark_is_an_error() {
         "unknown benchmark should be rejected"
     );
 }
+
+#[test]
+fn serve_bench_without_a_daemon_fails_cleanly() {
+    let sock =
+        std::env::temp_dir().join(format!("lasagne-cli-nodaemon-{}.sock", std::process::id()));
+    let out = lasagne(&["serve-bench", "--socket", sock.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.lines().count(),
+        1,
+        "expected one line, got:\n{stderr}"
+    );
+    assert!(stderr.contains("cannot connect"), "stderr:\n{stderr}");
+    assert!(out.stdout.is_empty());
+}

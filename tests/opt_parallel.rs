@@ -230,3 +230,27 @@ fn warm_cache_serves_across_jobs_values_with_identical_output() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn suite_opt_scheduler_counters_are_pinned() {
+    // The change-driven scheduler's work over the whole suite, as exact
+    // counters: a tracking regression toward the blind schedule (every
+    // slot of every function every round: ran + skipped = 832) raises
+    // `ran`, and any change to what the passes report moves the tuple.
+    // The counters are jobs-invariant (tested above), so jobs=1 pins all.
+    let mut sum = (0, 0, 0, 0, 0, 0);
+    for b in all_benchmarks(48) {
+        let (_, r) = Pipeline::new(Version::PPOpt).run(&b.binary).unwrap();
+        let s = r
+            .opt_sched
+            .unwrap_or_else(|| panic!("{}: cold PPOpt run without opt_sched", b.name));
+        sum.0 += s.ran;
+        sum.1 += s.skipped;
+        sum.2 += s.retired;
+        sum.3 += s.rounds;
+        sum.4 += s.compacted;
+        sum.5 += s.compact_skipped;
+    }
+    // (ran, skipped, retired, rounds, compacted, compact_skipped)
+    assert_eq!(sum, (549, 283, 3, 15, 30, 0));
+}

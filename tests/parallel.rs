@@ -5,10 +5,12 @@
 //!
 //! This is the acceptance gate for `--jobs`: parallelism is an
 //! implementation detail that may never leak into the translation. The
-//! timing report's wall accounting must stay consistent at any job count.
+//! timing report's wall accounting must stay consistent at any job count,
+//! and the fan-out structure of a jobs=4 run is pinned exactly.
 
 use lasagne_repro::armgen::print::print_module;
 use lasagne_repro::phoenix::all_benchmarks;
+use lasagne_repro::pool::Pool;
 use lasagne_repro::translator::{Pipeline, Version};
 
 #[test]
@@ -118,5 +120,50 @@ fn wall_accounting_invariants_hold_at_every_jobs_value() {
                 }
             }
         }
+    }
+}
+
+/// Fan-out structure of a PPOpt translation at jobs=4, per benchmark:
+/// parallel sections per stage (lift, refine, fences, merge, opt,
+/// armgen), fused sections, and pool tasks submitted.
+const FANOUT: [(&str, [u64; 6], u64, u64); 7] = [
+    ("HT", [1, 3, 2, 1, 7, 1], 3, 40),
+    ("KM", [1, 4, 2, 1, 9, 1], 4, 52),
+    ("LR", [1, 3, 2, 1, 7, 1], 3, 20),
+    ("MM", [1, 3, 2, 1, 7, 1], 3, 30),
+    ("PCA", [1, 3, 2, 1, 10, 1], 3, 52),
+    ("SM", [1, 4, 2, 1, 7, 1], 4, 44),
+    ("WC", [1, 3, 2, 1, 7, 1], 3, 40),
+];
+
+#[test]
+fn jobs4_fan_out_structure_is_pinned() {
+    // Each run gets a private pool, so its counters describe this run
+    // alone. A fan-out that bypasses the pool (scoped threads per
+    // section) drops `submitted`; a fused region split back into
+    // per-stage sections drops `fused`.
+    for b in all_benchmarks(48) {
+        let pool = Pool::new(4);
+        let (_, r) = Pipeline::new(Version::PPOpt)
+            .with_jobs(4)
+            .with_pool(pool.clone())
+            .run(&b.binary)
+            .unwrap();
+        let p = r.pool.as_ref().expect("jobs=4 run reports pool activity");
+        let sections: Vec<u64> = r.stages.iter().map(|s| s.parallel_sections).collect();
+        assert!(p.submitted > 0, "{}: nothing ran on the pool", b.name);
+        assert_eq!(p.submitted, p.executed, "{}: tasks left unexecuted", b.name);
+        assert!(pool.workers() <= 4, "{}: pool grew past 4 workers", b.name);
+        let (_, want_sections, want_fused, want_submitted) = FANOUT
+            .iter()
+            .find(|(abbrev, ..)| *abbrev == b.abbrev)
+            .unwrap_or_else(|| panic!("{}: no pinned fan-out", b.abbrev));
+        assert_eq!(
+            (sections.as_slice(), r.fused_sections, p.submitted),
+            (&want_sections[..], *want_fused, *want_submitted),
+            "{}: fan-out structure changed",
+            b.name
+        );
+        pool.shutdown();
     }
 }

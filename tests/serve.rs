@@ -7,11 +7,13 @@
 //! surface: the Metrics wire frame (counters reconciling exactly with
 //! [`ServeStats`] over both Unix and TCP transports), request tracing
 //! that leaves response bytes untouched, and the sampled request log.
+//! The suite replay ([`client::replay`]) is checked against the
+//! daemon's own per-rung latency histograms.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use lasagne::serve::client::Client;
+use lasagne::serve::client::{self, Client};
 use lasagne::serve::wire::{Response, Source};
 use lasagne::serve::{Config, Server};
 use lasagne::{Pipeline, Version};
@@ -415,4 +417,45 @@ fn request_log_sampling_is_deterministic_through_the_daemon() {
         "sample=3 over 7 requests must log ids 3, 6"
     );
     std::fs::remove_file(&log_path).ok();
+}
+
+#[test]
+fn suite_replay_goes_hot_and_reconciles_with_the_daemon() {
+    let images: Vec<_> = all_benchmarks(24)
+        .into_iter()
+        .map(|b| (b.binary, Version::PPOpt))
+        .collect();
+    let server = Server::spawn(unix_cfg("replay")).expect("spawn");
+    let mut checksums = Vec::new();
+    for (pass, want_rung) in [(1, 3), (2, 0)] {
+        let before = server.metrics();
+        let r = client::replay(server.addr(), &images, 4, 1, 0).expect("replay");
+        let after = server.metrics();
+        let mut want_hits = [0; 4];
+        want_hits[want_rung] = 7;
+        assert_eq!(r.requests, 7, "replay {pass}");
+        assert_eq!(
+            r.hits, want_hits,
+            "replay {pass}: [hot, coalesced, disk, cold]"
+        );
+        assert_eq!((r.shed, r.timeouts, r.errors), (0, 0, 0), "replay {pass}");
+        assert_eq!(r.latency.total(), 7, "replay {pass}");
+        // Both ends of the socket count the same responses per rung.
+        for (i, rung) in ["hot", "coalesced", "disk", "cold"].iter().enumerate() {
+            let name = format!("serve.latency.{rung}");
+            let total = |m: &lasagne_trace::MetricsSnapshot| {
+                m.histos
+                    .get(&name)
+                    .map_or(0, lasagne_trace::Histogram::total)
+            };
+            assert_eq!(
+                total(&after) - total(&before),
+                r.hits[i],
+                "replay {pass}: daemon and client disagree on {rung}"
+            );
+        }
+        checksums.push(r.checksum);
+    }
+    assert_eq!(checksums[0], checksums[1], "hot responses changed bytes");
+    server.stop();
 }
