@@ -199,3 +199,16 @@ if grep -rn 'lock()\.unwrap()' crates/trace/src/ crates/pool/src/ \
     echo 'trace, pool, lasagne, bench, and the CLI must use lock_clean(), not lock().unwrap()' >&2
     exit 1
 fi
+
+# The guest runtime's extern table lives in one module,
+# crates/lir/src/interp/runtime.rs: the three interpreters dispatch on its
+# `Extern` enum, so none of them may name an extern in a string literal
+# (which would be a second, drifting copy of the runtime). Only matches
+# whose source text starts with a comment are exempt.
+EXTERNS='malloc|valloc|calloc|free|memset|memcpy|strlen|printf|puts|exit|abort|sqrt|sysconf|pthread_[a-z_]*'
+if grep -nE "\"($EXTERNS)\"" crates/x86/src/interp.rs \
+    crates/armgen/src/machine.rs crates/lir/src/interp.rs |
+    grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
+    echo 'extern names belong in lasagne_lir::interp::runtime; match on Extern instead' >&2
+    exit 1
+fi

@@ -4,11 +4,13 @@
 //! and (b) produce the simulated runtimes of Figures 12 and 15. The cost
 //! model charges heavily for barriers — `dmb ish` ≫ `dmb ishld`/`ishst` ≫
 //! plain accesses — which is the effect the paper measures on the
-//! Cortex-A72. The pthread runtime uses the same sequential fork–join
-//! semantics (with per-thread cycle buckets) as the LIR interpreter.
+//! Cortex-A72. Externs go to the guest runtime shared with the LIR and x86
+//! interpreters (sequential fork–join threads with per-thread cycle
+//! buckets).
 
 use crate::inst::{ABlock, ACallee, AInst, AModule, ARet, ATerm, AluOp, Cc, Dmb, FpOp, D, X};
-use lasagne_lir::interp::{Memory, FUNC_ADDR_BASE, HEAP_BASE, STACK_SIZE, STACK_TOP};
+use lasagne_lir::interp::runtime::{critical_path, Extern, Runtime};
+use lasagne_lir::interp::{Memory, FUNC_ADDR_BASE, STACK_TOP};
 
 /// Runtime errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,9 +65,7 @@ pub struct ArmRunResult {
 impl ArmRunResult {
     /// Fork–join critical path (main + slowest child).
     pub fn critical_path_cycles(&self) -> u64 {
-        let children: u64 = self.thread_cycles.iter().sum();
-        let max = self.thread_cycles.iter().copied().max().unwrap_or(0);
-        self.stats.cycles - children + max
+        critical_path(self.stats.cycles, &self.thread_cycles)
     }
 }
 
@@ -82,10 +82,8 @@ pub struct ArmMachine<'m> {
     c: bool,
     v: bool,
     sp: u64,
-    heap_next: u64,
+    rt: Runtime,
     stats: ArmStats,
-    thread_cycles: Vec<u64>,
-    output: String,
     steps_left: u64,
     exclusive: Option<u64>,
 }
@@ -166,10 +164,8 @@ impl<'m> ArmMachine<'m> {
             c: false,
             v: false,
             sp: STACK_TOP,
-            heap_next: HEAP_BASE,
+            rt: Runtime::default(),
             stats: ArmStats::default(),
-            thread_cycles: Vec::new(),
-            output: String::new(),
             steps_left: 2_000_000_000,
             exclusive: None,
         }
@@ -203,6 +199,26 @@ impl<'m> ArmMachine<'m> {
         self.d[r.0 as usize][8..].fill(0);
     }
 
+    /// The double in `r` (`dp`), or its single widened.
+    fn fpr(&self, r: D, dp: bool) -> f64 {
+        let bits = self.d64(r);
+        if dp {
+            f64::from_bits(bits)
+        } else {
+            f64::from(f32::from_bits(bits as u32))
+        }
+    }
+
+    /// Writes `v` to `r` as a double (`dp`), or rounded to a single.
+    fn set_fpr(&mut self, r: D, dp: bool, v: f64) {
+        let bits = if dp {
+            v.to_bits()
+        } else {
+            u64::from((v as f32).to_bits())
+        };
+        self.set_d64(r, bits);
+    }
+
     /// Runs function `idx` with integer args in `x0…` and FP args (f64
     /// bits) in `d0…`.
     ///
@@ -230,8 +246,8 @@ impl<'m> ArmMachine<'m> {
         Ok(ArmRunResult {
             ret,
             stats: self.stats,
-            thread_cycles: self.thread_cycles.clone(),
-            output: std::mem::take(&mut self.output),
+            thread_cycles: self.rt.thread_cycles.clone(),
+            output: std::mem::take(&mut self.rt.output),
         })
     }
 
@@ -320,8 +336,8 @@ impl<'m> ArmMachine<'m> {
                 self.set_x(*rd, v);
             }
             AInst::AddImm { rd, rn, imm } => {
-                let base = if rn.0 == 29 { self.x[29] } else { self.xr(*rn) };
-                self.set_x(*rd, base.wrapping_add(*imm as i64 as u64));
+                let v = self.xr(*rn).wrapping_add(*imm as i64 as u64);
+                self.set_x(*rd, v);
             }
             AInst::Cmp { rn, rm } => {
                 let a = self.xr(*rn);
@@ -359,11 +375,10 @@ impl<'m> ArmMachine<'m> {
                 self.set_x(*rd, v & mask);
             }
             AInst::Ldr { sz, rt, mem } => {
-                let addr = self.amem(mem);
-                let raw = self.mem.read(addr, sz.bytes() as usize);
-                let mut b = [0u8; 8];
-                b[..sz.bytes().min(8) as usize].copy_from_slice(&raw[..sz.bytes().min(8) as usize]);
-                self.set_x(*rt, u64::from_le_bytes(b));
+                let v = self
+                    .mem
+                    .read_uint(self.amem(mem), sz.bytes().min(8) as usize);
+                self.set_x(*rt, v);
             }
             AInst::Str { sz, rt, mem } => {
                 let addr = self.amem(mem);
@@ -372,25 +387,19 @@ impl<'m> ArmMachine<'m> {
                     .write(addr, &v.to_le_bytes()[..sz.bytes().min(8) as usize]);
             }
             AInst::LdrF { sz, dt, mem } => {
-                let addr = self.amem(mem);
-                let raw = self.mem.read(addr, sz.bytes() as usize);
-                let mut v = [0u8; 16];
-                v[..sz.bytes() as usize].copy_from_slice(&raw[..sz.bytes() as usize]);
-                self.d[dt.0 as usize] = v;
+                self.d[dt.0 as usize] = self.mem.read(self.amem(mem), sz.bytes() as usize);
             }
             AInst::StrF { sz, dt, mem } => {
                 let addr = self.amem(mem);
-                let v = self.d[dt.0 as usize];
-                self.mem.write(addr, &v[..sz.bytes() as usize]);
+                self.mem
+                    .write(addr, &self.d[dt.0 as usize][..sz.bytes() as usize]);
             }
             AInst::Ldxr { sz, rt, rn } => {
                 let addr = self.xr(*rn);
                 self.exclusive = Some(addr);
                 self.stats.exclusives += 1;
-                let raw = self.mem.read(addr, sz.bytes() as usize);
-                let mut b = [0u8; 8];
-                b[..sz.bytes().min(8) as usize].copy_from_slice(&raw[..sz.bytes().min(8) as usize]);
-                self.set_x(*rt, u64::from_le_bytes(b));
+                let v = self.mem.read_uint(addr, sz.bytes().min(8) as usize);
+                self.set_x(*rt, v);
             }
             AInst::Stxr { sz, rs, rt, rn } => {
                 let addr = self.xr(*rn);
@@ -408,29 +417,8 @@ impl<'m> ArmMachine<'m> {
                 self.exclusive = None;
             }
             AInst::Fp { op, dp, dd, dn, dm } => {
-                let (a, b) = if *dp {
-                    (f64::from_bits(self.d64(*dn)), f64::from_bits(self.d64(*dm)))
-                } else {
-                    (
-                        f64::from(f32::from_bits(self.d64(*dn) as u32)),
-                        f64::from(f32::from_bits(self.d64(*dm) as u32)),
-                    )
-                };
-                let r = match op {
-                    FpOp::FAdd => a + b,
-                    FpOp::FSub => a - b,
-                    FpOp::FMul => a * b,
-                    FpOp::FDiv => a / b,
-                    FpOp::FMin => a.min(b),
-                    FpOp::FMax => a.max(b),
-                    FpOp::FSqrt => a.sqrt(),
-                    FpOp::FNeg => -a,
-                };
-                if *dp {
-                    self.set_d64(*dd, r.to_bits());
-                } else {
-                    self.set_d64(*dd, u64::from((r as f32).to_bits()));
-                }
+                let (a, b) = (self.fpr(*dn, *dp), self.fpr(*dm, *dp));
+                self.set_fpr(*dd, *dp, apply_fp(*op, a, b));
             }
             AInst::FpVec { op, dp, dd, dn, dm } => {
                 let a = self.d[dn.0 as usize];
@@ -454,14 +442,7 @@ impl<'m> ArmMachine<'m> {
                 self.d[dd.0 as usize] = out;
             }
             AInst::FCmp { dp, dn, dm } => {
-                let (a, b) = if *dp {
-                    (f64::from_bits(self.d64(*dn)), f64::from_bits(self.d64(*dm)))
-                } else {
-                    (
-                        f64::from(f32::from_bits(self.d64(*dn) as u32)),
-                        f64::from(f32::from_bits(self.d64(*dm) as u32)),
-                    )
-                };
+                let (a, b) = (self.fpr(*dn, *dp), self.fpr(*dm, *dp));
                 if a.is_nan() || b.is_nan() {
                     // Unordered: C and V set.
                     self.n = false;
@@ -482,19 +463,10 @@ impl<'m> ArmMachine<'m> {
                 } else {
                     raw as u32 as i32 as f64
                 };
-                if *dp {
-                    self.set_d64(*dd, v.to_bits());
-                } else {
-                    self.set_d64(*dd, u64::from((v as f32).to_bits()));
-                }
+                self.set_fpr(*dd, *dp, v);
             }
             AInst::Fcvtzs { dp, to64, rd, dn } => {
-                let v = if *dp {
-                    f64::from_bits(self.d64(*dn))
-                } else {
-                    f64::from(f32::from_bits(self.d64(*dn) as u32))
-                };
-                let i = v as i64;
+                let i = self.fpr(*dn, *dp) as i64;
                 self.set_x(
                     *rd,
                     if *to64 {
@@ -505,13 +477,8 @@ impl<'m> ArmMachine<'m> {
                 );
             }
             AInst::Fcvt { to_double, dd, dn } => {
-                if *to_double {
-                    let v = f32::from_bits(self.d64(*dn) as u32);
-                    self.set_d64(*dd, f64::from(v).to_bits());
-                } else {
-                    let v = f64::from_bits(self.d64(*dn));
-                    self.set_d64(*dd, u64::from((v as f32).to_bits()));
-                }
+                let v = self.fpr(*dn, !*to_double);
+                self.set_fpr(*dd, *to_double, v);
             }
             AInst::FMovToX { rd, dn } => {
                 let v = self.d64(*dn);
@@ -550,12 +517,7 @@ impl<'m> ArmMachine<'m> {
     }
 
     fn amem(&self, m: &crate::inst::AMem) -> u64 {
-        let base = if m.base.0 == 29 {
-            self.x[29]
-        } else {
-            self.xr(m.base)
-        };
-        base.wrapping_add(m.off as i64 as u64)
+        self.xr(m.base).wrapping_add(m.off as i64 as u64)
     }
 
     fn cond(&self, cc: Cc) -> bool {
@@ -587,133 +549,43 @@ impl<'m> ArmMachine<'m> {
         Err(ArmError::BadCall(format!("no function at {addr:#x}")))
     }
 
+    /// Calls extern `name` under AAPCS64: integer arguments in `x0`–`x7`,
+    /// floating-point ones in `d0`–`d7`, the result in `x0`.
     fn call_extern(&mut self, name: &str) -> Result<(), ArmError> {
-        match name {
-            "malloc" | "valloc" => {
-                let size = self.x[0];
-                self.x[0] = self.heap_next;
-                self.heap_next += (size + 63) & !63;
-            }
-            "calloc" => {
-                let size = self.x[0] * self.x[1];
-                self.x[0] = self.heap_next;
-                self.heap_next += (size + 63) & !63;
-            }
-            "free" => {}
-            "memset" => {
-                let (dst, byte, n) = (self.x[0], self.x[1] as u8, self.x[2]);
-                let buf = vec![byte; n as usize];
-                self.mem.write(dst, &buf);
-                self.stats.cycles += n / 8;
-            }
-            "memcpy" => {
-                let (dst, src, n) = (self.x[0], self.x[1], self.x[2]);
-                self.mem.copy(dst, src, n as usize);
-                self.stats.cycles += n / 4;
-            }
-            "strlen" => {
-                let s = self.mem.read_cstr(self.x[0]);
-                self.x[0] = s.len() as u64;
-            }
-            "printf" => {
-                let fmt = self.mem.read_cstr(self.x[0]);
-                let out = self.format_c(&fmt);
-                self.output.push_str(&out);
-                self.x[0] = 0;
-            }
-            "puts" => {
-                let s = self.mem.read_cstr(self.x[0]);
-                self.output.push_str(&s);
-                self.output.push('\n');
-                self.x[0] = 0;
-            }
-            "sqrt" => {
+        let ext = Extern::parse(name)
+            .ok_or_else(|| ArmError::BadCall(format!("unknown extern @{name}")))?;
+        let ret = match ext {
+            Extern::Sqrt => {
                 let v = f64::from_bits(self.d64(D(0)));
                 self.set_d64(D(0), v.sqrt().to_bits());
                 self.stats.cycles += cost::FDIV;
+                None
             }
-            "exit" | "abort" => return Err(ArmError::Trap(format!("{name}() called"))),
-            "pthread_create" => {
-                let tid_ptr = self.x[0];
-                let fn_addr = self.x[2];
-                let arg = self.x[3];
-                let idx = self.resolve_func(fn_addr)?;
-                let tid = 1 + self.thread_cycles.len() as u64;
-                self.mem.write_u64(tid_ptr, tid);
-                let before = self.stats.cycles;
+            Extern::PthreadCreate => {
+                let now = self.stats.cycles;
+                let t = self.rt.begin_thread(&mut self.mem, &self.x, now);
+                let idx = self.resolve_func(t.entry)?;
                 let saved = (self.sp, self.x);
-                self.sp = STACK_TOP - tid * STACK_SIZE;
-                self.x[0] = arg;
+                self.sp = t.stack_top;
+                self.x[0] = t.arg;
                 self.call(idx)?;
-                self.sp = saved.0;
-                self.x = saved.1;
-                self.thread_cycles.push(self.stats.cycles - before);
-                self.x[0] = 0;
+                (self.sp, self.x) = saved;
+                self.rt.end_thread(t, self.stats.cycles);
+                Some(0)
             }
-            "pthread_join"
-            | "pthread_mutex_init"
-            | "pthread_mutex_destroy"
-            | "pthread_mutex_lock"
-            | "pthread_mutex_unlock" => {
-                self.x[0] = 0;
+            _ => {
+                let floats: [f64; 8] =
+                    std::array::from_fn(|i| f64::from_bits(self.d64(D(i as u8))));
+                let r = self.rt.call(ext, &mut self.mem, &self.x[..8], &floats);
+                let (val, cycles) = r.map_err(|t| ArmError::Trap(t.0))?;
+                self.stats.cycles += cycles;
+                val
             }
-            "pthread_exit" => {}
-            "sysconf" => self.x[0] = 4,
-            other => return Err(ArmError::BadCall(format!("unknown extern @{other}"))),
+        };
+        if let Some(v) = ret {
+            self.x[0] = v;
         }
         Ok(())
-    }
-
-    /// Minimal printf: `%d/%u/%x` pull the next integer register (from x1),
-    /// `%f/%g` pull the next FP register (from d0).
-    fn format_c(&mut self, fmt: &str) -> String {
-        let mut out = String::new();
-        let mut xi = 1usize;
-        let mut di = 0usize;
-        let mut it = fmt.chars().peekable();
-        while let Some(ch) = it.next() {
-            if ch != '%' {
-                out.push(ch);
-                continue;
-            }
-            while let Some(&n) = it.peek() {
-                if n.is_ascii_digit() || n == '.' || n == 'l' || n == 'z' || n == '-' {
-                    it.next();
-                } else {
-                    break;
-                }
-            }
-            match it.next() {
-                Some('d') | Some('i') => {
-                    out.push_str(&format!("{}", self.x[xi] as i64));
-                    xi += 1;
-                }
-                Some('u') => {
-                    out.push_str(&format!("{}", self.x[xi]));
-                    xi += 1;
-                }
-                Some('x') => {
-                    out.push_str(&format!("{:x}", self.x[xi]));
-                    xi += 1;
-                }
-                Some('f') | Some('g') | Some('e') => {
-                    out.push_str(&format!("{:.6}", f64::from_bits(self.d64(D(di as u8)))));
-                    di += 1;
-                }
-                Some('c') => {
-                    out.push((self.x[xi] as u8) as char);
-                    xi += 1;
-                }
-                Some('s') => {
-                    out.push_str("<str>");
-                    xi += 1;
-                }
-                Some('%') => out.push('%'),
-                Some(o) => out.push(o),
-                None => break,
-            }
-        }
-        out
     }
 }
 

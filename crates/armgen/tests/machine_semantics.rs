@@ -385,3 +385,56 @@ fn printer_forms() {
     assert!(text.contains("bl malloc"));
     assert!(text.contains("cbnz x3, .L0"));
 }
+
+/// A module whose `t` calls extern `name` with `x0 = 0x1000`, where
+/// global 0 (`bytes`) lives, and the caller's other argument registers.
+fn extern_call_module(name: &str, bytes: &[u8], calls: usize) -> AModule {
+    let mut insts = Vec::new();
+    for _ in 0..calls {
+        insts.push(AInst::AdrGlobal {
+            rd: X(0),
+            global: 0,
+        });
+        insts.push(AInst::Bl {
+            callee: ACallee::Extern(0),
+        });
+    }
+    let mut m = one_block_module(insts, ARet::Int);
+    m.externs = vec![name.into()];
+    m.globals = vec![("g".into(), 0x1000, 256, bytes.to_vec())];
+    m
+}
+
+#[test]
+fn printf_with_more_conversions_than_registers_reads_zeros() {
+    // x1–x7 and d0–d7 carry the arguments; later conversions read 0
+    // instead of indexing past the register file.
+    let ints = format!("{}\0", "%d ".repeat(32));
+    let m = extern_call_module("printf", ints.as_bytes(), 1);
+    let r = ArmMachine::new(&m)
+        .run(0, &[0, 1, 2, 3, 4, 5, 6, 7], &[])
+        .unwrap();
+    assert_eq!(r.output, format!("1 2 3 4 5 6 7 {}", "0 ".repeat(25)));
+
+    let floats = format!("{}\0", "%f ".repeat(33));
+    let m = extern_call_module("printf", floats.as_bytes(), 1);
+    let r = ArmMachine::new(&m)
+        .run(0, &[], &[1.5f64.to_bits(), 2.5f64.to_bits()])
+        .unwrap();
+    let want = format!("1.500000 2.500000 {}", "0.000000 ".repeat(31));
+    assert_eq!(r.output, want);
+}
+
+#[test]
+fn locking_a_held_mutex_traps() {
+    // Under sequential fork–join a second lock can never be released:
+    // every executor reports the deadlock instead of returning 0.
+    let m = extern_call_module("pthread_mutex_lock", &[], 2);
+    let err = ArmMachine::new(&m).run(0, &[], &[]).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "trap: deadlock: mutex 0x1000 locked twice under sequential fork-join"
+    );
+    let once = extern_call_module("pthread_mutex_lock", &[], 1);
+    assert_eq!(ArmMachine::new(&once).run(0, &[], &[]).unwrap().ret, 0);
+}

@@ -2,10 +2,8 @@
 //!
 //! Used to validate lifted code end-to-end (run the x86-semantics IR and
 //! compare against expected outputs) and to gather dynamic statistics
-//! (instructions retired, fences executed). The runtime implements the small
-//! set of C library and pthread externs the Phoenix benchmarks need; threads
-//! follow sequential fork–join semantics with per-thread cycle accounting so
-//! a critical-path time can be reported.
+//! (instructions retired, fences executed). Externs go to the [`runtime`]
+//! shared with the x86 and Arm interpreters.
 
 use crate::func::{Function, Module};
 use crate::inst::{
@@ -13,9 +11,12 @@ use crate::inst::{
     Terminator,
 };
 use crate::types::Ty;
+use runtime::{critical_path, Extern, Runtime};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Range;
+
+pub mod runtime;
 
 /// Pseudo-address base where functions are "linked" so function pointers
 /// (e.g. the `pthread_create` start routine) have addressable values.
@@ -210,11 +211,17 @@ impl Memory {
         self.write(dst, &buf);
     }
 
+    /// Reads the `len <= 8` bytes at `addr` as a little-endian unsigned
+    /// integer.
+    pub fn read_uint(&self, addr: u64, len: usize) -> u64 {
+        let mut b = [0u8; 8];
+        self.read_into(addr, &mut b[..len]);
+        u64::from_le_bytes(b)
+    }
+
     /// Reads a `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_into(addr, &mut b);
-        u64::from_le_bytes(b)
+        self.read_uint(addr, 8)
     }
 
     /// Writes a `u64`.
@@ -281,9 +288,7 @@ impl RunResult {
     /// Fork–join critical path: main-thread cycles plus the slowest child
     /// (children execute concurrently in the modelled machine).
     pub fn critical_path_cycles(&self) -> u64 {
-        let children: u64 = self.thread_cycles.iter().sum();
-        let max = self.thread_cycles.iter().copied().max().unwrap_or(0);
-        self.stats.cycles - children + max
+        critical_path(self.stats.cycles, &self.thread_cycles)
     }
 }
 
@@ -292,13 +297,10 @@ pub struct Machine<'m> {
     module: &'m Module,
     /// Simulated memory.
     pub mem: Memory,
-    heap_next: u64,
+    rt: Runtime,
     stack_next: u64,
     stats: ExecStats,
-    thread_cycles: Vec<u64>,
-    output: String,
     steps_left: u64,
-    mutexes: BTreeMap<u64, bool>,
     /// Scratch buffer for a block's phi parallel copy, reused across
     /// block visits.
     phi_writes: Vec<(InstId, Val)>,
@@ -316,13 +318,10 @@ impl<'m> Machine<'m> {
         Machine {
             module,
             mem,
-            heap_next: HEAP_BASE,
+            rt: Runtime::default(),
             stack_next: STACK_TOP,
             stats: ExecStats::default(),
-            thread_cycles: Vec::new(),
-            output: String::new(),
             steps_left: 500_000_000,
-            mutexes: BTreeMap::new(),
             phi_writes: Vec::new(),
         }
     }
@@ -366,8 +365,8 @@ impl<'m> Machine<'m> {
         Ok(RunResult {
             ret,
             stats: self.stats,
-            thread_cycles: self.thread_cycles.clone(),
-            output: std::mem::take(&mut self.output),
+            thread_cycles: self.rt.thread_cycles.clone(),
+            output: std::mem::take(&mut self.rt.output),
         })
     }
 
@@ -381,7 +380,6 @@ impl<'m> Machine<'m> {
         let mut frame = Frame {
             vals: vec![None; f.insts.len()],
             args,
-            alloca_base: self.stack_next,
             alloca_next: self.stack_next,
         };
         // Reserve a generous frame region; restored on return.
@@ -512,13 +510,7 @@ impl<'m> Machine<'m> {
     fn load_typed(&mut self, addr: u64, ty: Ty) -> Val {
         match ty {
             Ty::V2F64 | Ty::V4F32 | Ty::V2I64 | Ty::V4I32 => Val::B128(self.mem.read(addr, 16)),
-            t => {
-                let len = t.size() as usize;
-                let raw = self.mem.read(addr, len);
-                let mut b = [0u8; 8];
-                b[..len].copy_from_slice(&raw[..len]);
-                Val::B64(u64::from_le_bytes(b))
-            }
+            t => Val::B64(self.mem.read_uint(addr, t.size() as usize)),
         }
     }
 
@@ -643,7 +635,7 @@ impl<'m> Machine<'m> {
                     Callee::Func(fi) => self.call(*fi, argv)?,
                     Callee::Extern(e) => {
                         let module = self.module;
-                        self.call_extern(&module.ext(*e).name, &argv)?
+                        self.call_extern(&module.ext(*e).name, f, args, &argv)?
                     }
                     Callee::Indirect(target) => {
                         let addr = self.eval(f, frame, target)?.bits();
@@ -688,98 +680,52 @@ impl<'m> Machine<'m> {
         Err(ExecError::BadCall(format!("no function at {addr:#x}")))
     }
 
-    fn call_extern(&mut self, name: &str, args: &[Val]) -> Result<Option<Val>, ExecError> {
-        match name {
-            "malloc" | "valloc" => {
-                let size = args[0].bits();
-                let addr = self.heap_next;
-                self.heap_next += (size + 63) & !63;
-                Ok(Some(Val::B64(addr)))
+    /// Calls extern `name` on the values `argv` of operands `args` of `f`,
+    /// split by type into the runtime's integer and floating-point
+    /// arguments, as the Arm lowering marshals them.
+    fn call_extern(
+        &mut self,
+        name: &str,
+        f: &Function,
+        args: &[Operand],
+        argv: &[Val],
+    ) -> Result<Option<Val>, ExecError> {
+        let ext = Extern::parse(name)
+            .ok_or_else(|| ExecError::BadCall(format!("unknown extern @{name}")))?;
+        let (mut ints, mut floats) = (vec![], vec![]);
+        for (a, v) in args.iter().zip(argv) {
+            if self.module.operand_ty(f, a).is_float() {
+                floats.push(v.f64());
+            } else {
+                ints.push(v.bits());
             }
-            "calloc" => {
-                let size = args[0].bits() * args[1].bits();
-                let addr = self.heap_next;
-                self.heap_next += (size + 63) & !63;
-                Ok(Some(Val::B64(addr)))
-            }
-            "free" => Ok(None),
-            "memset" => {
-                let (dst, byte, n) = (args[0].bits(), args[1].bits() as u8, args[2].bits());
-                let buf = vec![byte; n as usize];
-                self.mem.write(dst, &buf);
-                self.stats.cycles += n / 8;
-                Ok(Some(Val::B64(dst)))
-            }
-            "memcpy" => {
-                let (dst, src, n) = (args[0].bits(), args[1].bits(), args[2].bits());
-                self.mem.copy(dst, src, n as usize);
-                self.stats.cycles += n / 4;
-                Ok(Some(Val::B64(dst)))
-            }
-            "strlen" => {
-                let s = self.mem.read_cstr(args[0].bits());
-                Ok(Some(Val::B64(s.len() as u64)))
-            }
-            "printf" => {
-                let fmt = self.mem.read_cstr(args[0].bits());
-                self.output.push_str(&format_c(&fmt, &args[1..]));
-                Ok(Some(Val::B64(0)))
-            }
-            "puts" => {
-                let s = self.mem.read_cstr(args[0].bits());
-                self.output.push_str(&s);
-                self.output.push('\n');
-                Ok(Some(Val::B64(0)))
-            }
-            "exit" | "abort" => Err(ExecError::Trap(format!("{name}() called"))),
-            "sqrt" => Ok(Some(Val::B64(args[0].f64().sqrt().to_bits()))),
-            "pthread_create" => {
-                // int pthread_create(pthread_t *t, attr, void *(*fn)(void*), void *arg)
-                let tid_ptr = args[0].bits();
-                let fn_addr = args[2].bits();
-                let arg = args[3];
-                let fi = self.resolve_func(fn_addr)?;
-                let tid = 1 + self.thread_cycles.len() as u64;
-                self.mem.write_u64(tid_ptr, tid);
-                // Run the thread body now (sequential fork–join semantics),
-                // attributing its cycles to the child bucket.
-                let before = self.stats.cycles;
-                let child_stack = self.stack_next;
-                self.stack_next = STACK_TOP - tid * STACK_SIZE;
-                let _ret = self.call(fi, vec![arg])?;
-                self.stack_next = child_stack;
-                self.thread_cycles.push(self.stats.cycles - before);
-                Ok(Some(Val::B64(0)))
-            }
-            "pthread_join" => Ok(Some(Val::B64(0))),
-            "pthread_exit" => Ok(None),
-            "pthread_mutex_init" | "pthread_mutex_destroy" => Ok(Some(Val::B64(0))),
-            "pthread_mutex_lock" => {
-                let m = args[0].bits();
-                let locked = self.mutexes.entry(m).or_insert(false);
-                if *locked {
-                    return Err(ExecError::Trap(format!(
-                        "deadlock: mutex {m:#x} locked twice under sequential fork-join"
-                    )));
-                }
-                *locked = true;
-                Ok(Some(Val::B64(0)))
-            }
-            "pthread_mutex_unlock" => {
-                self.mutexes.insert(args[0].bits(), false);
-                Ok(Some(Val::B64(0)))
-            }
-            "sysconf" => Ok(Some(Val::B64(4))), // _SC_NPROCESSORS_ONLN → 4 cores
-            other => Err(ExecError::BadCall(format!("unknown extern @{other}"))),
         }
+        let val = match ext {
+            Extern::Sqrt => Some(floats.first().map_or(0.0, |x| x.sqrt()).to_bits()),
+            Extern::PthreadCreate => {
+                let now = self.stats.cycles;
+                let t = self.rt.begin_thread(&mut self.mem, &ints, now);
+                let fi = self.resolve_func(t.entry)?;
+                let parent_stack = std::mem::replace(&mut self.stack_next, t.stack_top);
+                self.call(fi, vec![Val::B64(t.arg)])?;
+                self.stack_next = parent_stack;
+                self.rt.end_thread(t, self.stats.cycles);
+                Some(0)
+            }
+            _ => {
+                let r = self.rt.call(ext, &mut self.mem, &ints, &floats);
+                let (val, cycles) = r.map_err(|t| ExecError::Trap(t.0))?;
+                self.stats.cycles += cycles;
+                val
+            }
+        };
+        Ok(val.map(Val::B64))
     }
 }
 
 struct Frame {
     vals: Vec<Option<Val>>,
     args: Vec<Val>,
-    #[allow(dead_code)]
-    alloca_base: u64,
     alloca_next: u64,
 }
 
@@ -994,48 +940,6 @@ fn eval_cast(op: CastOp, from: Ty, to: Ty, v: Val) -> Val {
             }
         }
     }
-}
-
-/// Tiny C `printf` formatter supporting `%d %ld %lu %u %f %g %s %c %x %%`.
-fn format_c(fmt: &str, args: &[Val]) -> String {
-    let mut out = String::new();
-    let mut it = fmt.chars().peekable();
-    let mut ai = 0usize;
-    let next = |ai: &mut usize| {
-        let v = args.get(*ai).copied().unwrap_or(Val::B64(0));
-        *ai += 1;
-        v
-    };
-    while let Some(c) = it.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        // Skip width/precision/length specifiers.
-        let mut spec = String::new();
-        while let Some(&n) = it.peek() {
-            if n.is_ascii_digit() || n == '.' || n == 'l' || n == 'z' || n == '-' {
-                spec.push(n);
-                it.next();
-            } else {
-                break;
-            }
-        }
-        match it.next() {
-            Some('d') | Some('i') => out.push_str(&format!("{}", next(&mut ai).bits() as i64)),
-            Some('u') => out.push_str(&format!("{}", next(&mut ai).bits())),
-            Some('x') => out.push_str(&format!("{:x}", next(&mut ai).bits())),
-            Some('f') | Some('g') | Some('e') => {
-                out.push_str(&format!("{:.6}", next(&mut ai).f64()))
-            }
-            Some('c') => out.push((next(&mut ai).bits() as u8) as char),
-            Some('s') => out.push_str("<str>"),
-            Some('%') => out.push('%'),
-            Some(other) => out.push(other),
-            None => break,
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1390,13 +1294,13 @@ mod tests {
         let worker = m.add_func(w);
 
         let pc = m.declare_extern(crate::func::ExternDecl {
-            name: "pthread_create".into(),
+            name: Extern::PthreadCreate.name().into(),
             params: vec![Ty::I64, Ty::I64, Ty::I64, Ty::I64],
             ret: Ty::I32,
             variadic: false,
         });
         let malloc = m.declare_extern(crate::func::ExternDecl {
-            name: "malloc".into(),
+            name: Extern::Malloc.name().into(),
             params: vec![Ty::I64],
             ret: Ty::Ptr(Pointee::I8),
             variadic: false,
@@ -1492,7 +1396,7 @@ mod tests {
             addr: 0x60_0000,
         });
         let pf = m.declare_extern(crate::func::ExternDecl {
-            name: "printf".into(),
+            name: Extern::Printf.name().into(),
             params: vec![Ty::Ptr(Pointee::I8)],
             ret: Ty::I32,
             variadic: true,

@@ -22,12 +22,10 @@
 //! * `f64`/`f32` arithmetic is IEEE via Rust, `min`/`max` are
 //!   NaN-ignoring (`f64::min`), `cvttsd2si` is Rust's saturating
 //!   `as i64` cast (NaN → 0);
-//! * guest memory is `lir::interp`'s [`Memory`], and the heap and stack
-//!   layout constants are `lir::interp`'s too; the libc/pthread externs
-//!   replicate its runtime model exactly (same bump allocator, same
-//!   sequential fork–join threads, same per-thread stacks), so heap
-//!   pointers and thread ids have identical numeric values in all
-//!   executors.
+//! * guest memory is `lir::interp`'s [`Memory`], and the libc/pthread
+//!   externs go to its shared [`Runtime`] (bump allocator, sequential
+//!   fork–join threads, per-thread stacks), so heap pointers and thread
+//!   ids have identical numeric values in all executors.
 //!
 //! Flag bookkeeping goes through [`crate::flags`]' [`Flag`] vocabulary so
 //! the interpreter and the lifter's liveness metadata name the same state.
@@ -37,8 +35,8 @@ use crate::decode::decode_one;
 use crate::flags::Flag;
 use crate::inst::{AluOp, FpPrec, Inst, MemRef, MulDivOp, Rm, ShiftOp, SseOp, Target, XmmRm};
 use crate::reg::{Gpr, Width, Xmm};
-use lasagne_lir::interp::{Memory, HEAP_BASE, STACK_SIZE, STACK_TOP};
-use std::collections::BTreeMap;
+use lasagne_lir::interp::runtime::{critical_path, Extern, Runtime};
+use lasagne_lir::interp::{Memory, STACK_TOP};
 
 /// Pseudo return address pushed below every entry frame; reaching it ends
 /// the run (or the thread).
@@ -105,14 +103,25 @@ pub struct X86RunResult {
 impl X86RunResult {
     /// Fork–join critical path: main-thread cycles plus the slowest child.
     pub fn critical_path_cycles(&self) -> u64 {
-        let children: u64 = self.thread_cycles.iter().sum();
-        let max = self.thread_cycles.iter().copied().max().unwrap_or(0);
-        self.stats.cycles - children + max
+        critical_path(self.stats.cycles, &self.thread_cycles)
     }
 }
 
 fn mask(w: Width, v: u64) -> u64 {
     v & w.mask()
+}
+
+/// `op` on two doubles; `sqrt` is one-operand and handled by the caller.
+fn sse_f64(op: SseOp, x: f64, y: f64) -> f64 {
+    match op {
+        SseOp::Add => x + y,
+        SseOp::Sub => x - y,
+        SseOp::Mul => x * y,
+        SseOp::Div => x / y,
+        SseOp::Min => x.min(y),
+        SseOp::Max => x.max(y),
+        SseOp::Sqrt => unreachable!(),
+    }
 }
 
 fn sext_w(w: Width, v: u64) -> i64 {
@@ -132,12 +141,9 @@ pub struct X86Machine<'b> {
     zf: bool,
     sf: bool,
     of: bool,
-    heap_next: u64,
+    rt: Runtime,
     stats: X86Stats,
-    thread_cycles: Vec<u64>,
-    output: String,
     steps_left: u64,
-    mutexes: BTreeMap<u64, bool>,
     /// Decode cache: for each text offset, 1 + the index in `decoded` of
     /// the instruction decoded there, or 0 if none has been yet. `.text`
     /// is immutable (guest stores go to [`Memory`]), so an entry never
@@ -166,12 +172,9 @@ impl<'b> X86Machine<'b> {
             zf: false,
             sf: false,
             of: false,
-            heap_next: HEAP_BASE,
+            rt: Runtime::default(),
             stats: X86Stats::default(),
-            thread_cycles: Vec::new(),
-            output: String::new(),
             steps_left: 500_000_000,
-            mutexes: BTreeMap::new(),
             decoded_at: vec![0; bin.text.len()],
             decoded: Vec::new(),
         }
@@ -185,7 +188,7 @@ impl<'b> X86Machine<'b> {
     /// Current bump-allocator high-water mark (`HEAP_BASE` before the
     /// first `malloc`). Useful for bounding final-memory comparisons.
     pub fn heap_next(&self) -> u64 {
-        self.heap_next
+        self.rt.heap_next
     }
 
     /// Runs the named function with the System-V argument registers set to
@@ -234,8 +237,8 @@ impl<'b> X86Machine<'b> {
         Ok(X86RunResult {
             ret: self.regs[Gpr::Rax.encoding() as usize],
             stats: self.stats,
-            thread_cycles: self.thread_cycles.clone(),
-            output: self.output.clone(),
+            thread_cycles: self.rt.thread_cycles.clone(),
+            output: self.rt.output.clone(),
         })
     }
 
@@ -408,11 +411,7 @@ impl<'b> X86Machine<'b> {
     }
 
     fn load(&mut self, m: &MemRef, w: Width) -> u64 {
-        let a = self.addr_of(m);
-        let bytes = self.mem.read(a, w.bytes() as usize);
-        let mut b = [0u8; 8];
-        b[..w.bytes() as usize].copy_from_slice(&bytes[..w.bytes() as usize]);
-        u64::from_le_bytes(b)
+        self.mem.read_uint(self.addr_of(m), w.bytes() as usize)
     }
 
     fn store(&mut self, m: &MemRef, w: Width, v: u64) {
@@ -463,23 +462,14 @@ impl<'b> X86Machine<'b> {
     fn read_xmmrm_scalar(&mut self, rm: &XmmRm, prec: FpPrec) -> u64 {
         match rm {
             XmmRm::Reg(x) => self.xmm_scalar(*x, prec),
-            XmmRm::Mem(m) => {
-                let a = self.addr_of(m);
-                let bytes = self.mem.read(a, prec.bytes() as usize);
-                let mut b = [0u8; 8];
-                b[..prec.bytes() as usize].copy_from_slice(&bytes[..prec.bytes() as usize]);
-                u64::from_le_bytes(b)
-            }
+            XmmRm::Mem(m) => self.mem.read_uint(self.addr_of(m), prec.bytes() as usize),
         }
     }
 
     fn read_xmmrm_vec(&mut self, rm: &XmmRm) -> [u8; 16] {
         match rm {
             XmmRm::Reg(x) => self.xmm[x.encoding() as usize],
-            XmmRm::Mem(m) => {
-                let a = self.addr_of(m);
-                self.mem.read(a, 16)
-            }
+            XmmRm::Mem(m) => self.mem.read(self.addr_of(m), 16),
         }
     }
 
@@ -854,19 +844,7 @@ impl<'b> X86Machine<'b> {
                         };
                         u64::from(r.to_bits())
                     }
-                    FpPrec::Double => {
-                        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-                        let r = match op {
-                            SseOp::Add => x + y,
-                            SseOp::Sub => x - y,
-                            SseOp::Mul => x * y,
-                            SseOp::Div => x / y,
-                            SseOp::Min => x.min(y),
-                            SseOp::Max => x.max(y),
-                            SseOp::Sqrt => unreachable!(),
-                        };
-                        r.to_bits()
-                    }
+                    FpPrec::Double => sse_f64(*op, f64::from_bits(a), f64::from_bits(b)).to_bits(),
                 };
                 self.set_xmm_scalar(*dst, *prec, bits);
             }
@@ -882,16 +860,7 @@ impl<'b> X86Machine<'b> {
                 for i in 0..2 {
                     let x = f64::from_le_bytes(a[i * 8..i * 8 + 8].try_into().unwrap());
                     let y = f64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
-                    let z = match op {
-                        SseOp::Add => x + y,
-                        SseOp::Sub => x - y,
-                        SseOp::Mul => x * y,
-                        SseOp::Div => x / y,
-                        SseOp::Min => x.min(y),
-                        SseOp::Max => x.max(y),
-                        SseOp::Sqrt => unreachable!(),
-                    };
-                    out[i * 8..i * 8 + 8].copy_from_slice(&z.to_le_bytes());
+                    out[i * 8..i * 8 + 8].copy_from_slice(&sse_f64(*op, x, y).to_le_bytes());
                 }
                 self.xmm[dst.encoding() as usize] = out;
             }
@@ -988,158 +957,52 @@ impl<'b> X86Machine<'b> {
 
     // ---- externs ---------------------------------------------------------
 
-    /// Dispatches a call to a PLT stub, replicating the LIR interpreter's
-    /// runtime model so observable values (heap pointers, thread ids,
-    /// written memory) are numerically identical across executors.
+    /// Dispatches a call to a PLT stub: integer arguments in RDI, RSI, …,
+    /// floating-point ones in XMM0, …, the result in RAX.
     fn call_extern(&mut self, name: &str) -> Result<(), X86Error> {
-        let a0 = self.gpr64(Gpr::Rdi);
-        let a1 = self.gpr64(Gpr::Rsi);
-        let a2 = self.gpr64(Gpr::Rdx);
-        let a3 = self.gpr64(Gpr::Rcx);
-        match name {
-            "malloc" | "valloc" => {
-                let addr = self.heap_next;
-                self.heap_next += (a0 + 63) & !63;
-                self.write_gpr(Gpr::Rax, Width::W64, addr);
-            }
-            "calloc" => {
-                let size = a0 * a1;
-                let addr = self.heap_next;
-                self.heap_next += (size + 63) & !63;
-                self.write_gpr(Gpr::Rax, Width::W64, addr);
-            }
-            "free" => {}
-            "memset" => {
-                let buf = vec![a1 as u8; a2 as usize];
-                self.mem.write(a0, &buf);
-                self.stats.cycles += a2 / 8;
-                self.write_gpr(Gpr::Rax, Width::W64, a0);
-            }
-            "memcpy" => {
-                self.mem.copy(a0, a1, a2 as usize);
-                self.stats.cycles += a2 / 4;
-                self.write_gpr(Gpr::Rax, Width::W64, a0);
-            }
-            "strlen" => {
-                let s = self.mem.read_cstr(a0);
-                self.write_gpr(Gpr::Rax, Width::W64, s.len() as u64);
-            }
-            "printf" => {
-                let fmt = self.mem.read_cstr(a0);
-                let ints = [a1, a2, a3, self.gpr64(Gpr::R8), self.gpr64(Gpr::R9)];
-                let floats: Vec<f64> = (0..8)
-                    .map(|i| f64::from_bits(self.xmm_scalar(Xmm(i), FpPrec::Double)))
-                    .collect();
-                let s = format_c(&fmt, &ints, &floats);
-                self.output.push_str(&s);
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
-            }
-            "puts" => {
-                let s = self.mem.read_cstr(a0);
-                self.output.push_str(&s);
-                self.output.push('\n');
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
-            }
-            "exit" | "abort" => return Err(X86Error::Trap(format!("{name}() called"))),
-            "sqrt" => {
+        let ext = Extern::parse(name)
+            .ok_or_else(|| X86Error::BadCall(format!("unknown extern @{name}")))?;
+        let ints = Gpr::PARAMS.map(|r| self.gpr64(r));
+        let ret = match ext {
+            Extern::Sqrt => {
                 let x = f64::from_bits(self.xmm_scalar(Xmm(0), FpPrec::Double));
                 self.set_xmm_scalar(Xmm(0), FpPrec::Double, x.sqrt().to_bits());
                 self.zero_xmm_upper(Xmm(0), 8);
+                None
             }
-            "pthread_create" => {
-                // int pthread_create(pthread_t *t, attr, void *(*fn)(void*), void *arg)
-                let (tid_ptr, fn_addr, arg) = (a0, a2, a3);
-                let tid = 1 + self.thread_cycles.len() as u64;
-                self.mem.write_u64(tid_ptr, tid);
-                // Run the thread body now (sequential fork–join), on its
-                // own stack, attributing its cycles to the child bucket.
+            Extern::PthreadCreate => {
                 // The parent's register file is restored afterwards: the
                 // child is a separate thread, not a callee.
-                let before = self.stats.cycles;
-                let saved_regs = self.regs;
-                let saved_xmm = self.xmm;
-                let saved_flags = (self.cf, self.pf, self.zf, self.sf, self.of);
-                let sp = STACK_TOP - tid * STACK_SIZE - 8;
+                let now = self.stats.cycles;
+                let t = self.rt.begin_thread(&mut self.mem, &ints, now);
+                let saved = (
+                    self.regs, self.xmm, self.cf, self.pf, self.zf, self.sf, self.of,
+                );
+                let sp = t.stack_top - 8;
                 self.mem.write_u64(sp, RET_SENTINEL);
                 self.regs[Gpr::Rsp.encoding() as usize] = sp;
-                self.regs[Gpr::Rdi.encoding() as usize] = arg;
-                self.exec_from(fn_addr)?;
-                self.regs = saved_regs;
-                self.xmm = saved_xmm;
-                (self.cf, self.pf, self.zf, self.sf, self.of) = saved_flags;
-                self.thread_cycles.push(self.stats.cycles - before);
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
+                self.regs[Gpr::Rdi.encoding() as usize] = t.arg;
+                self.exec_from(t.entry)?;
+                (
+                    self.regs, self.xmm, self.cf, self.pf, self.zf, self.sf, self.of,
+                ) = saved;
+                self.rt.end_thread(t, self.stats.cycles);
+                Some(0)
             }
-            "pthread_join" => self.write_gpr(Gpr::Rax, Width::W64, 0),
-            "pthread_exit" => {}
-            "pthread_mutex_init" | "pthread_mutex_destroy" => {
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
+            _ => {
+                let floats =
+                    Xmm::PARAMS.map(|x| f64::from_bits(self.xmm_scalar(x, FpPrec::Double)));
+                let r = self.rt.call(ext, &mut self.mem, &ints, &floats);
+                let (val, cycles) = r.map_err(|t| X86Error::Trap(t.0))?;
+                self.stats.cycles += cycles;
+                val
             }
-            "pthread_mutex_lock" => {
-                let locked = self.mutexes.entry(a0).or_insert(false);
-                if *locked {
-                    return Err(X86Error::Trap(format!(
-                        "deadlock: mutex {a0:#x} locked twice under sequential fork-join"
-                    )));
-                }
-                *locked = true;
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
-            }
-            "pthread_mutex_unlock" => {
-                self.mutexes.insert(a0, false);
-                self.write_gpr(Gpr::Rax, Width::W64, 0);
-            }
-            "sysconf" => self.write_gpr(Gpr::Rax, Width::W64, 4),
-            other => return Err(X86Error::BadCall(format!("unknown extern @{other}"))),
+        };
+        if let Some(v) = ret {
+            self.write_gpr(Gpr::Rax, Width::W64, v);
         }
         Ok(())
     }
-}
-
-/// Tiny C `printf` formatter. Integer conversions pull from the integer
-/// argument registers in order, float conversions from XMM0.. — close
-/// enough for the test corpus (output strings are not part of the
-/// cross-executor agreement check; variadic argument recovery differs
-/// between the byte-level and lifted views by design).
-fn format_c(fmt: &str, ints: &[u64], floats: &[f64]) -> String {
-    let mut out = String::new();
-    let mut it = fmt.chars().peekable();
-    let mut ii = 0usize;
-    let mut fi = 0usize;
-    let next_int = |ii: &mut usize| {
-        let v = ints.get(*ii).copied().unwrap_or(0);
-        *ii += 1;
-        v
-    };
-    while let Some(c) = it.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        while let Some(&n) = it.peek() {
-            if n.is_ascii_digit() || n == '.' || n == 'l' || n == 'z' || n == '-' {
-                it.next();
-            } else {
-                break;
-            }
-        }
-        match it.next() {
-            Some('d') | Some('i') => out.push_str(&format!("{}", next_int(&mut ii) as i64)),
-            Some('u') => out.push_str(&format!("{}", next_int(&mut ii))),
-            Some('x') => out.push_str(&format!("{:x}", next_int(&mut ii))),
-            Some('f') | Some('g') | Some('e') => {
-                let v = floats.get(fi).copied().unwrap_or(0.0);
-                fi += 1;
-                out.push_str(&format!("{v:.6}"));
-            }
-            Some('c') => out.push((next_int(&mut ii) as u8) as char),
-            Some('s') => out.push_str("<str>"),
-            Some('%') => out.push('%'),
-            Some(other) => out.push(other),
-            None => break,
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1149,6 +1012,7 @@ mod tests {
     use crate::binary::BinaryBuilder;
     use crate::inst::{AluOp, Inst, MemRef, Rm};
     use crate::reg::{Cond, Gpr, Width};
+    use lasagne_lir::interp::HEAP_BASE;
 
     fn single_fn(body: &[Inst]) -> Binary {
         let mut bin = BinaryBuilder::new();
@@ -1274,7 +1138,7 @@ mod tests {
     #[test]
     fn malloc_matches_lir_bump_model() {
         let mut bin = BinaryBuilder::new();
-        let malloc = bin.declare_extern("malloc");
+        let malloc = bin.declare_extern(Extern::Malloc.name());
         let mut a = Asm::new();
         a.push(Inst::MovRmI {
             w: Width::W64,
