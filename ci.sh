@@ -71,10 +71,15 @@ test -s "$CACHE_DIR/HT.trace.json"
 ./target/release/lasagne trace-check "$CACHE_DIR/HT.trace.json" --jobs 4
 
 # Fence-provenance explain output must be schedule-invariant: the same
-# decisions whether the opt stage runs serially or fused at jobs=4.
-./target/release/lasagne explain-fences HT --jobs 1 >"$CACHE_DIR/HT.exp1.txt"
-./target/release/lasagne explain-fences HT --jobs 4 >"$CACHE_DIR/HT.exp4.txt"
-cmp "$CACHE_DIR/HT.exp1.txt" "$CACHE_DIR/HT.exp4.txt"
+# decisions whether the opt stage runs serially or fused at jobs=4, for
+# every demo.
+for demo in HT KM LR MM PCA SM WC; do
+    ./target/release/lasagne explain-fences "$demo" --jobs 1 \
+        >"$CACHE_DIR/$demo.exp1.txt"
+    ./target/release/lasagne explain-fences "$demo" --jobs 4 \
+        >"$CACHE_DIR/$demo.exp4.txt"
+    cmp "$CACHE_DIR/$demo.exp1.txt" "$CACHE_DIR/$demo.exp4.txt"
+done
 
 # Capped three-way differential sweep (see ARCHITECTURE.md "Differential
 # testing"): qc-generated functions + every Phoenix function on the
@@ -210,5 +215,16 @@ if grep -nE "\"($EXTERNS)\"" crates/x86/src/interp.rs \
     crates/armgen/src/machine.rs crates/lir/src/interp.rs |
     grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
     echo 'extern names belong in lasagne_lir::interp::runtime; match on Extern instead' >&2
+    exit 1
+fi
+
+# The translator's back half keys its tables by dense ids or by structural
+# keys (see ARCHITECTURE.md "Where to add a pass", rule 5), never by
+# formatted strings: a `HashMap<String, ...>` in a pass is a `format!` per
+# lookup. Only matches whose source text starts with a comment are exempt.
+if grep -rn 'HashMap<String' crates/opt/src/ crates/fences/src/ \
+    crates/armgen/src/ crates/refine/src/ crates/lifter/src/ |
+    grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
+    echo 'opt, fences, armgen, refine and the lifter must not key tables by String' >&2
     exit 1
 fi

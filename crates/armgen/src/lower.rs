@@ -19,7 +19,6 @@ use lasagne_lir::inst::{
     BinOp, Callee, CastOp, FPred, FenceKind, IPred, InstId, InstKind, Operand, RmwOp, Terminator,
 };
 use lasagne_lir::types::Ty;
-use std::collections::BTreeMap;
 
 /// Frame base register (x29, the platform frame pointer).
 const FP: X = X(29);
@@ -69,19 +68,23 @@ pub fn assemble_module(m: &Module, funcs: Vec<AFunc>) -> AModule {
     }
 }
 
+/// "No slot" in a per-instruction offset table (frame offsets are
+/// non-negative).
+const NO_SLOT: i32 = -1;
+
 struct Lower<'a> {
     m: &'a Module,
     f: &'a Function,
     blocks: Vec<ABlock>,
     cur: usize,
-    /// Value slot byte offset per instruction id.
-    slot: BTreeMap<u32, i32>,
-    /// Shadow slot per φ id.
-    shadow: BTreeMap<u32, i32>,
+    /// Value slot byte offset, indexed by instruction id.
+    slot: Vec<i32>,
+    /// Shadow slot offset, indexed by φ id.
+    shadow: Vec<i32>,
     /// Param slot offsets.
     param_slot: Vec<i32>,
-    /// Alloca base offsets per alloca id.
-    alloca_off: BTreeMap<u32, i32>,
+    /// Alloca base offset, indexed by alloca id.
+    alloca_off: Vec<i32>,
     frame_size: i64,
     /// LIR block → A block index.
     block_map: Vec<u32>,
@@ -101,6 +104,14 @@ fn int_bits(ty: Ty) -> u32 {
     ty.int_bits().unwrap_or(64)
 }
 
+/// The offset `table` assigns to `id`; every lookup is of an id the slot
+/// assignment gave one.
+fn off_of(table: &[i32], id: InstId) -> i32 {
+    let off = table[id.0 as usize];
+    assert!(off != NO_SLOT, "%{} has no frame slot", id.0);
+    off
+}
+
 /// Lowers one function.
 pub fn lower_function(m: &Module, f: &Function) -> AFunc {
     let mut lw = Lower {
@@ -108,10 +119,10 @@ pub fn lower_function(m: &Module, f: &Function) -> AFunc {
         f,
         blocks: Vec::new(),
         cur: 0,
-        slot: BTreeMap::new(),
-        shadow: BTreeMap::new(),
+        slot: vec![NO_SLOT; f.insts.len()],
+        shadow: vec![NO_SLOT; f.insts.len()],
         param_slot: Vec::new(),
-        alloca_off: BTreeMap::new(),
+        alloca_off: vec![NO_SLOT; f.insts.len()],
         frame_size: 0,
         block_map: Vec::new(),
     };
@@ -126,17 +137,17 @@ pub fn lower_function(m: &Module, f: &Function) -> AFunc {
     for (_, id) in f.iter_insts() {
         let inst = f.inst(id);
         if inst.ty != Ty::Void {
-            lw.slot.insert(id.0, off as i32);
+            lw.slot[id.0 as usize] = off as i32;
             off += 16;
         }
         if matches!(inst.kind, InstKind::Phi { .. }) {
-            lw.shadow.insert(id.0, off as i32);
+            lw.shadow[id.0 as usize] = off as i32;
             off += 16;
         }
     }
     for (_, id) in f.iter_insts() {
         if let InstKind::Alloca { size } = f.inst(id).kind {
-            lw.alloca_off.insert(id.0, off as i32);
+            lw.alloca_off[id.0 as usize] = off as i32;
             off += ((size + 15) & !15) as i64;
         }
     }
@@ -180,8 +191,7 @@ pub fn lower_function(m: &Module, f: &Function) -> AFunc {
         lw.cur = lw.block_map[b.0 as usize] as usize;
         // If the entry block, we already emitted the spills above; continue
         // appending.
-        let ids = f.block(b).insts.clone();
-        for id in ids {
+        for &id in &f.block(b).insts {
             lw.lower_inst(id);
         }
         lw.lower_term(b);
@@ -223,31 +233,20 @@ impl Lower<'_> {
     fn slot_mem(&self, id: InstId) -> AMem {
         AMem {
             base: FP,
-            off: self.slot[&id.0],
+            off: off_of(&self.slot, id),
         }
     }
 
     /// Loads an integer-classed operand into `rd`.
     fn load_int(&mut self, op: &Operand, rd: X) {
         match op {
-            Operand::Inst(id) => {
-                if let Some(a) = self.alloca_off.get(&id.0) {
-                    // Allocas evaluate to their frame address; materialise
-                    // from the slot (stored at definition) for uniformity.
-                    let _ = a;
-                    self.emit(AInst::Ldr {
-                        sz: Sz::X,
-                        rt: rd,
-                        mem: self.slot_mem(*id),
-                    });
-                } else {
-                    self.emit(AInst::Ldr {
-                        sz: Sz::X,
-                        rt: rd,
-                        mem: self.slot_mem(*id),
-                    });
-                }
-            }
+            // Allocas evaluate to their frame address too, materialised
+            // from the slot (stored at definition) for uniformity.
+            Operand::Inst(id) => self.emit(AInst::Ldr {
+                sz: Sz::X,
+                rt: rd,
+                mem: self.slot_mem(*id),
+            }),
             Operand::Param(p) => self.emit(AInst::Ldr {
                 sz: Sz::X,
                 rt: rd,
@@ -350,7 +349,8 @@ impl Lower<'_> {
 
     #[allow(clippy::too_many_lines)]
     fn lower_inst(&mut self, id: InstId) {
-        let inst = self.f.inst(id).clone();
+        let f = self.f;
+        let inst = f.inst(id);
         let ty = inst.ty;
         match &inst.kind {
             InstKind::Bin { op, lhs, rhs } if ty.is_vector() => {
@@ -735,7 +735,7 @@ impl Lower<'_> {
                 self.store_int(id, S3);
             }
             InstKind::Alloca { .. } => {
-                let off = self.alloca_off[&id.0];
+                let off = off_of(&self.alloca_off, id);
                 self.emit(AInst::AddImm {
                     rd: S0,
                     rn: FP,
@@ -844,7 +844,7 @@ impl Lower<'_> {
             }
             InstKind::Phi { .. } => {
                 // Copy shadow → slot.
-                let sh = self.shadow[&id.0];
+                let sh = off_of(&self.shadow, id);
                 self.emit(AInst::Ldr {
                     sz: Sz::X,
                     rt: S0,
@@ -865,7 +865,7 @@ impl Lower<'_> {
                         rt: S0,
                         mem: AMem {
                             base: FP,
-                            off: self.slot[&id.0] + 8,
+                            off: off_of(&self.slot, id) + 8,
                         },
                     });
                 }
@@ -877,7 +877,7 @@ impl Lower<'_> {
                     Operand::Inst(v) => {
                         let m = AMem {
                             base: FP,
-                            off: self.slot[&v.0] + *idx as i32 * lane,
+                            off: off_of(&self.slot, *v) + *idx as i32 * lane,
                         };
                         self.emit(AInst::Ldr {
                             sz: ty_sz(ty),
@@ -901,7 +901,7 @@ impl Lower<'_> {
                     rt: S0,
                     mem: AMem {
                         base: FP,
-                        off: self.slot[&id.0] + *idx as i32 * lane,
+                        off: off_of(&self.slot, id) + *idx as i32 * lane,
                     },
                 });
             }
@@ -919,7 +919,7 @@ impl Lower<'_> {
                     rt: rd,
                     mem: AMem {
                         base: FP,
-                        off: lw.slot[&v.0] + off,
+                        off: off_of(&lw.slot, *v) + off,
                     },
                 }),
                 _ => lw.emit(AInst::MovImm { rd, imm: 0 }),
@@ -938,7 +938,7 @@ impl Lower<'_> {
                 rt: S0,
                 mem: AMem {
                     base: FP,
-                    off: self.slot[&id.0] + off,
+                    off: off_of(&self.slot, id) + off,
                 },
             });
         }
@@ -1017,42 +1017,34 @@ impl Lower<'_> {
 
     fn lower_term(&mut self, b: lasagne_lir::BlockId) {
         // First: φ shadow writes for successors.
-        let term = self.f.block(b).term.clone();
+        let f = self.f;
+        let term = &f.block(b).term;
         for succ in term.successors() {
-            let phi_ids: Vec<InstId> = self
-                .f
-                .block(succ)
-                .insts
-                .iter()
-                .take_while(|i| matches!(self.f.inst(**i).kind, InstKind::Phi { .. }))
-                .copied()
-                .collect();
-            for pid in phi_ids {
-                let InstKind::Phi { incoming } = &self.f.inst(pid).kind else {
-                    unreachable!()
+            for &pid in &f.block(succ).insts {
+                let InstKind::Phi { incoming } = &f.inst(pid).kind else {
+                    break;
                 };
                 let Some((_, val)) = incoming.iter().find(|(p, _)| *p == b) else {
                     continue;
                 };
-                let val = *val;
-                let sh = self.shadow[&pid.0];
-                let vty = self.m.operand_ty(self.f, &val);
+                let sh = off_of(&self.shadow, pid);
+                let vty = self.m.operand_ty(f, val);
                 if vty.is_vector() {
-                    self.load_fp(&val, F0, true);
+                    self.load_fp(val, F0, true);
                     self.emit(AInst::StrF {
                         sz: Sz::Q,
                         dt: F0,
                         mem: AMem { base: FP, off: sh },
                     });
                 } else if vty.is_float() {
-                    self.load_fp(&val, F0, false);
+                    self.load_fp(val, F0, false);
                     self.emit(AInst::StrF {
                         sz: Sz::X,
                         dt: F0,
                         mem: AMem { base: FP, off: sh },
                     });
                 } else {
-                    self.load_int(&val, S0);
+                    self.load_int(val, S0);
                     self.emit(AInst::Str {
                         sz: Sz::X,
                         rt: S0,
@@ -1061,7 +1053,7 @@ impl Lower<'_> {
                 }
             }
         }
-        let aterm = match &term {
+        let aterm = match term {
             Terminator::Br { dest } => ATerm::B(Blk(self.block_map[dest.0 as usize])),
             Terminator::CondBr {
                 cond,

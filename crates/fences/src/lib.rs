@@ -38,6 +38,6 @@ pub mod placement;
 pub use legality::{can_reorder, elim_adjacent, elim_fenced, label_of, Elim, Label};
 pub use placement::{
     count_fences, count_fences_fn, is_stack_address, merge_fences, merge_fences_module,
-    place_fences, place_fences_module, FenceDecision, FenceFate, FenceMerge, FenceRule,
-    PlacementStats, Strategy,
+    place_fences, place_fences_module, placement_stats, FenceDecision, FenceFate, FenceMerge,
+    FenceRule, PlacementStats, Strategy,
 };

@@ -18,7 +18,7 @@
 
 use crate::legality::merge_fence;
 use lasagne_lir::func::{Function, Module};
-use lasagne_lir::inst::{CastOp, FenceKind, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::inst::{CastOp, FenceKind, Inst, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::types::Ty;
 use lasagne_trace::{ArgVal, TraceCtx};
 
@@ -163,11 +163,53 @@ pub fn is_stack_address(f: &Function, ptr: &Operand) -> bool {
     false
 }
 
+/// The Figure 8a rule a memory instruction falls under, if any, and
+/// whether `strategy` elides its fence as stack-private. This is the one
+/// load/store classification [`place_fences`] and [`placement_stats`]
+/// share.
+fn classify(f: &Function, kind: &InstKind, strategy: Strategy) -> Option<(FenceRule, bool)> {
+    let (rule, ptr) = match kind {
+        InstKind::Load {
+            ptr,
+            order: Ordering::NotAtomic,
+        } => (FenceRule::SharedLoad, ptr),
+        InstKind::Store {
+            ptr,
+            order: Ordering::NotAtomic,
+            ..
+        } => (FenceRule::SharedStore, ptr),
+        _ => return None,
+    };
+    Some((
+        rule,
+        strategy == Strategy::StackAware && is_stack_address(f, ptr),
+    ))
+}
+
+/// The stats [`place_fences`] would return for `f`, from a read-only
+/// walk. The Figure 14 baseline counts the fences lifted code would
+/// receive this way instead of fencing a copy of it.
+pub fn placement_stats(f: &Function, strategy: Strategy) -> PlacementStats {
+    let mut stats = PlacementStats::default();
+    for (_, id) in f.iter_insts() {
+        match classify(f, &f.inst(id).kind, strategy) {
+            Some((_, true)) => stats.skipped_stack += 1,
+            Some((FenceRule::SharedLoad, false)) => stats.frm += 1,
+            Some((FenceRule::SharedStore, false)) => stats.fww += 1,
+            None => {}
+        }
+    }
+    stats
+}
+
 /// Inserts fences into one function per the Figure 8a mapping. Each fence
 /// decision (placed or elided) is mirrored into `ctx` as a counter plus,
 /// when tracing is enabled, a `fence-decision` instant event, and is
 /// appended to `out` when a provenance sink is given. Neither changes the
 /// module or the stats.
+///
+/// Each block's instruction list is rebuilt once, fences included; a
+/// decision's `pos` is the access's index in that fenced list.
 pub fn place_fences(
     f: &mut Function,
     strategy: Strategy,
@@ -175,7 +217,7 @@ pub fn place_fences(
     mut out: Option<&mut Vec<FenceDecision>>,
 ) -> PlacementStats {
     let mut stats = PlacementStats::default();
-    let mut decide = |f: &mut Function, stats: &mut PlacementStats, decision: FenceDecision| {
+    let mut decide = |func: &str, decision: FenceDecision| {
         match decision.fate {
             FenceFate::Placed => match decision.rule.kind() {
                 FenceKind::Frm => {
@@ -198,7 +240,7 @@ pub fn place_fences(
                 "fences",
                 "fence-decision",
                 vec![
-                    ("func", ArgVal::from(f.name.as_str())),
+                    ("func", ArgVal::from(func)),
                     ("rule", ArgVal::from(decision.rule.name())),
                     ("fate", ArgVal::from(decision.fate.name())),
                     ("block", ArgVal::from(decision.block as u64)),
@@ -210,100 +252,48 @@ pub fn place_fences(
             out.push(decision);
         }
     };
-    for b in f.block_ids().collect::<Vec<_>>() {
-        // Walk by index since we insert as we go.
-        let mut i = 0usize;
-        while i < f.block(b).insts.len() {
-            let id = f.block(b).insts[i];
-            let site = (b.0, i as u32);
-            match f.inst(id).kind.clone() {
-                InstKind::Load {
-                    ptr,
-                    order: Ordering::NotAtomic,
-                } => {
-                    if strategy == Strategy::StackAware && is_stack_address(f, &ptr) {
-                        decide(
-                            f,
-                            &mut stats,
-                            FenceDecision {
-                                access: id,
-                                fence: None,
-                                rule: FenceRule::SharedLoad,
-                                fate: FenceFate::ElidedStack,
-                                block: site.0,
-                                pos: site.1,
-                            },
-                        );
-                    } else {
-                        let fence = f.insert(
-                            b,
-                            i + 1,
-                            Ty::Void,
-                            InstKind::Fence {
-                                kind: FenceKind::Frm,
-                            },
-                        );
-                        decide(
-                            f,
-                            &mut stats,
-                            FenceDecision {
-                                access: id,
-                                fence: Some(fence),
-                                rule: FenceRule::SharedLoad,
-                                fate: FenceFate::Placed,
-                                block: site.0,
-                                pos: site.1,
-                            },
-                        );
-                        i += 1;
-                    }
+    for b in 0..f.blocks.len() {
+        let old = std::mem::take(&mut f.blocks[b].insts);
+        let mut fenced = Vec::with_capacity(old.len());
+        for &id in &old {
+            let Some((rule, elided)) = classify(f, &f.inst(id).kind, strategy) else {
+                fenced.push(id);
+                continue;
+            };
+            let pos = fenced.len() as u32;
+            let fence = if elided {
+                fenced.push(id);
+                None
+            } else {
+                let fence = InstId(f.insts.len() as u32);
+                f.insts.push(Inst {
+                    ty: Ty::Void,
+                    kind: InstKind::Fence { kind: rule.kind() },
+                });
+                // Frm trails the load; Fww leads the store.
+                match rule {
+                    FenceRule::SharedLoad => fenced.extend([id, fence]),
+                    FenceRule::SharedStore => fenced.extend([fence, id]),
                 }
-                InstKind::Store {
-                    ptr,
-                    order: Ordering::NotAtomic,
-                    ..
-                } => {
-                    if strategy == Strategy::StackAware && is_stack_address(f, &ptr) {
-                        decide(
-                            f,
-                            &mut stats,
-                            FenceDecision {
-                                access: id,
-                                fence: None,
-                                rule: FenceRule::SharedStore,
-                                fate: FenceFate::ElidedStack,
-                                block: site.0,
-                                pos: site.1,
-                            },
-                        );
+                Some(fence)
+            };
+            decide(
+                &f.name,
+                FenceDecision {
+                    access: id,
+                    fence,
+                    rule,
+                    fate: if elided {
+                        FenceFate::ElidedStack
                     } else {
-                        let fence = f.insert(
-                            b,
-                            i,
-                            Ty::Void,
-                            InstKind::Fence {
-                                kind: FenceKind::Fww,
-                            },
-                        );
-                        decide(
-                            f,
-                            &mut stats,
-                            FenceDecision {
-                                access: id,
-                                fence: Some(fence),
-                                rule: FenceRule::SharedStore,
-                                fate: FenceFate::Placed,
-                                block: site.0,
-                                pos: site.1,
-                            },
-                        );
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
+                        FenceFate::Placed
+                    },
+                    block: b as u32,
+                    pos,
+                },
+            );
         }
+        f.blocks[b].insts = fenced;
     }
     stats
 }
@@ -328,38 +318,39 @@ pub fn place_fences_module(m: &mut Module, strategy: Strategy) -> PlacementStats
 /// step is mirrored into `ctx` as the `fences.merged` counter plus, when
 /// tracing is enabled, a `fence-merge` instant event, and is appended to
 /// `out` when a provenance sink is given.
+///
+/// One left-to-right pass per block: the later fence of a pair survives
+/// (it covers both originals) with the merged kind and can absorb the
+/// next fence in turn; the merged-away fences leave the block in one
+/// retain at its end.
 pub fn merge_fences(
     f: &mut Function,
     ctx: &TraceCtx,
     mut out: Option<&mut Vec<FenceMerge>>,
 ) -> usize {
     let mut removed = 0;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        loop {
-            let insts = f.block(b).insts.clone();
-            let mut prev_fence: Option<(usize, InstId, FenceKind)> = None;
-            let mut merged: Option<(usize, usize, FenceKind)> = None;
-            for (pos, id) in insts.iter().enumerate() {
-                match &f.inst(*id).kind {
-                    InstKind::Fence { kind } => {
-                        if let Some((ppos, _, pkind)) = prev_fence {
-                            merged = Some((ppos, pos, merge_fence(pkind, *kind)));
-                            break;
-                        }
-                        prev_fence = Some((pos, *id, *kind));
+    let mut dropped: Vec<bool> = Vec::new();
+    for b in 0..f.blocks.len() {
+        // The last fence since the last memory access: position, id, kind.
+        let mut prev: Option<(usize, InstId, FenceKind)> = None;
+        let mut any = false;
+        for pos in 0..f.blocks[b].insts.len() {
+            let id = f.blocks[b].insts[pos];
+            match f.inst(id).kind {
+                InstKind::Fence { kind } => {
+                    let Some((ppos, pid, pkind)) = prev else {
+                        prev = Some((pos, id, kind));
+                        continue;
+                    };
+                    let kind = merge_fence(pkind, kind);
+                    f.inst_mut(id).kind = InstKind::Fence { kind };
+                    if !any {
+                        dropped.clear();
+                        dropped.resize(f.blocks[b].insts.len(), false);
+                        any = true;
                     }
-                    k if k.touches_memory() => prev_fence = None,
-                    _ => {}
-                }
-            }
-            match merged {
-                Some((first, second, kind)) => {
-                    // Keep the later fence position (covers both originals),
-                    // with the merged strength; drop the earlier one.
-                    let keep = f.block(b).insts[second];
-                    let dropped = f.block(b).insts[first];
-                    f.inst_mut(keep).kind = InstKind::Fence { kind };
-                    f.block_mut(b).insts.remove(first);
+                    dropped[ppos] = true;
+                    prev = Some((pos, id, kind));
                     removed += 1;
                     ctx.add("fences.merged", 1);
                     if ctx.is_enabled() {
@@ -368,22 +359,30 @@ pub fn merge_fences(
                             "fence-merge",
                             vec![
                                 ("func", ArgVal::from(f.name.as_str())),
-                                ("block", ArgVal::from(b.0 as u64)),
-                                ("removed", ArgVal::from(dropped.0 as u64)),
-                                ("kept", ArgVal::from(keep.0 as u64)),
+                                ("block", ArgVal::from(b as u64)),
+                                ("removed", ArgVal::from(pid.0 as u64)),
+                                ("kept", ArgVal::from(id.0 as u64)),
                             ],
                         );
                     }
                     if let Some(out) = out.as_deref_mut() {
                         out.push(FenceMerge {
-                            removed: dropped,
-                            kept: keep,
+                            removed: pid,
+                            kept: id,
                             kind,
                         });
                     }
                 }
-                None => break,
+                ref k if k.touches_memory() => prev = None,
+                _ => {}
             }
+        }
+        if any {
+            let mut pos = 0;
+            f.blocks[b].insts.retain(|_| {
+                pos += 1;
+                !dropped[pos - 1]
+            });
         }
     }
     removed
@@ -897,5 +896,195 @@ mod tests {
         };
         assert_eq!(fww, 1);
         assert_eq!(fsc, 0);
+    }
+
+    /// The original placement: one `Function::insert` per fence, walking
+    /// each block by index as it grows.
+    fn place_fences_reference(f: &mut Function, strategy: Strategy) -> Vec<FenceDecision> {
+        let mut out = Vec::new();
+        for b in f.block_ids().collect::<Vec<_>>() {
+            let mut i = 0usize;
+            while i < f.block(b).insts.len() {
+                let id = f.block(b).insts[i];
+                let (rule, ptr, at) = match f.inst(id).kind.clone() {
+                    InstKind::Load {
+                        ptr,
+                        order: Ordering::NotAtomic,
+                    } => (FenceRule::SharedLoad, ptr, i + 1),
+                    InstKind::Store {
+                        ptr,
+                        order: Ordering::NotAtomic,
+                        ..
+                    } => (FenceRule::SharedStore, ptr, i),
+                    _ => {
+                        i += 1;
+                        continue;
+                    }
+                };
+                let mut d = FenceDecision {
+                    access: id,
+                    fence: None,
+                    rule,
+                    fate: FenceFate::ElidedStack,
+                    block: b.0,
+                    pos: i as u32,
+                };
+                if !(strategy == Strategy::StackAware && is_stack_address(f, &ptr)) {
+                    let kind = rule.kind();
+                    d.fence = Some(f.insert(b, at, Ty::Void, InstKind::Fence { kind }));
+                    d.fate = FenceFate::Placed;
+                    i += 1;
+                }
+                out.push(d);
+                i += 1;
+            }
+        }
+        out
+    }
+
+    /// The original merging: after every merge, clone the block and rescan
+    /// it from the start for the first mergeable pair.
+    fn merge_fences_reference(f: &mut Function) -> Vec<FenceMerge> {
+        let mut out = Vec::new();
+        for b in f.block_ids().collect::<Vec<_>>() {
+            loop {
+                let insts = f.block(b).insts.clone();
+                let mut prev_fence: Option<(usize, FenceKind)> = None;
+                let mut merged: Option<(usize, usize, FenceKind)> = None;
+                for (pos, id) in insts.iter().enumerate() {
+                    match &f.inst(*id).kind {
+                        InstKind::Fence { kind } => {
+                            if let Some((ppos, pkind)) = prev_fence {
+                                merged = Some((ppos, pos, merge_fence(pkind, *kind)));
+                                break;
+                            }
+                            prev_fence = Some((pos, *kind));
+                        }
+                        k if k.touches_memory() => prev_fence = None,
+                        _ => {}
+                    }
+                }
+                let Some((first, second, kind)) = merged else {
+                    break;
+                };
+                let kept = f.block(b).insts[second];
+                let removed = f.block(b).insts[first];
+                f.inst_mut(kept).kind = InstKind::Fence { kind };
+                f.block_mut(b).insts.remove(first);
+                out.push(FenceMerge {
+                    removed,
+                    kept,
+                    kind,
+                });
+            }
+        }
+        out
+    }
+
+    /// Random blocks of shared and stack-rooted loads and stores, fences
+    /// of every kind, atomics, calls and pure arithmetic: single-pass
+    /// placement and merging produce the same function, the same decisions
+    /// (fence ids and positions included) and the same merge records as
+    /// the original algorithms, and the read-only count matches placement.
+    #[test]
+    fn single_pass_placement_and_merging_match_reference_algorithms() {
+        use lasagne_lir::inst::{BinOp, Callee, RmwOp, Terminator};
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let (mut decided, mut merged) = (0, 0);
+        for round in 0..300 {
+            let mut f = Function::new("f", vec![Ty::Ptr(Pointee::I64)], Ty::Void);
+            let nblocks = 1 + next(3) as usize;
+            for _ in 1..nblocks {
+                f.add_block();
+            }
+            let slot = f.push(
+                f.entry(),
+                Ty::Ptr(Pointee::I64),
+                InstKind::Alloca { size: 64 },
+            );
+            for b in 0..nblocks {
+                let b = lasagne_lir::BlockId(b as u32);
+                for _ in 0..next(24) {
+                    let ptr = if next(3) == 0 {
+                        Operand::Inst(slot)
+                    } else {
+                        Operand::Param(0)
+                    };
+                    let order = if next(8) == 0 {
+                        Ordering::SeqCst
+                    } else {
+                        Ordering::NotAtomic
+                    };
+                    let kind = [FenceKind::Frm, FenceKind::Fww, FenceKind::Fsc][next(3) as usize];
+                    let (ty, inst) = match next(7) {
+                        0 | 1 => (Ty::I64, InstKind::Load { ptr, order }),
+                        2 | 3 => (
+                            Ty::Void,
+                            InstKind::Store {
+                                ptr,
+                                val: Operand::i64(1),
+                                order,
+                            },
+                        ),
+                        4 => (Ty::Void, InstKind::Fence { kind }),
+                        5 => (
+                            Ty::I64,
+                            InstKind::Bin {
+                                op: BinOp::Add,
+                                lhs: Operand::i64(1),
+                                rhs: Operand::i64(2),
+                            },
+                        ),
+                        _ if next(2) == 0 => (
+                            Ty::I64,
+                            InstKind::AtomicRmw {
+                                op: RmwOp::Add,
+                                ptr,
+                                val: Operand::i64(1),
+                            },
+                        ),
+                        _ => (
+                            Ty::Void,
+                            InstKind::Call {
+                                callee: Callee::Indirect(Operand::Param(0)),
+                                args: vec![],
+                            },
+                        ),
+                    };
+                    f.push(b, ty, inst);
+                }
+                f.set_term(b, Terminator::Ret { val: None });
+            }
+            for strategy in [Strategy::Naive, Strategy::StackAware] {
+                let mut want = f.clone();
+                let want_decisions = place_fences_reference(&mut want, strategy);
+                let want_merges = merge_fences_reference(&mut want);
+
+                let mut got = f.clone();
+                let mut decisions = Vec::new();
+                let stats = place_fences(
+                    &mut got,
+                    strategy,
+                    &TraceCtx::disabled(),
+                    Some(&mut decisions),
+                );
+                assert_eq!(decisions, want_decisions, "round {round}");
+                assert_eq!(placement_stats(&f, strategy), stats, "round {round}");
+                let mut merges = Vec::new();
+                let removed = merge_fences(&mut got, &TraceCtx::disabled(), Some(&mut merges));
+                assert_eq!(merges, want_merges, "round {round}");
+                assert_eq!(removed, merges.len());
+                assert_eq!(got, want, "round {round}");
+                decided += decisions.len();
+                merged += merges.len();
+            }
+        }
+        assert!(decided > 1000 && merged > 100, "{decided} {merged}");
     }
 }

@@ -1591,19 +1591,14 @@ impl<'p> Run<'p> {
                 let lifted_insts = f.live_inst_count() as u64;
                 let casts = count_casts_fn(&f);
                 // Figure 14 baseline: fences the unrefined, unmerged
-                // lifted code would receive, measured on a scratch clone.
-                // A disabled context keeps the baseline out of the
-                // provenance counters — those describe the real placement
-                // — and a module-level record keeps it out of the fences
-                // stage's per-function entries for the same reason.
+                // lifted code would receive, counted by a read-only walk.
+                // It stays out of the provenance counters — those describe
+                // the real placement — and a module-level record keeps it
+                // out of the fences stage's per-function entries for the
+                // same reason.
                 let tn = Instant::now();
-                let naive = lasagne_fences::place_fences(
-                    &mut f.clone(),
-                    Strategy::StackAware,
-                    &TraceCtx::disabled(),
-                    None,
-                )
-                .total() as u64;
+                let naive =
+                    lasagne_fences::placement_stats(&f, Strategy::StackAware).total() as u64;
                 self.sink
                     .record(Stage::Fences, None, tn.elapsed().as_nanos(), naive, 0);
                 let refined = if version == Version::PPOpt {

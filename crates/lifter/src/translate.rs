@@ -107,8 +107,11 @@ pub struct Translated {
 /// EFLAGS as values, not memory). XMM slots are intentionally left in
 /// memory for the downstream `sroa`/`mem2reg` passes to find (Figure 17).
 pub fn promote_registers(t: &mut Translated) {
-    let set: BTreeSet<InstId> = t.gpr_slots.iter().copied().collect();
-    lasagne_lir::ssa::promote_allocas(&mut t.func, |_, id| set.contains(&id));
+    let mut eligible = vec![false; t.func.insts.len()];
+    for id in &t.gpr_slots {
+        eligible[id.0 as usize] = true;
+    }
+    lasagne_lir::ssa::promote_allocas(&mut t.func, |_, id| eligible[id.0 as usize]);
 }
 
 struct Tr<'a> {

@@ -128,8 +128,10 @@ impl Function {
     /// `to`, in all instructions and terminators.
     ///
     /// One call costs O(arena): it visits every instruction ever pushed,
-    /// dead or alive. A pass that replaces values in a loop must record
-    /// them in a [`Subst`](crate::subst::Subst) and apply it once instead.
+    /// dead or alive. It exists only as the eager reference the
+    /// [`Subst`](crate::subst::Subst) tests compare against; passes record
+    /// replacements in a `Subst` and apply it once.
+    #[cfg(test)]
     pub fn replace_all_uses(&mut self, from: InstId, to: Operand) {
         for inst in &mut self.insts {
             inst.kind.for_each_operand_mut(|op| {
@@ -187,17 +189,23 @@ impl Function {
 
     /// Rebuilds the arena keeping only instructions referenced by blocks,
     /// renumbering ids densely. Returns the number of dropped instructions.
+    /// Live instructions are moved into the new arena, not cloned.
     pub fn compact(&mut self) -> usize {
-        let mut remap = vec![None::<InstId>; self.insts.len()];
+        let mut old = std::mem::take(&mut self.insts);
+        let mut remap = vec![None::<InstId>; old.len()];
         let mut new_insts = Vec::with_capacity(self.live_inst_count());
         for b in &self.blocks {
             for id in &b.insts {
                 let new_id = InstId(new_insts.len() as u32);
-                new_insts.push(self.insts[id.0 as usize].clone());
+                let moved = Inst {
+                    ty: Ty::Void,
+                    kind: InstKind::Alloca { size: 0 },
+                };
+                new_insts.push(std::mem::replace(&mut old[id.0 as usize], moved));
                 remap[id.0 as usize] = Some(new_id);
             }
         }
-        let dropped = self.insts.len() - new_insts.len();
+        let dropped = old.len() - new_insts.len();
         let fix = |op: &mut Operand| {
             if let Operand::Inst(id) = op {
                 *op = Operand::Inst(remap[id.0 as usize].expect("use of dead instruction"));

@@ -24,7 +24,7 @@ pub struct GlobalId(pub u32);
 pub struct ExternId(pub u32);
 
 /// An operand: an SSA value reference or an immediate constant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Result of an instruction.
     Inst(InstId),
@@ -333,7 +333,7 @@ impl RmwOp {
 }
 
 /// Call target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Callee {
     /// A function in this module.
     Func(FuncId),
@@ -378,7 +378,7 @@ impl CastOp {
 }
 
 /// The operation performed by an instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Binary arithmetic/logic.
     Bin {

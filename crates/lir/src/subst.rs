@@ -1,11 +1,13 @@
 //! Deferred value replacement, and the one-pass use lists that go with
 //! it.
 //!
-//! [`Function::replace_all_uses`] walks the whole instruction arena, so a
-//! pass that replaces one value per instruction costs time quadratic in
-//! the function. [`Subst`] records each replacement in a table indexed by
-//! [`InstId`] instead and rewrites the function once, in
-//! [`Subst::apply`]. Until then a pass must read every operand through
+//! Replacing a value eagerly walks the whole instruction arena, so a pass
+//! that replaces one value per instruction that way costs time quadratic
+//! in the function. [`Subst`] is the only way passes replace values: it
+//! records each replacement in a table indexed by [`InstId`] and rewrites
+//! the function once, in [`Subst::apply`]. The eager
+//! `Function::replace_all_uses` survives only in tests, as the reference
+//! `Subst` is checked against. Until the sweep a pass must read every operand through
 //! [`Subst::resolve`] (or resolve an instruction's operands in place with
 //! [`Subst::resolve_operands`]); it then sees exactly the operands the
 //! eager rewrite would have left behind. A pass that asks a question per
@@ -37,7 +39,7 @@ impl Subst {
     }
 
     /// Records that every use of `from` becomes `to`. Replacing a value by
-    /// itself is a no-op, as it is for [`Function::replace_all_uses`].
+    /// itself is a no-op.
     pub fn replace(&mut self, from: InstId, to: Operand) {
         let to = self.resolve(to);
         if to == Operand::Inst(from) {
@@ -78,9 +80,9 @@ impl Subst {
         }
     }
 
-    /// Rewrites every operand of `f` — all arena entries and terminators,
-    /// as [`Function::replace_all_uses`] does — through the table, in one
-    /// sweep, and empties the table.
+    /// Rewrites every operand of `f` — all arena entries, dead or alive,
+    /// and all terminators — through the table, in one sweep, and empties
+    /// the table.
     pub fn apply(&mut self, f: &mut Function) {
         if self.is_empty() {
             return;

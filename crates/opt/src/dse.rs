@@ -4,6 +4,7 @@ use lasagne_fences::legality::{elim_adjacent, elim_fenced, Elim, Label};
 use lasagne_lir::func::Function;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::subst::{users_by_group, NO_GROUP};
+use std::collections::HashMap;
 
 /// Eliminates overwritten non-atomic stores within basic blocks.
 ///
@@ -13,39 +14,40 @@ use lasagne_lir::subst::{users_by_group, NO_GROUP};
 /// (`Frm`/`Fww` do; `Fsc` does not).
 pub fn dse(f: &mut Function) -> usize {
     let mut removed = 0;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        // Pending store per pointer key: (inst id, strongest fence since).
-        use std::collections::HashMap;
-        let mut pending: HashMap<String, (InstId, Option<FenceKind>)> = HashMap::new();
-        let ids: Vec<InstId> = f.block(b).insts.clone();
-        let mut kill: Vec<InstId> = Vec::new();
-        for id in ids {
-            match f.inst(id).kind.clone() {
+    // Pending store per pointer operand: (position in the block, strongest
+    // fence since).
+    let mut pending: HashMap<Operand, (usize, Option<FenceKind>)> = HashMap::new();
+    let mut drop: Vec<bool> = Vec::new();
+    for b in 0..f.blocks.len() {
+        pending.clear();
+        drop.clear();
+        let insts = &f.blocks[b].insts;
+        for (pos, id) in insts.iter().enumerate() {
+            match &f.inst(*id).kind {
                 InstKind::Store {
                     ptr,
                     order: Ordering::NotAtomic,
                     ..
                 } => {
-                    let key = format!("{ptr:?}");
-                    if let Some((prev, fence)) = pending.get(&key) {
+                    if let Some((prev, fence)) = pending.insert(*ptr, (pos, None)) {
                         let legal = match fence {
                             None => elim_adjacent(Label::Wna, Label::Wna) == Some(Elim::DropFirst),
                             Some(fk) => {
-                                elim_fenced(Label::Wna, *fk, Label::Wna) == Some(Elim::DropFirst)
+                                elim_fenced(Label::Wna, fk, Label::Wna) == Some(Elim::DropFirst)
                             }
                         };
                         if legal {
-                            kill.push(*prev);
+                            drop.resize(insts.len(), false);
+                            drop[prev] = true;
                             removed += 1;
                         }
                     }
-                    pending.insert(key, (id, None));
                 }
                 InstKind::Fence { kind } => {
                     for (_, fence) in pending.values_mut() {
                         *fence = Some(match fence {
-                            None => kind,
-                            Some(prev) => lasagne_fences::legality::merge_fence(*prev, kind),
+                            None => *kind,
+                            Some(prev) => lasagne_fences::legality::merge_fence(*prev, *kind),
                         });
                     }
                 }
@@ -53,8 +55,12 @@ pub fn dse(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        if !kill.is_empty() {
-            f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        if !drop.is_empty() {
+            let mut pos = 0;
+            f.blocks[b].insts.retain(|_| {
+                pos += 1;
+                !drop[pos - 1]
+            });
         }
     }
     removed

@@ -11,9 +11,10 @@
 
 use lasagne_lir::analysis::find_loops;
 use lasagne_lir::func::Function;
-use lasagne_lir::inst::{InstId, InstKind, Operand, Ordering};
-use lasagne_lir::{BlockId, Subst};
-use std::collections::BTreeSet;
+use lasagne_lir::inst::{BinOp, InstId, InstKind, Operand, Ordering};
+use lasagne_lir::{BlockId, Subst, Ty};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Hoists loop-invariant instructions. Returns the number hoisted.
 pub fn licm(f: &mut Function) -> usize {
@@ -30,6 +31,10 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
     // Merged duplicates are replaced through one table for the whole run;
     // every instruction's operands are resolved before they are read.
     let mut subst = Subst::new();
+    // `in_loop[id] == stamp` while `id` is defined in the loop at hand:
+    // each loop takes a fresh stamp, so no set is rebuilt or cleared.
+    let mut in_loop = vec![0u32; f.insts.len()];
+    let mut stamp = 0u32;
 
     for lp in loops {
         let Some(preheader) = doms.idom[lp.header.0 as usize] else {
@@ -38,12 +43,14 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
         if lp.blocks.contains(&preheader) {
             continue;
         }
-        let in_loop: BTreeSet<BlockId> = lp.blocks.iter().copied().collect();
+        stamp += 1;
 
-        // May anything in the loop write memory or fence?
+        // May anything in the loop write memory or fence? Which
+        // instructions live in the loop?
         let mut loop_writes = false;
         for b in &lp.blocks {
             for id in &f.block(*b).insts {
+                in_loop[id.0 as usize] = stamp;
                 match &f.inst(*id).kind {
                     InstKind::Store { .. }
                     | InstKind::AtomicRmw { .. }
@@ -55,76 +62,32 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
             }
         }
 
-        // Which instructions live in the loop?
-        let mut def_in_loop: BTreeSet<InstId> = BTreeSet::new();
-        for b in &lp.blocks {
-            for id in &f.block(*b).insts {
-                def_in_loop.insert(*id);
-            }
-        }
-
         // Iterate: an instruction is invariant if all operands are defined
-        // outside the loop (or already hoisted).
+        // outside the loop (or already hoisted). Each round compacts every
+        // loop block once, in place.
         loop {
             let mut moved_this_round = 0;
-            for b in lp.blocks.clone() {
-                let ids: Vec<InstId> = f.block(b).insts.clone();
-                for id in ids {
-                    if !def_in_loop.contains(&id) {
-                        continue;
+            for &b in &lp.blocks {
+                let mut insts = std::mem::take(&mut f.block_mut(b).insts);
+                insts.retain(|&id| {
+                    if in_loop[id.0 as usize] != stamp {
+                        return true;
                     }
                     subst.resolve_operands(&mut f.inst_mut(id).kind);
-                    let inst = f.inst(id);
-                    let hoistable = match &inst.kind {
-                        InstKind::Bin { .. }
-                        | InstKind::ICmp { .. }
-                        | InstKind::FCmp { .. }
-                        | InstKind::Cast { .. }
-                        | InstKind::Gep { .. }
-                        | InstKind::Select { .. }
-                        | InstKind::ExtractElement { .. }
-                        | InstKind::InsertElement { .. } => true,
-                        InstKind::Load {
-                            order: Ordering::NotAtomic,
-                            ..
-                        } => !loop_writes,
-                        _ => false,
-                    };
-                    if !hoistable {
-                        continue;
+                    if !hoistable(&f.inst(id).kind, loop_writes, |d| {
+                        in_loop[d.0 as usize] == stamp
+                    }) {
+                        return true;
                     }
-                    let mut invariant = true;
-                    inst.kind.for_each_operand(|op| {
-                        if let Operand::Inst(d) = op {
-                            if def_in_loop.contains(d) {
-                                invariant = false;
-                            }
-                        }
-                    });
-                    if !invariant {
-                        continue;
-                    }
-                    // Division can trap; do not speculate it.
-                    if matches!(
-                        inst.kind,
-                        InstKind::Bin {
-                            op: lasagne_lir::inst::BinOp::UDiv
-                                | lasagne_lir::inst::BinOp::SDiv
-                                | lasagne_lir::inst::BinOp::URem
-                                | lasagne_lir::inst::BinOp::SRem,
-                            ..
-                        }
-                    ) {
-                        continue;
-                    }
-                    // Move: remove from its block, append to preheader
-                    // (before the terminator position — block instruction
-                    // lists exclude terminators, so a plain push suffices).
-                    f.block_mut(b).insts.retain(|i| *i != id);
+                    // Move: append to the preheader (before the terminator
+                    // position — block instruction lists exclude
+                    // terminators, so a plain push suffices).
                     f.block_mut(preheader).insts.push(id);
-                    def_in_loop.remove(&id);
+                    in_loop[id.0 as usize] = 0;
                     moved_this_round += 1;
-                }
+                    false
+                });
+                f.block_mut(b).insts = insts;
             }
             hoisted += moved_this_round;
             if moved_this_round == 0 {
@@ -133,20 +96,56 @@ pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> 
         }
         // Merge duplicate hoisted expressions in the preheader.
         hoisted += dedup_block(f, preheader, &mut subst);
-        let _ = in_loop;
     }
     subst.apply(f);
     hoisted
 }
 
+/// Whether `kind` may be hoisted: a pure, non-trapping computation (or a
+/// non-atomic load when the loop writes nothing) none of whose operands
+/// is defined in the loop.
+fn hoistable(kind: &InstKind, loop_writes: bool, defined_in_loop: impl Fn(InstId) -> bool) -> bool {
+    let movable = match kind {
+        // Division can trap; do not speculate it.
+        InstKind::Bin {
+            op: BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem,
+            ..
+        } => false,
+        InstKind::Bin { .. }
+        | InstKind::ICmp { .. }
+        | InstKind::FCmp { .. }
+        | InstKind::Cast { .. }
+        | InstKind::Gep { .. }
+        | InstKind::Select { .. }
+        | InstKind::ExtractElement { .. }
+        | InstKind::InsertElement { .. } => true,
+        InstKind::Load {
+            order: Ordering::NotAtomic,
+            ..
+        } => !loop_writes,
+        _ => false,
+    };
+    let mut invariant = movable;
+    if movable {
+        kind.for_each_operand(|op| {
+            if let Operand::Inst(d) = op {
+                if defined_in_loop(*d) {
+                    invariant = false;
+                }
+            }
+        });
+    }
+    invariant
+}
+
 /// Local value numbering within one block: replaces later duplicates of a
-/// pure expression with the first occurrence.
+/// pure expression with the first occurrence. Expressions are keyed by
+/// type and kind, structurally.
 fn dedup_block(f: &mut Function, b: BlockId, subst: &mut Subst) -> usize {
-    use std::collections::HashMap;
-    let mut seen: HashMap<String, InstId> = HashMap::new();
-    let ids: Vec<InstId> = f.block(b).insts.clone();
-    let mut kill: Vec<InstId> = Vec::new();
-    for id in ids {
+    let mut seen: HashMap<(Ty, InstKind), InstId> = HashMap::new();
+    let mut drop: Vec<bool> = Vec::new();
+    for pos in 0..f.block(b).insts.len() {
+        let id = f.block(b).insts[pos];
         subst.resolve_operands(&mut f.inst_mut(id).kind);
         let inst = f.inst(id);
         let pure = matches!(
@@ -161,21 +160,24 @@ fn dedup_block(f: &mut Function, b: BlockId, subst: &mut Subst) -> usize {
         if !pure {
             continue;
         }
-        let key = format!("{:?}|{:?}", inst.ty, inst.kind);
-        match seen.get(&key) {
-            Some(prev) => {
-                let prev = *prev;
-                subst.replace(id, Operand::Inst(prev));
-                kill.push(id);
+        match seen.entry((inst.ty, inst.kind.clone())) {
+            Entry::Occupied(prev) => {
+                subst.replace(id, Operand::Inst(*prev.get()));
+                drop.resize(f.block(b).insts.len(), false);
+                drop[pos] = true;
             }
-            None => {
-                seen.insert(key, id);
+            Entry::Vacant(slot) => {
+                slot.insert(id);
             }
         }
     }
-    let n = kill.len();
+    let n = drop.iter().filter(|d| **d).count();
     if n > 0 {
-        f.block_mut(b).insts.retain(|i| !kill.contains(i));
+        let mut pos = 0;
+        f.block_mut(b).insts.retain(|_| {
+            pos += 1;
+            !drop[pos - 1]
+        });
     }
     n
 }
@@ -183,8 +185,8 @@ fn dedup_block(f: &mut Function, b: BlockId, subst: &mut Subst) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lasagne_lir::inst::{BinOp, IPred, Terminator};
-    use lasagne_lir::types::{Pointee, Ty};
+    use lasagne_lir::inst::{IPred, Terminator};
+    use lasagne_lir::types::Pointee;
 
     /// while (i < n) { t = a*b; i += t }  — a*b hoists.
     #[test]

@@ -21,9 +21,9 @@
 #![warn(missing_docs)]
 
 use lasagne_lir::func::{Function, Module};
-use lasagne_lir::inst::{Callee, CastOp, InstId, InstKind, Operand};
+use lasagne_lir::inst::{Callee, CastOp, Inst, InstId, InstKind, Operand};
 use lasagne_lir::types::{Pointee, Ty};
-use lasagne_lir::BlockId;
+use lasagne_lir::{BlockId, Subst};
 use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Which generalised Figure 5 peephole rule rewrote an `inttoptr`.
@@ -160,107 +160,117 @@ fn position_of(f: &Function, id: InstId) -> Option<(BlockId, usize)> {
 /// `inttoptr`. Tracing never changes the function.
 pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
     let mut rewritten = 0;
-    // Snapshot the inttoptr instructions first; rewriting adds instructions.
-    let targets: Vec<InstId> = f
-        .iter_insts()
-        .filter_map(|(_, id)| match &f.inst(id).kind {
-            InstKind::Cast {
+    // Each rewrite builds a chain of new instructions to splice in just
+    // before its `inttoptr`: `(position, chain)` per block, spliced in one
+    // rebuild of the block at the end. Plans only follow `ptrtoint` and
+    // `add`, which no rewrite touches, so every plan is the one the
+    // unrewritten function gives, and arena ids are allocated in layout
+    // order of the rewritten casts.
+    let mut splices: Vec<(usize, Vec<InstId>)> = Vec::new();
+    for b in 0..f.blocks.len() {
+        splices.clear();
+        for pos in 0..f.blocks[b].insts.len() {
+            let id = f.blocks[b].insts[pos];
+            let InstKind::Cast {
                 op: CastOp::IntToPtr,
                 val,
-            } => resolve(f, val, 0).is_some().then_some(id),
-            _ => None,
-        })
-        .collect();
-
-    for id in targets {
-        let InstKind::Cast {
-            op: CastOp::IntToPtr,
-            val,
-        } = f.inst(id).kind.clone()
-        else {
-            continue;
-        };
-        let Some(plan) = resolve(f, &val, 0) else {
-            continue;
-        };
-        // Rule 3 only fires when there is something to rewrite; a parameter
-        // with a direct inttoptr and no added terms is already in promotable
-        // shape — leave it for parameter promotion.
-        if plan.root_is_int && plan.terms.is_empty() {
-            continue;
+            } = f.inst(id).kind
+            else {
+                continue;
+            };
+            let Some(plan) = resolve(f, &val, 0) else {
+                continue;
+            };
+            // Rule 3 only fires when there is something to rewrite; a
+            // parameter with a direct inttoptr and no added terms is
+            // already in promotable shape — leave it for parameter
+            // promotion.
+            if plan.root_is_int && plan.terms.is_empty() {
+                continue;
+            }
+            let terms_count = plan.terms.len();
+            let mut chain = Vec::with_capacity(terms_count + 1);
+            let mut emit = |f: &mut Function, kind: InstKind| {
+                let new = InstId(f.insts.len() as u32);
+                f.insts.push(Inst {
+                    ty: Ty::Ptr(Pointee::I8),
+                    kind,
+                });
+                chain.push(new);
+                Operand::Inst(new)
+            };
+            // Root as an i8* value.
+            let root_ty = m.operand_ty(f, &plan.root);
+            let mut cur: Operand = if plan.root_is_int {
+                emit(
+                    f,
+                    InstKind::Cast {
+                        op: CastOp::IntToPtr,
+                        val: plan.root,
+                    },
+                )
+            } else if root_ty == Ty::Ptr(Pointee::I8) {
+                plan.root
+            } else {
+                emit(
+                    f,
+                    InstKind::Cast {
+                        op: CastOp::BitCast,
+                        val: plan.root,
+                    },
+                )
+            };
+            for term in plan.terms {
+                cur = emit(
+                    f,
+                    InstKind::Gep {
+                        base: cur,
+                        offset: term,
+                        elem_size: 1,
+                    },
+                );
+            }
+            // The original inttoptr becomes a bitcast from the rebuilt chain.
+            f.inst_mut(id).kind = InstKind::Cast {
+                op: CastOp::BitCast,
+                val: cur,
+            };
+            if !chain.is_empty() {
+                splices.push((pos, chain));
+            }
+            rewritten += 1;
+            let rule = if plan.root_is_int {
+                RefineRule::ParamOffset
+            } else if terms_count == 0 {
+                RefineRule::PointerCast
+            } else {
+                RefineRule::PointerOffset
+            };
+            ctx.add(rule.counter(), 1);
+            if ctx.is_enabled() {
+                ctx.instant(
+                    "refine",
+                    "peephole",
+                    vec![
+                        ("func", ArgVal::from(f.name.as_str())),
+                        ("rule", ArgVal::from(rule.name())),
+                        ("terms", ArgVal::from(terms_count)),
+                    ],
+                );
+            }
         }
-        let Some((block, pos)) = position_of(f, id) else {
-            continue;
-        };
-        let terms_count = plan.terms.len();
-        let mut at = pos;
-        // Root as an i8* value.
-        let root_ty = m.operand_ty(f, &plan.root);
-        let mut cur: Operand = if plan.root_is_int {
-            let p = f.insert(
-                block,
-                at,
-                Ty::Ptr(Pointee::I8),
-                InstKind::Cast {
-                    op: CastOp::IntToPtr,
-                    val: plan.root,
-                },
-            );
-            at += 1;
-            Operand::Inst(p)
-        } else if root_ty == Ty::Ptr(Pointee::I8) {
-            plan.root
-        } else {
-            let p = f.insert(
-                block,
-                at,
-                Ty::Ptr(Pointee::I8),
-                InstKind::Cast {
-                    op: CastOp::BitCast,
-                    val: plan.root,
-                },
-            );
-            at += 1;
-            Operand::Inst(p)
-        };
-        for term in plan.terms {
-            let g = f.insert(
-                block,
-                at,
-                Ty::Ptr(Pointee::I8),
-                InstKind::Gep {
-                    base: cur,
-                    offset: term,
-                    elem_size: 1,
-                },
-            );
-            at += 1;
-            cur = Operand::Inst(g);
-        }
-        // The original inttoptr becomes a bitcast from the rebuilt chain.
-        f.inst_mut(id).kind = InstKind::Cast {
-            op: CastOp::BitCast,
-            val: cur,
-        };
-        rewritten += 1;
-        let rule = if plan.root_is_int {
-            RefineRule::ParamOffset
-        } else if terms_count == 0 {
-            RefineRule::PointerCast
-        } else {
-            RefineRule::PointerOffset
-        };
-        ctx.add(rule.counter(), 1);
-        if ctx.is_enabled() {
-            ctx.instant(
-                "refine",
-                "peephole",
-                vec![
-                    ("func", ArgVal::from(f.name.as_str())),
-                    ("rule", ArgVal::from(rule.name())),
-                    ("terms", ArgVal::from(terms_count)),
-                ],
-            );
+        if !splices.is_empty() {
+            let old = std::mem::take(&mut f.blocks[b].insts);
+            let added: usize = splices.iter().map(|(_, c)| c.len()).sum();
+            let mut insts = Vec::with_capacity(old.len() + added);
+            let mut next = splices.iter().peekable();
+            for (pos, id) in old.into_iter().enumerate() {
+                if let Some((_, chain)) = next.next_if(|(at, _)| *at == pos) {
+                    insts.extend_from_slice(chain);
+                }
+                insts.push(id);
+            }
+            f.blocks[b].insts = insts;
         }
     }
     rewritten
@@ -333,20 +343,28 @@ pub fn promote_pointer_params(m: &mut Module, ctx: &TraceCtx) -> usize {
                 Ty::Ptr(Pointee::I8)
             };
             m.funcs[fi].params[pi] = new_ty;
-            // Rewrite the inttoptr users: same type ⇒ replace uses directly;
+            // Rewrite the inttoptr users: same type ⇒ replace uses directly
+            // (one substitution sweep and one retain for all of them);
             // otherwise turn the cast into a bitcast from the parameter.
+            let f = &mut m.funcs[fi];
+            let mut subst = Subst::new();
+            let mut dead = Vec::new();
             for id in user_ids {
-                let f = &mut m.funcs[fi];
                 if f.inst(id).ty == new_ty {
-                    f.replace_all_uses(id, Operand::Param(pi as u32));
-                    if let Some((b, pos)) = position_of(f, id) {
-                        f.block_mut(b).insts.remove(pos);
-                    }
+                    subst.replace(id, Operand::Param(pi as u32));
+                    dead.resize(f.insts.len(), false);
+                    dead[id.0 as usize] = true;
                 } else {
                     f.inst_mut(id).kind = InstKind::Cast {
                         op: CastOp::BitCast,
                         val: Operand::Param(pi as u32),
                     };
+                }
+            }
+            if !dead.is_empty() {
+                subst.apply(f);
+                for block in &mut f.blocks {
+                    block.insts.retain(|i| !dead[i.0 as usize]);
                 }
             }
             // Fix every call site in the module.
@@ -466,22 +484,44 @@ pub fn sweep_dead(f: &mut Function) -> usize {
                 }
         )
     };
+    // Use counts are taken once; deleting an instruction releases its
+    // operands, which join the worklist when their count drops to zero.
+    // That deletes the same set as sweeping to a fixpoint, in one pass.
+    let mut uses = f.use_counts();
+    let mut live = vec![false; f.insts.len()];
+    let mut work: Vec<InstId> = Vec::new();
+    for (_, id) in f.iter_insts() {
+        live[id.0 as usize] = true;
+    }
+    let sweepable = |f: &Function, id: InstId| {
+        let kind = &f.inst(id).kind;
+        !kind.has_side_effects() && addr_arith(kind)
+    };
+    for (_, id) in f.iter_insts() {
+        if uses[id.0 as usize] == 0 && sweepable(f, id) {
+            work.push(id);
+        }
+    }
     let mut removed = 0;
-    loop {
-        let uses = f.use_counts();
-        let mut dead: Vec<InstId> = Vec::new();
-        for (_, id) in f.iter_insts() {
-            let inst = f.inst(id);
-            if uses[id.0 as usize] == 0 && !inst.kind.has_side_effects() && addr_arith(&inst.kind) {
-                dead.push(id);
+    while let Some(id) = work.pop() {
+        if !live[id.0 as usize] {
+            continue;
+        }
+        live[id.0 as usize] = false;
+        removed += 1;
+        f.inst(id).kind.for_each_operand(|op| {
+            if let Operand::Inst(d) = op {
+                let n = &mut uses[d.0 as usize];
+                *n -= 1;
+                if *n == 0 && live[d.0 as usize] && sweepable(f, *d) {
+                    work.push(*d);
+                }
             }
-        }
-        if dead.is_empty() {
-            break;
-        }
-        removed += dead.len();
-        for b in f.block_ids() {
-            f.block_mut(b).insts.retain(|i| !dead.contains(i));
+        });
+    }
+    if removed > 0 {
+        for block in &mut f.blocks {
+            block.insts.retain(|i| live[i.0 as usize]);
         }
     }
     removed
@@ -1047,5 +1087,189 @@ mod tests {
                 .ret,
             Some(lasagne_lir::interp::Val::B64(77))
         );
+    }
+
+    /// The original rewrite: snapshot the targets, then insert each chain
+    /// with one `Function::insert` per instruction at the target's current
+    /// position.
+    fn expose_pointers_reference(m: &Module, f: &mut Function) -> usize {
+        let targets: Vec<InstId> = f
+            .iter_insts()
+            .filter_map(|(_, id)| match &f.inst(id).kind {
+                InstKind::Cast {
+                    op: CastOp::IntToPtr,
+                    val,
+                } => resolve(f, val, 0).is_some().then_some(id),
+                _ => None,
+            })
+            .collect();
+        let mut rewritten = 0;
+        for id in targets {
+            let InstKind::Cast { val, .. } = f.inst(id).kind.clone() else {
+                continue;
+            };
+            let plan = resolve(f, &val, 0).expect("snapshot resolved");
+            if plan.root_is_int && plan.terms.is_empty() {
+                continue;
+            }
+            let (block, mut at) = position_of(f, id).expect("target is live");
+            let i8p = Ty::Ptr(Pointee::I8);
+            let mut cur = if plan.root_is_int {
+                let kind = InstKind::Cast {
+                    op: CastOp::IntToPtr,
+                    val: plan.root,
+                };
+                at += 1;
+                Operand::Inst(f.insert(block, at - 1, i8p, kind))
+            } else if m.operand_ty(f, &plan.root) == i8p {
+                plan.root
+            } else {
+                let kind = InstKind::Cast {
+                    op: CastOp::BitCast,
+                    val: plan.root,
+                };
+                at += 1;
+                Operand::Inst(f.insert(block, at - 1, i8p, kind))
+            };
+            for term in plan.terms {
+                let kind = InstKind::Gep {
+                    base: cur,
+                    offset: term,
+                    elem_size: 1,
+                };
+                at += 1;
+                cur = Operand::Inst(f.insert(block, at - 1, i8p, kind));
+            }
+            f.inst_mut(id).kind = InstKind::Cast {
+                op: CastOp::BitCast,
+                val: cur,
+            };
+            rewritten += 1;
+        }
+        rewritten
+    }
+
+    /// The original sweep: recount every use and rescan every block with
+    /// `Vec::contains` until nothing more dies.
+    fn sweep_dead_reference(f: &mut Function) -> usize {
+        let mut removed = 0;
+        loop {
+            let uses = f.use_counts();
+            let dead: Vec<InstId> = f
+                .iter_insts()
+                .map(|(_, id)| id)
+                .filter(|id| {
+                    let k = &f.inst(*id).kind;
+                    uses[id.0 as usize] == 0
+                        && !k.has_side_effects()
+                        && matches!(
+                            k,
+                            InstKind::Cast { .. }
+                                | InstKind::Gep { .. }
+                                | InstKind::Bin {
+                                    op: BinOp::Add | BinOp::Mul,
+                                    ..
+                                }
+                        )
+                })
+                .collect();
+            if dead.is_empty() {
+                return removed;
+            }
+            removed += dead.len();
+            for b in f.block_ids() {
+                f.block_mut(b).insts.retain(|i| !dead.contains(i));
+            }
+        }
+    }
+
+    /// Compares both steps of [`refine_function`] with the references;
+    /// returns how many casts were rewritten and instructions swept.
+    fn assert_matches_reference(m: &Module, f: &Function, what: &str) -> (usize, usize) {
+        let (mut got, mut want) = (f.clone(), f.clone());
+        let n = expose_pointers(m, &mut got, &TraceCtx::disabled());
+        assert_eq!(n, expose_pointers_reference(m, &mut want), "{what}");
+        assert_eq!(got, want, "{what}: exposed");
+        let swept = sweep_dead(&mut got);
+        assert_eq!(swept, sweep_dead_reference(&mut want), "{what}");
+        assert_eq!(got, want, "{what}: swept");
+        (n, swept)
+    }
+
+    /// Single-pass exposure and the worklist sweep leave every lifted
+    /// Phoenix function, and random address chains (stack and parameter
+    /// roots, mixed-side adds, dead arithmetic), exactly as the original
+    /// algorithms do.
+    #[test]
+    fn single_pass_refinement_matches_reference_algorithms() {
+        for b in lasagne_phoenix::all_benchmarks(64) {
+            let m = lasagne_lifter::lift_binary(&b.binary).unwrap();
+            for f in &m.funcs {
+                assert_matches_reference(&m, f, &format!("{} {}", b.abbrev, f.name));
+            }
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let m = Module::new();
+        let (mut rewritten, mut swept) = (0, 0);
+        for round in 0..300 {
+            let mut f = Function::new("f", vec![Ty::I64, Ty::I64], Ty::Void);
+            let nblocks = 1 + next(3) as usize;
+            for _ in 1..nblocks {
+                f.add_block();
+            }
+            let e = f.entry();
+            let slot = f.push(e, Ty::Ptr(Pointee::I8), InstKind::Alloca { size: 64 });
+            let mut ints = vec![Operand::Param(0), Operand::Param(1), Operand::i64(8)];
+            for b in f.block_ids().collect::<Vec<_>>() {
+                for _ in 0..next(16) {
+                    let pick = |n: u64| ints[n as usize % ints.len()];
+                    let (ty, kind) = match next(6) {
+                        0 => (
+                            Ty::I64,
+                            InstKind::Cast {
+                                op: CastOp::PtrToInt,
+                                val: Operand::Inst(slot),
+                            },
+                        ),
+                        1 | 2 => {
+                            let (l, r) = (pick(next(64)), pick(next(64)));
+                            let op = if next(4) == 0 { BinOp::Mul } else { BinOp::Add };
+                            (Ty::I64, InstKind::Bin { op, lhs: l, rhs: r })
+                        }
+                        3 | 4 => (
+                            Ty::Ptr(Pointee::I64),
+                            InstKind::Cast {
+                                op: CastOp::IntToPtr,
+                                val: pick(next(64)),
+                            },
+                        ),
+                        _ => (
+                            Ty::Void,
+                            InstKind::Store {
+                                ptr: Operand::Inst(slot),
+                                val: pick(next(64)),
+                                order: Ordering::NotAtomic,
+                            },
+                        ),
+                    };
+                    let is_int = ty == Ty::I64;
+                    let id = f.push(b, ty, kind);
+                    if is_int {
+                        ints.push(Operand::Inst(id));
+                    }
+                }
+                f.set_term(b, Terminator::Ret { val: None });
+            }
+            let (n, s) = assert_matches_reference(&m, &f, &format!("round {round}"));
+            rewritten += n;
+            swept += s;
+        }
+        assert!(rewritten > 100 && swept > 100, "{rewritten} {swept}");
     }
 }

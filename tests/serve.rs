@@ -459,3 +459,31 @@ fn suite_replay_goes_hot_and_reconciles_with_the_daemon() {
     assert_eq!(checksums[0], checksums[1], "hot responses changed bytes");
     server.stop();
 }
+
+/// The hot tier charges each listing its length against the byte budget,
+/// so a listing must hold no slack: `print_module` returns every Phoenix
+/// listing exact-sized, and the tier's resident bytes equal the memory
+/// those listings hold.
+#[test]
+fn hot_tier_listings_hold_no_slack() {
+    use lasagne::serve::hot::HotTier;
+    use std::sync::Arc;
+    let tier = HotTier::new(u64::MAX);
+    let mut held = 0u64;
+    let mut key = 0u64;
+    for b in all_benchmarks(64) {
+        for v in Version::ALL {
+            let (t, _) = Pipeline::new(v).run(&b.binary).expect("translate");
+            let asm = print_module(&t.arm);
+            assert_eq!(asm.capacity(), asm.len(), "{} {}", b.abbrev, v.name());
+            held += asm.capacity() as u64;
+            key += 1;
+            tier.get_or_translate(key, std::time::Duration::from_secs(30), || {
+                Ok((Arc::new(asm), Source::Cold))
+            })
+            .expect("insert");
+        }
+    }
+    let stats = tier.stats();
+    assert_eq!((stats.entries, stats.bytes), (28, held));
+}
