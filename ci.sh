@@ -6,6 +6,11 @@ set -eux
 cargo fmt --all --check
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# Every interpreter leg runs on the one guest `Memory`, so a bug in its
+# page cache would be shared by all of them and could never surface as a
+# difftest divergence. Its model test therefore runs again here with 2000
+# cases instead of its usual 96.
+LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test memory_model
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Layering: the memory-model checker is a leaf. It may link only the

@@ -86,6 +86,8 @@ pub struct ArmMachine<'m> {
     stats: ArmStats,
     steps_left: u64,
     exclusive: Option<u64>,
+    /// `calls[f][b]`: whether block `b` of function `f` holds a `bl`.
+    calls: Vec<Vec<bool>>,
 }
 
 /// Cycle costs of the modelled core. Barrier costs dominate — the knob the
@@ -168,6 +170,16 @@ impl<'m> ArmMachine<'m> {
             stats: ArmStats::default(),
             steps_left: 2_000_000_000,
             exclusive: None,
+            calls: module
+                .funcs
+                .iter()
+                .map(|f| {
+                    f.blocks
+                        .iter()
+                        .map(|b| b.insts.iter().any(|i| matches!(i, AInst::Bl { .. })))
+                        .collect()
+                })
+                .collect(),
         }
     }
 
@@ -177,11 +189,8 @@ impl<'m> ArmMachine<'m> {
     }
 
     fn xr(&self, r: X) -> u64 {
-        if r.0 == 31 {
-            0
-        } else {
-            self.x[r.0 as usize]
-        }
+        // `x[31]` is never written, so it reads as the zero register.
+        self.x[usize::from(r.0 & 31)]
     }
 
     fn set_x(&mut self, r: X, v: u64) {
@@ -232,8 +241,8 @@ impl<'m> ArmMachine<'m> {
         int_args: &[u64],
         fp_args: &[u64],
     ) -> Result<ArmRunResult, ArmError> {
-        for (i, a) in int_args.iter().enumerate() {
-            self.x[i] = *a;
+        for (x, a) in self.x[..31].iter_mut().zip(int_args) {
+            *x = *a;
         }
         for (i, a) in fp_args.iter().enumerate() {
             self.set_d64(D(i as u8), *a);
@@ -267,8 +276,21 @@ impl<'m> ArmMachine<'m> {
         let mut blk = 0usize;
         'blocks: loop {
             let block: &ABlock = &f.blocks[blk];
-            for inst in &block.insts {
-                self.step(inst)?;
+            // Steps and retired instructions are charged once per run of
+            // instructions ending at a `bl` or at the block end. Only a
+            // `bl` can fail, and it ends its run, so the first error and
+            // every statistic are those of charging per step; a run the
+            // budget does not cover is charged per step to find where the
+            // limit falls.
+            if self.calls[idx][blk] {
+                for run in block
+                    .insts
+                    .split_inclusive(|i| matches!(i, AInst::Bl { .. }))
+                {
+                    self.run_insts(run)?;
+                }
+            } else {
+                self.run_insts(&block.insts)?;
             }
             match block.term.unwrap_or(ATerm::Brk) {
                 ATerm::B(t) => blk = t.0 as usize,
@@ -290,13 +312,58 @@ impl<'m> ArmMachine<'m> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// Executes `run`, in which only the last instruction may be a `bl`.
+    fn run_insts(&mut self, run: &[AInst]) -> Result<(), ArmError> {
+        let n = run.len() as u64;
+        if self.steps_left >= n {
+            self.steps_left -= n;
+            self.stats.insts += n;
+            for inst in run {
+                if let Some(callee) = self.exec(inst) {
+                    self.bl(callee)?;
+                }
+            }
+        } else {
+            for inst in run {
+                self.step(inst)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Charges one step and executes `inst`.
     fn step(&mut self, inst: &AInst) -> Result<(), ArmError> {
         if self.steps_left == 0 {
             return Err(ArmError::StepLimit);
         }
         self.steps_left -= 1;
         self.stats.insts += 1;
+        match self.exec(inst) {
+            Some(callee) => self.bl(callee),
+            None => Ok(()),
+        }
+    }
+
+    /// Calls `callee` for a `bl`.
+    fn bl(&mut self, callee: ACallee) -> Result<(), ArmError> {
+        match callee {
+            ACallee::Func(fi) => self.call(fi as usize),
+            ACallee::Extern(e) => {
+                let module = self.module;
+                self.call_extern(&module.externs[e as usize])
+            }
+            ACallee::Reg(r) => {
+                let idx = self.resolve_func(self.xr(r))?;
+                self.call(idx)
+            }
+        }
+    }
+
+    /// Executes `inst`, whose step the caller has charged. Every
+    /// instruction but `bl` completes here; a `bl` returns its callee for
+    /// the caller to call, the only step that can fail.
+    #[allow(clippy::too_many_lines)]
+    fn exec(&mut self, inst: &AInst) -> Option<ACallee> {
         self.stats.cycles += cost_of(inst);
         match inst {
             AInst::MovImm { rd, imm } => self.set_x(*rd, *imm),
@@ -383,16 +450,25 @@ impl<'m> ArmMachine<'m> {
             AInst::Str { sz, rt, mem } => {
                 let addr = self.amem(mem);
                 let v = self.xr(*rt);
-                self.mem
-                    .write(addr, &v.to_le_bytes()[..sz.bytes().min(8) as usize]);
+                self.mem.write_uint(addr, sz.bytes().min(8) as usize, v);
             }
             AInst::LdrF { sz, dt, mem } => {
-                self.d[dt.0 as usize] = self.mem.read(self.amem(mem), sz.bytes() as usize);
+                let (addr, len) = (self.amem(mem), sz.bytes() as usize);
+                if len <= 8 {
+                    let v = self.mem.read_uint(addr, len);
+                    self.set_d64(*dt, v);
+                } else {
+                    self.d[dt.0 as usize] = self.mem.read(addr, len);
+                }
             }
             AInst::StrF { sz, dt, mem } => {
-                let addr = self.amem(mem);
-                self.mem
-                    .write(addr, &self.d[dt.0 as usize][..sz.bytes() as usize]);
+                let (addr, len) = (self.amem(mem), sz.bytes() as usize);
+                if len <= 8 {
+                    let v = self.d64(*dt);
+                    self.mem.write_uint(addr, len, v);
+                } else {
+                    self.mem.write(addr, &self.d[dt.0 as usize][..len]);
+                }
             }
             AInst::Ldxr { sz, rt, rn } => {
                 let addr = self.xr(*rn);
@@ -408,8 +484,7 @@ impl<'m> ArmMachine<'m> {
                 let ok = self.exclusive == Some(addr);
                 if ok {
                     let v = self.xr(*rt);
-                    self.mem
-                        .write(addr, &v.to_le_bytes()[..sz.bytes().min(8) as usize]);
+                    self.mem.write_uint(addr, sz.bytes().min(8) as usize, v);
                     self.set_x(*rs, 0);
                 } else {
                     self.set_x(*rs, 1);
@@ -493,18 +568,7 @@ impl<'m> ArmMachine<'m> {
                 Dmb::St => self.stats.dmbs.1 += 1,
                 Dmb::Ff => self.stats.dmbs.2 += 1,
             },
-            AInst::Bl { callee } => match callee {
-                ACallee::Func(fi) => self.call(*fi as usize)?,
-                ACallee::Extern(e) => {
-                    let module = self.module;
-                    self.call_extern(&module.externs[*e as usize])?;
-                }
-                ACallee::Reg(r) => {
-                    let addr = self.xr(*r);
-                    let idx = self.resolve_func(addr)?;
-                    self.call(idx)?;
-                }
-            },
+            AInst::Bl { callee } => return Some(*callee),
             AInst::AdrFunc { rd, func } => {
                 self.set_x(*rd, FUNC_ADDR_BASE + 16 * u64::from(*func));
             }
@@ -513,7 +577,7 @@ impl<'m> ArmMachine<'m> {
                 self.set_x(*rd, *addr);
             }
         }
-        Ok(())
+        None
     }
 
     fn amem(&self, m: &crate::inst::AMem) -> u64 {

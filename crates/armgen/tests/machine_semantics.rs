@@ -5,7 +5,7 @@
 use lasagne_armgen::inst::{
     ABlock, ACallee, AFunc, AInst, AMem, AModule, ARet, ATerm, AluOp, Blk, Cc, Dmb, FpOp, Sz, D, X,
 };
-use lasagne_armgen::machine::ArmMachine;
+use lasagne_armgen::machine::{ArmError, ArmMachine};
 
 fn one_block_module(insts: Vec<AInst>, ret: ARet) -> AModule {
     AModule {
@@ -437,4 +437,134 @@ fn locking_a_held_mutex_traps() {
     );
     let once = extern_call_module("pthread_mutex_lock", &[], 1);
     assert_eq!(ArmMachine::new(&once).run(0, &[], &[]).unwrap().ret, 0);
+}
+
+fn add_imm(rd: X, imm: i32) -> AInst {
+    AInst::AddImm { rd, rn: rd, imm }
+}
+
+/// `main` (function 0) calls function 1, a three-trip loop, and extern
+/// `strlen` on global 0 (`"abc"`), then returns `(3 + 100) * 2` from a
+/// second block. It takes 16 steps: 7 in `main`'s first block, 1 + 3 * 2
+/// in the loop (a `cbnz` is retired but takes no step) and 2 in `main`'s
+/// second block.
+fn call_chain_module() -> AModule {
+    let block = |insts, term| ABlock {
+        insts,
+        term: Some(term),
+    };
+    let func = |name: &str, blocks| AFunc {
+        name: name.into(),
+        int_params: 0,
+        fp_params: 0,
+        frame_size: 16,
+        ret: ARet::Int,
+        blocks,
+    };
+    let main = func(
+        "main",
+        vec![
+            block(
+                vec![
+                    AInst::MovImm { rd: X(0), imm: 5 },
+                    add_imm(X(0), 1),
+                    AInst::Bl {
+                        callee: ACallee::Func(1),
+                    },
+                    AInst::MovImm { rd: X(1), imm: 9 },
+                    AInst::AdrGlobal {
+                        rd: X(0),
+                        global: 0,
+                    },
+                    AInst::Bl {
+                        callee: ACallee::Extern(0),
+                    },
+                    add_imm(X(0), 100),
+                ],
+                ATerm::B(Blk(1)),
+            ),
+            block(
+                vec![
+                    AInst::MovReg { rd: X(2), rm: X(0) },
+                    AInst::Alu {
+                        op: AluOp::Add,
+                        rd: X(0),
+                        rn: X(0),
+                        rm: X(2),
+                        ra: X::ZR,
+                    },
+                ],
+                ATerm::Ret,
+            ),
+        ],
+    );
+    let looped = func(
+        "loop",
+        vec![
+            block(vec![AInst::MovImm { rd: X(9), imm: 3 }], ATerm::B(Blk(1))),
+            block(
+                vec![add_imm(X(9), -1), add_imm(X(10), 1)],
+                ATerm::Cbnz {
+                    rn: X(9),
+                    then: Blk(1),
+                    els: Blk(2),
+                },
+            ),
+            block(vec![], ATerm::Ret),
+        ],
+    );
+    AModule {
+        funcs: vec![main, looped],
+        externs: vec!["strlen".into()],
+        globals: vec![("g".into(), 0x1000, 16, b"abc\0".to_vec())],
+    }
+}
+
+#[test]
+fn a_step_limit_of_exactly_the_step_count_completes() {
+    const STEPS: u64 = 16;
+    let m = call_chain_module();
+    let unlimited = ArmMachine::new(&m).run(0, &[], &[]).unwrap();
+    assert_eq!(unlimited.ret, 206);
+    assert_eq!(unlimited.stats.insts, STEPS + 3, "plus three cbnz");
+    for limit in 0..STEPS + 3 {
+        let mut machine = ArmMachine::new(&m);
+        machine.set_step_limit(limit);
+        let got = machine.run(0, &[], &[]);
+        if limit < STEPS {
+            assert_eq!(got, Err(ArmError::StepLimit), "limit {limit}");
+        } else {
+            assert_eq!(got.as_ref(), Ok(&unlimited), "limit {limit}");
+        }
+    }
+}
+
+#[test]
+fn an_extern_trap_at_step_k_needs_a_limit_of_k() {
+    // `main` is `bl t; mov x0, #1`, and `t` locks one mutex twice:
+    // `bl`, then `adr`, `bl`, `adr`, `bl` in `t`, whose second lock traps
+    // at step 5 while `main`'s `mov` has yet to run.
+    const K: u64 = 5;
+    let mut m = extern_call_module("pthread_mutex_lock", &[], 2);
+    let mut main = m.funcs[0].clone();
+    main.name = "main".into();
+    main.blocks[0].insts = vec![
+        AInst::Bl {
+            callee: ACallee::Func(1),
+        },
+        AInst::MovImm { rd: X(0), imm: 1 },
+    ];
+    m.funcs.insert(0, main);
+    let trap =
+        ArmError::Trap("deadlock: mutex 0x1000 locked twice under sequential fork-join".into());
+    for limit in K - 2..=K + 2 {
+        let mut machine = ArmMachine::new(&m);
+        machine.set_step_limit(limit);
+        let want = if limit < K {
+            ArmError::StepLimit
+        } else {
+            trap.clone()
+        };
+        assert_eq!(machine.run(0, &[], &[]), Err(want), "limit {limit}");
+    }
 }

@@ -348,6 +348,7 @@ impl Inner {
             }
             Err(panic) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
+                self.metrics.add(0, "serve.panics", 1);
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -436,12 +437,15 @@ impl Inner {
         let is_translate = matches!(decoded, Ok(Request::Translate { .. }));
         let (resp, wait_nanos) = match decoded {
             Ok(req) => self.serve_request(req, t_recv),
-            Err(_) => (
-                Response::Error {
-                    msg: "malformed request".into(),
-                },
-                0,
-            ),
+            Err(_) => {
+                self.metrics.add(0, "serve.requests_malformed", 1);
+                (
+                    Response::Error {
+                        msg: "malformed request".into(),
+                    },
+                    0,
+                )
+            }
         };
         let (outcome, source) = match &resp {
             Response::Ok { source, .. } => ("ok", Some(*source)),
@@ -817,6 +821,7 @@ fn handle_conn(inner: Arc<Inner>, mut stream: Stream) {
             Ok(p) => p,
             Err(WireError::Closed) | Err(WireError::Stopped) => return,
             Err(WireError::Corrupt) => {
+                inner.metrics.add(0, "serve.frames_corrupt", 1);
                 let resp = Response::Error {
                     msg: "corrupt frame".into(),
                 };

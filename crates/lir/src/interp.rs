@@ -108,22 +108,44 @@ const PAGE_SIZE: usize = 4096;
 const PAGE_SHIFT: u32 = 12;
 /// Mask of an address's offset within its page.
 const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
+/// Entries in [`Memory`]'s direct-mapped page cache (a power of two).
+const CACHE_PAGES: usize = 64;
+/// A cache entry's page number when it holds no page. Page numbers are
+/// `addr >> PAGE_SHIFT`, so no real page has this one.
+const NO_PAGE: u64 = u64::MAX;
+/// Bytes [`Memory::copy`] moves per chunk.
+const COPY_CHUNK: usize = 1024;
 
 /// Sparse guest memory shared by every interpreter: the LIR
 /// [`Machine`], the x86 interpreter and the Arm core.
 ///
 /// A page is mapped, zero-filled, by the first write that touches it.
 /// Reads never map a page: unmapped memory reads as zeros. Addresses wrap
-/// around at `u64::MAX`. An access that stays inside one page costs one
-/// page lookup, or none when it hits the page used last; an access that
-/// crosses pages is split page by page.
-#[derive(Debug, Default)]
+/// around at `u64::MAX`. Mapped pages are found through a direct-mapped
+/// cache of 64 `(page, frame)` entries indexed by the page number's low
+/// bits, backed by an ordered page table, so stack and heap accesses that
+/// alternate do not evict each other. An integer access of up to 8 bytes
+/// whose address is at least 8 bytes below its page's end is one cache
+/// probe and one 8-byte load or masked store; other accesses are split
+/// page by page.
+#[derive(Debug)]
 pub struct Memory {
     /// Page number → index of its frame in `frames`.
     index: BTreeMap<u64, usize>,
     frames: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// The mapped page used last, as `(page number, frame index)`.
-    last: Cell<Option<(u64, usize)>>,
+    /// Mapped pages used recently, as `(page number, frame index)` at
+    /// `page % CACHE_PAGES`; `NO_PAGE` marks an empty entry.
+    cache: [Cell<(u64, usize)>; CACHE_PAGES],
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            index: BTreeMap::new(),
+            frames: Vec::new(),
+            cache: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+        }
+    }
 }
 
 impl Memory {
@@ -132,31 +154,43 @@ impl Memory {
         Memory::default()
     }
 
+    /// Number of mapped pages.
+    pub fn mapped_pages(&self) -> usize {
+        self.frames.len()
+    }
+
     /// The frame index of mapped page `page`, if any.
+    #[inline]
     fn frame_of(&self, page: u64) -> Option<usize> {
-        match self.last.get() {
-            Some((p, f)) if p == page => Some(f),
+        let slot = &self.cache[page as usize % CACHE_PAGES];
+        match slot.get() {
+            (p, f) if p == page => Some(f),
             _ => {
                 let f = *self.index.get(&page)?;
-                self.last.set(Some((page, f)));
+                slot.set((page, f));
                 Some(f)
             }
         }
     }
 
     /// The frame of page `page`, mapping it zero-filled if needed.
+    #[inline]
     fn frame_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
         let f = match self.frame_of(page) {
             Some(f) => f,
-            None => {
-                let f = self.frames.len();
-                self.frames.push(Box::new([0; PAGE_SIZE]));
-                self.index.insert(page, f);
-                self.last.set(Some((page, f)));
-                f
-            }
+            None => self.map(page),
         };
         &mut self.frames[f]
+    }
+
+    /// Maps unmapped page `page` zero-filled and returns its frame index.
+    #[cold]
+    fn map(&mut self, page: u64) -> usize {
+        let f = self.frames.len();
+        self.frames.push(Box::new([0; PAGE_SIZE]));
+        self.index.insert(page, f);
+        self.cache[page as usize % CACHE_PAGES].set((page, f));
+        f
     }
 
     /// Splits the `len` bytes at `addr` into per-page pieces and calls
@@ -203,20 +237,60 @@ impl Memory {
         });
     }
 
-    /// Copies `n` bytes from `src` to `dst`, as if through a temporary
-    /// buffer (overlapping ranges behave like `memmove`).
+    /// Writes `n` copies of `byte` at `addr`, page by page, mapping the
+    /// pages it touches.
+    pub fn fill(&mut self, addr: u64, byte: u8, n: usize) {
+        Memory::for_each_page(addr, n, |page, off, r| {
+            self.frame_mut(page)[off..off + r.len()].fill(byte);
+        });
+    }
+
+    /// Copies `n` bytes from `src` to `dst` through a fixed-size buffer.
+    /// Overlapping ranges behave like `memmove`: when `dst` lies inside
+    /// `[src, src + n)` the chunks go from the back, so no source byte is
+    /// overwritten before it is read.
     pub fn copy(&mut self, dst: u64, src: u64, n: usize) {
-        let mut buf = vec![0u8; n];
-        self.read_into(src, &mut buf);
-        self.write(dst, &buf);
+        let mut buf = [0u8; COPY_CHUNK];
+        let backwards = dst.wrapping_sub(src) < n as u64;
+        let mut done = 0;
+        while done < n {
+            let len = COPY_CHUNK.min(n - done);
+            let at = if backwards { n - done - len } else { done } as u64;
+            self.read_into(src.wrapping_add(at), &mut buf[..len]);
+            self.write(dst.wrapping_add(at), &buf[..len]);
+            done += len;
+        }
     }
 
     /// Reads the `len <= 8` bytes at `addr` as a little-endian unsigned
     /// integer.
+    #[inline]
     pub fn read_uint(&self, addr: u64, len: usize) -> u64 {
+        let off = (addr & PAGE_MASK) as usize;
+        if off <= PAGE_SIZE - 8 {
+            let Some(f) = self.frame_of(addr >> PAGE_SHIFT) else {
+                return 0;
+            };
+            let word: [u8; 8] = self.frames[f][off..off + 8].try_into().unwrap();
+            return u64::from_le_bytes(word) & low_bytes(len);
+        }
         let mut b = [0u8; 8];
         self.read_into(addr, &mut b[..len]);
         u64::from_le_bytes(b)
+    }
+
+    /// Writes the low `len <= 8` bytes of `v` at `addr`, little-endian.
+    #[inline]
+    pub fn write_uint(&mut self, addr: u64, len: usize, v: u64) {
+        let off = (addr & PAGE_MASK) as usize;
+        if off <= PAGE_SIZE - 8 {
+            let word = &mut self.frame_mut(addr >> PAGE_SHIFT)[off..off + 8];
+            let old = u64::from_le_bytes((&*word).try_into().unwrap());
+            let mask = low_bytes(len);
+            word.copy_from_slice(&((old & !mask) | (v & mask)).to_le_bytes());
+            return;
+        }
+        self.write(addr, &v.to_le_bytes()[..len]);
     }
 
     /// Reads a `u64`.
@@ -226,7 +300,7 @@ impl Memory {
 
     /// Writes a `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
+        self.write_uint(addr, 8, v);
     }
 
     /// Reads a NUL-terminated C string (up to 64 KiB).
@@ -252,6 +326,23 @@ impl Memory {
         }
         String::from_utf8_lossy(&s).into_owned()
     }
+}
+
+/// The mask of an integer's low `len <= 8` bytes.
+#[inline]
+fn low_bytes(len: usize) -> u64 {
+    const MASKS: [u64; 9] = [
+        0,
+        0xff,
+        0xffff,
+        0xff_ffff,
+        0xffff_ffff,
+        0xff_ffff_ffff,
+        0xffff_ffff_ffff,
+        0xff_ffff_ffff_ffff,
+        u64::MAX,
+    ];
+    MASKS[len]
 }
 
 /// Dynamic execution statistics.
@@ -518,8 +609,7 @@ impl<'m> Machine<'m> {
         match v {
             Val::B128(bytes) => self.mem.write(addr, &bytes),
             Val::B64(bits) => {
-                let len = ty.size() as usize;
-                self.mem.write(addr, &bits.to_le_bytes()[..len]);
+                self.mem.write_uint(addr, ty.size() as usize, bits);
             }
         }
     }

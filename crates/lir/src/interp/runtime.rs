@@ -64,6 +64,11 @@ externs! {
     Sysconf = "sysconf",
 }
 
+/// The largest length `memset` and `memcpy` accept; a longer one traps
+/// rather than mapping that much guest memory. 64 MiB is far above what
+/// any workload here writes in one call.
+pub const MAX_BULK_BYTES: u64 = 64 << 20;
+
 /// The message of a runtime call that stops the guest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trap(pub String);
@@ -116,8 +121,9 @@ impl Runtime {
     /// # Errors
     ///
     /// Traps on `exit`, `abort`, locking a held mutex (a deadlock under
-    /// sequential fork–join), and on `sqrt` and `pthread_create`, which
-    /// the machine runs itself.
+    /// sequential fork–join), a `memset` or `memcpy` longer than
+    /// [`MAX_BULK_BYTES`], and on `sqrt` and `pthread_create`, which the
+    /// machine runs itself.
     pub fn call(
         &mut self,
         ext: Extern,
@@ -129,8 +135,14 @@ impl Runtime {
         let ret = match ext {
             Extern::Malloc | Extern::Valloc => self.malloc(a0),
             Extern::Calloc => self.malloc(a0.wrapping_mul(a1)),
+            Extern::Memset | Extern::Memcpy if a2 > MAX_BULK_BYTES => {
+                return Err(Trap(format!(
+                    "{}() of {a2} bytes exceeds the {MAX_BULK_BYTES}-byte limit",
+                    ext.name()
+                )));
+            }
             Extern::Memset => {
-                mem.write(a0, &vec![a1 as u8; a2 as usize]);
+                mem.fill(a0, a1 as u8, a2 as usize);
                 return Ok((Some(a0), a2 / 8));
             }
             Extern::Memcpy => {

@@ -5,7 +5,9 @@
 //! bulk-memory cycle charges, the `printf` formatter, mutexes and the
 //! fork–join critical path.
 
-use lasagne_lir::interp::runtime::{critical_path, format_c, Extern, Runtime, Trap};
+use lasagne_lir::interp::runtime::{
+    critical_path, format_c, Extern, Runtime, Trap, MAX_BULK_BYTES,
+};
 use lasagne_lir::interp::{Memory, HEAP_BASE, STACK_TOP};
 
 /// Calls `ext` with integer arguments only.
@@ -93,6 +95,55 @@ fn memset_and_memcpy_charge_n_over_8_and_n_over_4() {
     mem.read_into(0x9000, &mut buf);
     assert!(buf.iter().all(|&b| b == 0xab));
     assert_eq!(mem.read(0x9000 + 5000, 1)[0], 0);
+}
+
+#[test]
+fn memset_and_memcpy_straddle_pages_like_memmove() {
+    let (mut rt, mut mem) = (Runtime::default(), Memory::new());
+    // memset over three pages: 16 bytes, a whole page, 16 bytes.
+    call(&mut rt, &mut mem, Extern::Memset, &[0x2ff0, 0x5a, 0x1020]);
+    let mut buf = vec![0u8; 0x1040];
+    mem.read_into(0x2fe0, &mut buf);
+    assert!(buf[..0x10].iter().all(|&b| b == 0), "before the range");
+    assert!(buf[0x10..0x1030].iter().all(|&b| b == 0x5a));
+    assert!(buf[0x1030..].iter().all(|&b| b == 0), "after the range");
+    assert_eq!(mem.mapped_pages(), 3);
+
+    // A pattern across a page boundary, then copies that overlap it in
+    // both directions, each longer than one page: every byte lands where
+    // a copy through a temporary would put it.
+    let pattern: Vec<u8> = (0..6000u32).map(|i| (i * 7 % 251) as u8 + 1).collect();
+    for (dst, src) in [(0x8100u64, 0x7f00u64), (0x7e00, 0x7f00), (0x7f00, 0x7f00)] {
+        mem.write(0x7f00, &pattern);
+        let mut want = vec![0u8; 0x3000];
+        mem.read_into(0x7000, &mut want);
+        let (d, s) = ((dst - 0x7000) as usize, (src - 0x7000) as usize);
+        want.copy_within(s..s + 5000, d);
+        let got = call(&mut rt, &mut mem, Extern::Memcpy, &[dst, src, 5000]);
+        assert_eq!(got, (Some(dst), 1250));
+        let mut seen = vec![0u8; 0x3000];
+        mem.read_into(0x7000, &mut seen);
+        assert!(seen == want, "memcpy({dst:#x}, {src:#x}, 5000)");
+    }
+}
+
+#[test]
+fn memset_and_memcpy_beyond_the_bulk_limit_trap() {
+    let (mut rt, mut mem) = (Runtime::default(), Memory::new());
+    assert_eq!(MAX_BULK_BYTES, 64 << 20);
+    for n in [MAX_BULK_BYTES + 1, u64::MAX] {
+        for (ext, args) in [
+            (Extern::Memset, [0x1000, 0xff, n]),
+            (Extern::Memcpy, [0x1000, 0x9000, n]),
+        ] {
+            let msg = format!(
+                "{}() of {n} bytes exceeds the 67108864-byte limit",
+                ext.name()
+            );
+            assert_eq!(rt.call(ext, &mut mem, &args, &[]), Err(Trap(msg)));
+        }
+    }
+    assert_eq!(mem.mapped_pages(), 0, "a trapping call maps nothing");
 }
 
 #[test]

@@ -416,7 +416,7 @@ impl<'b> X86Machine<'b> {
 
     fn store(&mut self, m: &MemRef, w: Width, v: u64) {
         let a = self.addr_of(m);
-        self.mem.write(a, &v.to_le_bytes()[..w.bytes() as usize]);
+        self.mem.write_uint(a, w.bytes() as usize, v);
     }
 
     fn read_rm(&mut self, rm: &Rm, w: Width) -> u64 {
@@ -779,7 +779,7 @@ impl<'b> X86Machine<'b> {
             Inst::MovssStore { prec, dst, src } => {
                 let v = self.xmm_scalar(*src, *prec);
                 let a = self.addr_of(dst);
-                self.mem.write(a, &v.to_le_bytes()[..prec.bytes() as usize]);
+                self.mem.write_uint(a, prec.bytes() as usize, v);
             }
             Inst::MovapsLoad { dst, src, .. } => {
                 let v = self.read_xmmrm_vec(src);

@@ -6,7 +6,7 @@
 //! trap with the same message where the runtime traps.
 
 use lasagne_repro::armgen::machine::ArmMachine;
-use lasagne_repro::lir::interp::runtime::Extern;
+use lasagne_repro::lir::interp::runtime::{Extern, MAX_BULK_BYTES};
 use lasagne_repro::lir::interp::{Machine, Val};
 use lasagne_repro::phoenix::builders::{
     alurr, call, lea_func, loadq, mem_bd, movri, movrr, storeq,
@@ -66,7 +66,8 @@ fn sse_count(n: i32) -> Inst {
 ///   `worker` threads that bump a mutex-guarded counter, joins them, and
 ///   returns a number built from what it saw;
 /// * `print_str` is `printf("%s %d", p, 7)`;
-/// * `die_exit`, `die_abort` and `relock` end in a runtime trap.
+/// * `die_exit`, `die_abort`, `relock`, `huge_memset` and `huge_memcpy`
+///   end in a runtime trap.
 fn binary() -> Binary {
     let mut b = BinaryBuilder::new();
     let ext: BTreeMap<&str, u64> = Extern::ALL
@@ -238,6 +239,21 @@ fn binary() -> Binary {
             call(ext["pthread_mutex_lock"]),
         ],
     );
+    for (name, ext) in [
+        ("huge_memset", ext["memset"]),
+        ("huge_memcpy", ext["memcpy"]),
+    ] {
+        function(
+            &mut b,
+            name,
+            &[
+                movri(Gpr::Rdi, 0x5000),
+                movri(Gpr::Rsi, 0x6000),
+                movri(Gpr::Rdx, MAX_BULK_BYTES as i64 + 1),
+                call(ext),
+            ],
+        );
+    }
     b.finish()
 }
 
@@ -306,6 +322,14 @@ fn runtime_traps_agree_on_all_three_executors() {
         (
             "relock",
             "trap: deadlock: mutex 0x5000 locked twice under sequential fork-join",
+        ),
+        (
+            "huge_memset",
+            "trap: memset() of 67108865 bytes exceeds the 67108864-byte limit",
+        ),
+        (
+            "huge_memcpy",
+            "trap: memcpy() of 67108865 bytes exceeds the 67108864-byte limit",
         ),
     ] {
         for (leg, seen) in ["x86", "LIR", "Arm"].iter().zip(run_three(&bin, &t, func)) {

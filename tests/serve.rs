@@ -487,3 +487,46 @@ fn hot_tier_listings_hold_no_slack() {
     let stats = tier.stats();
     assert_eq!((stats.entries, stats.bytes), (28, held));
 }
+
+#[test]
+fn corrupt_frames_and_malformed_requests_are_counted() {
+    use lasagne::serve::wire;
+    use std::os::unix::net::UnixStream;
+
+    let server = Server::spawn(unix_cfg("bad-input")).expect("spawn");
+    let expect_error = |stream: &mut UnixStream, msg: &str| {
+        let payload = wire::read_frame(stream).expect("response frame");
+        match wire::decode_response(&payload).expect("decodable response") {
+            Response::Error { msg: got } => assert_eq!(got, msg),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    };
+    // A header with a bad magic: answered, counted, connection closed.
+    let mut stream = UnixStream::connect(server.addr()).expect("connect");
+    std::io::Write::write_all(&mut stream, &[b'X'; 24]).expect("send");
+    expect_error(&mut stream, "corrupt frame");
+    // A well-formed frame whose payload is no request: answered, counted,
+    // and the connection stays open for the next frame.
+    let mut stream = UnixStream::connect(server.addr()).expect("connect");
+    wire::write_frame(&mut stream, &[0xff, 0xff, 0xff]).expect("send");
+    expect_error(&mut stream, "malformed request");
+
+    let mut client =
+        Client::connect_with_retry(server.addr(), std::time::Duration::from_secs(5)).unwrap();
+    let (metrics_body, prom) = client.metrics().expect("metrics");
+    server.stop();
+    let doc = json::parse(&metrics_body).unwrap();
+    let counters = doc.get("metrics").unwrap().get("counters").unwrap();
+    let count = |name: &str| counters.get(name).map_or(0, |v| v.as_u64().unwrap());
+    assert_eq!(count("serve.frames_corrupt"), 1);
+    assert_eq!(count("serve.requests_malformed"), 1);
+    assert_eq!(count("serve.panics"), 0);
+    assert!(
+        prom.contains("\nlasagne_serve_frames_corrupt 1\n"),
+        "{prom}"
+    );
+    assert!(
+        prom.contains("\nlasagne_serve_requests_malformed 1\n"),
+        "{prom}"
+    );
+}
