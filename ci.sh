@@ -153,8 +153,9 @@ C2=$(echo "$R2" | sed -n 's/.*"checksum":"\([0-9a-f]*\)".*/\1/p')
 test -n "$C1" && test "$C1" = "$C2"
 # The Metrics frame must parse, reconcile exactly against the Stats frame
 # (per-rung histogram totals vs counters, payload histograms vs requests,
-# evictions), and expose a scrapeable Prometheus body whose request total
-# matches the stats counter.
+# evictions, pipeline runs vs the disk and cold rungs), and expose a
+# scrapeable Prometheus body whose request total matches the stats
+# counter and which carries the pipeline counters of the cold runs.
 ./target/release/lasagne serve-metrics --socket "$SOCK" --check
 METRICS=$(./target/release/lasagne serve-metrics --socket "$SOCK")
 echo "$METRICS" | grep -q '^{"schema":2,'
@@ -165,6 +166,8 @@ test -n "$REQS"
 grep -q '^# TYPE lasagne_serve_requests counter$' "$CACHE_DIR/serve.prom"
 grep -q "^lasagne_serve_requests $REQS\$" "$CACHE_DIR/serve.prom"
 grep -q '^lasagne_serve_latency_hot_bucket{le="+Inf"}' "$CACHE_DIR/serve.prom"
+grep -q '^lasagne_pipeline_runs [1-9]' "$CACHE_DIR/serve.prom"
+grep -q '^# TYPE lasagne_opt_sched_ran counter$' "$CACHE_DIR/serve.prom"
 ./target/release/lasagne serve-stop --socket "$SOCK"
 wait "$SERVE_PID"
 test ! -e "$SOCK"

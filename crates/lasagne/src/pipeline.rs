@@ -94,7 +94,7 @@ use lasagne_opt::sccp::IpsccpFact;
 use lasagne_opt::sched::{hist_bucket, HIST_BUCKETS};
 use lasagne_opt::{FuncState, PassKind, SchedStats, OPT_ORDER};
 use lasagne_pool::{Pool, PoolStats};
-use lasagne_trace::{lock_clean, TraceCtx};
+use lasagne_trace::{lock_clean, MetricsRegistry, TraceCtx};
 use lasagne_x86::binary::Binary;
 
 use crate::{LiftError, Translation, TranslationStats, Version};
@@ -436,24 +436,6 @@ impl Stage {
     }
 }
 
-/// One instrumentation record: a unit of pass work on one function, or a
-/// module-level step (type discovery, parameter promotion, the `ipsccp`
-/// join, the naive-fence baseline) when `func` is `None`.
-#[derive(Debug, Clone, Copy)]
-struct PassEvent {
-    stage: Stage,
-    /// Function index; the report resolves names from the final module.
-    func: Option<usize>,
-    /// Wall time spent on this unit of work.
-    nanos: u128,
-    /// Stage-specific change count: instructions lifted, casts rewritten,
-    /// fences placed, fences merged away, rewrites applied, or peephole
-    /// instructions removed.
-    changes: u64,
-    /// Live instruction count of the function after this unit of work.
-    insts: u64,
-}
-
 /// Aggregated wall time for one optimization pass across every function
 /// and round it ran on (schema 3's `"opt_passes"` table). The fused
 /// per-function schedule times each pass inside the fused work item, so
@@ -495,66 +477,115 @@ pub struct IpsccpRoundTiming {
     pub substitutions: u64,
 }
 
-/// Collects one run's records from (possibly concurrent) workers and
-/// folds them into a [`PipelineReport`]. Records may arrive in any order:
-/// the report groups on `(stage, function index)` and sorts, so its
-/// *structure* is deterministic even though the recorded durations vary
-/// run to run.
-#[derive(Debug, Default)]
+/// Collects one run's records from (possibly concurrent) workers by
+/// folding each into the run's [`PipelineReport`] in place. Records may
+/// arrive in any order: per-function entries are kept sorted by index
+/// and [`TimingSink::finish`] puts the opt-pass and `ipsccp` tables in
+/// schedule order, so the report's *structure* is deterministic even
+/// though the recorded durations vary run to run.
+#[derive(Debug)]
 struct TimingSink {
-    state: Mutex<SinkState>,
-}
-
-#[derive(Debug, Default)]
-struct SinkState {
-    events: Vec<PassEvent>,
-    /// Per-stage sum of the events' nanos: the CPU basis a fused region's
-    /// wall is split by.
-    stage_cpu: [u128; 6],
-    opt_passes: Vec<(PassKind, u128, u64)>,
-    ipsccp_rounds: Vec<IpsccpRoundTiming>,
-    opt_sched: Option<SchedStats>,
-    barrier_waits: Vec<u128>,
-    parallel_sections: [u64; 6],
-    stage_walls: [u128; 6],
-    fused_sections: u64,
-    fused_wall: u128,
+    report: Mutex<PipelineReport>,
 }
 
 impl TimingSink {
-    fn state(&self) -> MutexGuard<'_, SinkState> {
-        lock_clean(&self.state)
+    fn new(version: Version, jobs: usize) -> TimingSink {
+        let stages = Stage::ALL
+            .iter()
+            .map(|&stage| StageTiming {
+                stage,
+                nanos: 0,
+                module_nanos: 0,
+                wall_nanos: 0,
+                parallel_sections: 0,
+                funcs: Vec::new(),
+            })
+            .collect();
+        TimingSink {
+            report: Mutex::new(PipelineReport {
+                version,
+                jobs,
+                total_nanos: 0,
+                stages,
+                opt_passes: Vec::new(),
+                ipsccp_rounds: Vec::new(),
+                opt_sched: None,
+                barrier_wait_nanos: Vec::new(),
+                fused_sections: 0,
+                fused_wall_nanos: 0,
+                pool: None,
+                cache: None,
+                metrics: None,
+            }),
+        }
     }
 
-    /// Records one unit of work (see [`PassEvent`]).
+    fn lock(&self) -> MutexGuard<'_, PipelineReport> {
+        lock_clean(&self.report)
+    }
+
+    /// Records one unit of work: `nanos` of wall time on function `func`
+    /// (or a module-level step — type discovery, parameter promotion, the
+    /// `ipsccp` join, the naive-fence baseline — when `None`), its
+    /// stage-specific change count, and the function's live instruction
+    /// count after it. Times and changes add up per (stage, function);
+    /// the instruction count keeps the last recorded value.
     fn record(&self, stage: Stage, func: Option<usize>, nanos: u128, changes: u64, insts: u64) {
-        let mut s = self.state();
-        s.stage_cpu[stage.index()] += nanos;
-        s.events.push(PassEvent {
-            stage,
-            func,
-            nanos,
-            changes,
-            insts,
-        });
+        let mut r = self.lock();
+        let st = &mut r.stages[stage.index()];
+        st.nanos += nanos;
+        let Some(index) = func else {
+            st.module_nanos += nanos;
+            return;
+        };
+        match st.funcs.binary_search_by_key(&index, |ft| ft.index) {
+            Ok(pos) => {
+                let ft = &mut st.funcs[pos];
+                ft.nanos += nanos;
+                ft.changes += changes;
+                ft.insts = insts;
+            }
+            // Named by `finish`, once the final module exists.
+            Err(pos) => st.funcs.insert(
+                pos,
+                FuncTiming {
+                    func: String::new(),
+                    index,
+                    nanos,
+                    changes,
+                    insts,
+                },
+            ),
+        }
     }
 
     /// Records one pass execution inside an opt block.
     fn record_opt_pass(&self, pass: PassKind, nanos: u128, changes: u64) {
-        self.state().opt_passes.push((pass, nanos, changes));
+        let mut r = self.lock();
+        let passes = &mut r.opt_passes;
+        let pos = passes.iter().position(|p| p.pass == pass.name());
+        let pos = pos.unwrap_or_else(|| {
+            passes.push(OptPassTiming {
+                pass: pass.name(),
+                nanos: 0,
+                changes: 0,
+                invocations: 0,
+                hist: [0; HIST_BUCKETS],
+            });
+            passes.len() - 1
+        });
+        let p = &mut passes[pos];
+        p.nanos += nanos;
+        p.changes += changes;
+        p.invocations += 1;
+        p.hist[hist_bucket(changes as usize)] += 1;
     }
 
-    fn record_ipsccp_round(&self, round: IpsccpRoundTiming) {
-        self.state().ipsccp_rounds.push(round);
-    }
-
-    fn record_opt_sched(&self, stats: SchedStats) {
-        self.state().opt_sched = Some(stats);
-    }
-
-    /// CPU recorded so far per stage, indexed by [`Stage::index`].
+    /// CPU recorded so far per stage (each stage's `nanos`), indexed by
+    /// [`Stage::index`].
     fn stage_cpu(&self) -> [u128; 6] {
-        self.state().stage_cpu
+        let r = self.lock();
+        std::array::from_fn(|i| r.stages[i].nanos)
     }
 
     /// Accounts wall-clock time the orchestrating thread spent inside a
@@ -564,7 +595,7 @@ impl TimingSink {
     /// is a different axis: it sums per-function work across concurrent
     /// worker threads and can exceed the wall.)
     fn record_stage_wall(&self, stage: Stage, nanos: u128) {
-        self.state().stage_walls[stage.index()] += nanos;
+        self.lock().stages[stage.index()].wall_nanos += nanos;
     }
 
     /// Accounts the wall clock of one *fused* region: adds it to the fused
@@ -575,8 +606,8 @@ impl TimingSink {
     /// guarantee that per-stage `wall_nanos` are disjoint extents.
     fn record_region_wall(&self, parts: &[(Stage, u128)], wall: u128) {
         let total: u128 = parts.iter().map(|(_, cpu)| *cpu).sum();
-        let mut s = self.state();
-        s.fused_wall += wall;
+        let mut r = self.lock();
+        r.fused_wall_nanos += wall;
         let mut assigned = 0u128;
         for (i, (stage, cpu)) in parts.iter().enumerate() {
             let share = if i + 1 == parts.len() {
@@ -589,7 +620,7 @@ impl TimingSink {
                 wall * cpu / total
             };
             assigned += share;
-            s.stage_walls[stage.index()] += share;
+            r.stages[stage.index()].wall_nanos += share;
         }
     }
 
@@ -599,107 +630,16 @@ impl TimingSink {
     /// last item and the slowest worker reaching the join) are folded in
     /// once, and a `fused` section counts toward the `"fused"` block.
     fn record_section(&self, stages: &[Stage], fused: bool, waits: &[u128]) {
-        let mut s = self.state();
+        let mut r = self.lock();
         for st in stages {
-            s.parallel_sections[st.index()] += 1;
+            r.stages[st.index()].parallel_sections += 1;
         }
-        s.fused_sections += u64::from(fused);
-        if s.barrier_waits.len() < waits.len() {
-            s.barrier_waits.resize(waits.len(), 0);
+        r.fused_sections += u64::from(fused);
+        if r.barrier_wait_nanos.len() < waits.len() {
+            r.barrier_wait_nanos.resize(waits.len(), 0);
         }
         for (slot, w) in waits.iter().enumerate() {
-            s.barrier_waits[slot] += w;
-        }
-    }
-
-    /// Builds the aggregated report, naming functions after `m`'s. Events
-    /// for the same (stage, function) have their times and change counts
-    /// summed; the instruction count keeps the last recorded value.
-    fn report(
-        &self,
-        version: Version,
-        jobs: usize,
-        total_nanos: u128,
-        m: &Module,
-    ) -> PipelineReport {
-        let s = self.state();
-        let mut stages: Vec<StageTiming> = Stage::ALL
-            .iter()
-            .map(|st| StageTiming {
-                stage: *st,
-                nanos: 0,
-                module_nanos: 0,
-                wall_nanos: s.stage_walls[st.index()],
-                parallel_sections: s.parallel_sections[st.index()],
-                funcs: Vec::new(),
-            })
-            .collect();
-        for ev in &s.events {
-            let st = &mut stages[ev.stage.index()];
-            st.nanos += ev.nanos;
-            let Some(index) = ev.func else {
-                st.module_nanos += ev.nanos;
-                continue;
-            };
-            match st.funcs.binary_search_by_key(&index, |ft| ft.index) {
-                Ok(pos) => {
-                    let ft = &mut st.funcs[pos];
-                    ft.nanos += ev.nanos;
-                    ft.changes += ev.changes;
-                    ft.insts = ev.insts;
-                }
-                Err(pos) => st.funcs.insert(
-                    pos,
-                    FuncTiming {
-                        func: m.funcs[index].name.clone(),
-                        index,
-                        nanos: ev.nanos,
-                        changes: ev.changes,
-                        insts: ev.insts,
-                    },
-                ),
-            }
-        }
-        let mut opt_passes: Vec<OptPassTiming> = Vec::new();
-        for &(pass, nanos, changes) in &s.opt_passes {
-            let pos = match opt_passes.iter().position(|p| p.pass == pass.name()) {
-                Some(pos) => pos,
-                None => {
-                    opt_passes.push(OptPassTiming {
-                        pass: pass.name(),
-                        nanos: 0,
-                        changes: 0,
-                        invocations: 0,
-                        hist: [0; HIST_BUCKETS],
-                    });
-                    opt_passes.len() - 1
-                }
-            };
-            let p = &mut opt_passes[pos];
-            p.nanos += nanos;
-            p.changes += changes;
-            p.invocations += 1;
-            p.hist[hist_bucket(changes as usize)] += 1;
-        }
-        // Schedule order — each pass's first slot in `OPT_ORDER` — not
-        // arrival order, which depends on how workers interleave.
-        opt_passes.sort_by_key(|p| OPT_ORDER.iter().position(|k| k.name() == p.pass));
-        let mut ipsccp_rounds = s.ipsccp_rounds.clone();
-        ipsccp_rounds.sort_by_key(|r| r.round);
-        PipelineReport {
-            version,
-            jobs,
-            total_nanos,
-            stages,
-            opt_passes,
-            ipsccp_rounds,
-            opt_sched: s.opt_sched,
-            barrier_wait_nanos: s.barrier_waits.clone(),
-            fused_sections: s.fused_sections,
-            fused_wall_nanos: s.fused_wall,
-            pool: None,
-            cache: None,
-            metrics: None,
+            r.barrier_wait_nanos[slot] += w;
         }
     }
 
@@ -709,12 +649,28 @@ impl TimingSink {
     /// hit skips — it becomes each cached entry's `cold_nanos`.
     fn per_func_nanos(&self, nfuncs: usize) -> Vec<u128> {
         let mut out = vec![0u128; nfuncs];
-        for ev in &self.state().events {
-            if let Some(i) = ev.func.filter(|i| *i < nfuncs) {
-                out[i] += ev.nanos;
+        for st in &self.lock().stages {
+            for ft in st.funcs.iter().filter(|ft| ft.index < nfuncs) {
+                out[ft.index] += ft.nanos;
             }
         }
         out
+    }
+
+    /// The finished report: functions named after `m`'s, the opt-pass
+    /// table in schedule order — each pass's first slot in `OPT_ORDER`,
+    /// not arrival order, which depends on how workers interleave — and
+    /// the `ipsccp` supersteps in round order.
+    fn finish(self, total_nanos: u128, m: &Module) -> PipelineReport {
+        let mut r = self.report.into_inner().unwrap_or_else(|e| e.into_inner());
+        r.total_nanos = total_nanos;
+        for ft in r.stages.iter_mut().flat_map(|st| &mut st.funcs) {
+            ft.func = m.funcs[ft.index].name.clone();
+        }
+        r.opt_passes
+            .sort_by_key(|p| OPT_ORDER.iter().position(|k| k.name() == p.pass));
+        r.ipsccp_rounds.sort_by_key(|r| r.round);
+        r
     }
 }
 
@@ -1060,6 +1016,42 @@ impl PipelineReport {
         s
     }
 
+    /// Writes the run's counters into `registry` — the one writer of
+    /// pipeline counters into any [`MetricsRegistry`]: `pipeline.runs`,
+    /// `pipeline.<stage>.nanos` (each stage's `nanos`), and, when the opt
+    /// stage ran, `opt.sched.{ran,skipped,retired}` and the `ipsccp`
+    /// totals `opt.ipsccp.{facts,substitutions}`; when the run used the
+    /// pool, `pool.{submitted,executed,steals,parks}` and the
+    /// `pool.queue_depth` histogram. A traced run publishes into its
+    /// trace's registry; the serve daemon into its always-on one.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        let track = lasagne_trace::current_track();
+        let add = |name: &str, v: u64| registry.add(track, name, v);
+        add("pipeline.runs", 1);
+        for st in &self.stages {
+            let name = format!("pipeline.{}.nanos", st.stage.name());
+            add(&name, st.nanos as u64);
+        }
+        if let Some(sc) = &self.opt_sched {
+            add("opt.sched.ran", sc.ran);
+            add("opt.sched.skipped", sc.skipped);
+            add("opt.sched.retired", sc.retired);
+            let rounds = &self.ipsccp_rounds;
+            add("opt.ipsccp.facts", rounds.iter().map(|r| r.facts).sum());
+            add(
+                "opt.ipsccp.substitutions",
+                rounds.iter().map(|r| r.substitutions).sum(),
+            );
+        }
+        if let Some(p) = &self.pool {
+            add("pool.submitted", p.submitted);
+            add("pool.executed", p.executed);
+            add("pool.steals", p.steals);
+            add("pool.parks", p.parks);
+            registry.merge_histogram("pool.queue_depth", &p.queue_depth);
+        }
+    }
+
     /// The stage entry for `stage`.
     ///
     /// # Panics
@@ -1162,29 +1154,16 @@ impl Pipeline {
             .and_then(|dir| TranslationCache::open(dir).ok());
         let run = Run::new(self, cache.as_ref(), false);
         let (translation, _) = run.translate(bin)?;
-        let mut report = run.sink.report(
-            self.version,
-            self.jobs,
-            t0.elapsed().as_nanos(),
-            &translation.module,
-        );
-        if let Some(c) = &cache {
-            report.cache = Some(CacheReport::from(c.stats()));
-        }
+        let mut report = run
+            .sink
+            .finish(t0.elapsed().as_nanos(), &translation.module);
+        report.cache = cache.map(|c| CacheReport::from(c.stats()));
         // Attribute the pool's activity to this run (delta of its
         // monotonic counters). On a pool shared with concurrent runs the
         // delta can include their tasks — attribution, not accounting.
-        if let Some(before) = pool_before {
-            let delta = self.pool.stats().since(&before);
-            if self.trace.is_enabled() {
-                self.trace.add("pool.submitted", delta.submitted);
-                self.trace.add("pool.executed", delta.executed);
-                self.trace.add("pool.steals", delta.steals);
-                self.trace.add("pool.parks", delta.parks);
-                self.trace
-                    .merge_histogram("pool.queue_depth", &delta.queue_depth);
-            }
-            report.pool = Some(delta);
+        report.pool = pool_before.map(|before| self.pool.stats().since(&before));
+        if let Some(col) = self.trace.collector() {
+            report.publish(col.metrics());
         }
         report.metrics = self.trace.metrics_snapshot();
         Ok((translation, report))
@@ -1195,7 +1174,8 @@ impl Pipeline {
     /// translation. The cache is deliberately bypassed: provenance is a
     /// property of the placement and merge decisions themselves, which
     /// only the cold path makes. The translation is still byte-identical
-    /// to [`Pipeline::run`]'s.
+    /// to [`Pipeline::run`]'s, and a traced run publishes the same
+    /// pipeline counters into its metrics.
     ///
     /// # Errors
     ///
@@ -1204,7 +1184,15 @@ impl Pipeline {
         &self,
         bin: &Binary,
     ) -> Result<(Translation, Vec<FuncFenceRecord>), LiftError> {
-        Run::new(self, None, true).translate(bin)
+        let t0 = Instant::now();
+        let run = Run::new(self, None, true);
+        let (translation, records) = run.translate(bin)?;
+        if let Some(col) = self.trace.collector() {
+            run.sink
+                .finish(t0.elapsed().as_nanos(), &translation.module)
+                .publish(col.metrics());
+        }
+        Ok((translation, records))
     }
 }
 
@@ -1230,13 +1218,13 @@ impl<'p> Run<'p> {
             pool: &p.pool,
             cache,
             explain,
-            sink: TimingSink::default(),
+            sink: TimingSink::new(p.version, p.jobs),
         }
     }
 
     /// One unit of pipeline work, recorded once, where it runs: opens the
     /// `stage`/`name` trace span, times `work`, tags the span with the
-    /// unit's change count under `arg`, and records the [`PassEvent`] —
+    /// unit's change count under `arg`, and records it into the sink —
     /// per-function when `func` is `Some(index)`, a module-level step
     /// otherwise. `work` returns its result, its change count, and the
     /// function's live instruction count after it.
@@ -1401,9 +1389,10 @@ impl<'p> Run<'p> {
     /// algorithm's `(target, param)` decision order over frozen summaries,
     /// including its intra-invocation cascade (see `opt::sccp`).
     ///
-    /// Emits the same `opt.ipsccp.*` counters and `lattice-fact` instants
-    /// as `sccp::ipsccp`, so traced-run metrics are unchanged, and
-    /// records an [`IpsccpRoundTiming`] with the phase breakdown.
+    /// Emits the same `lattice-fact` instants as `sccp::ipsccp` and
+    /// records an [`IpsccpRoundTiming`] with the phase breakdown, whose
+    /// totals [`PipelineReport::publish`] turns into the `opt.ipsccp.*`
+    /// counters.
     ///
     /// A function that received substitutions was mutated from outside
     /// its own pass runs, so its [`FuncState`] is marked externally
@@ -1456,8 +1445,6 @@ impl<'p> Run<'p> {
         }
         let apply_nanos = clock.elapsed().as_nanos() - gather_nanos - join_nanos;
 
-        self.trace.add("opt.ipsccp.facts", new_facts.len() as u64);
-        self.trace.add("opt.ipsccp.substitutions", subs);
         if self.trace.is_enabled() {
             for fact in &new_facts {
                 self.trace.instant(
@@ -1477,7 +1464,7 @@ impl<'p> Run<'p> {
                 );
             }
         }
-        self.sink.record_ipsccp_round(IpsccpRoundTiming {
+        self.sink.lock().ipsccp_rounds.push(IpsccpRoundTiming {
             round,
             gather_nanos,
             join_nanos,
@@ -1885,10 +1872,7 @@ impl<'p> Run<'p> {
                 }
                 m.funcs.push(f);
             }
-            self.trace.add("opt.sched.ran", sched.ran);
-            self.trace.add("opt.sched.skipped", sched.skipped);
-            self.trace.add("opt.sched.retired", sched.retired);
-            self.sink.record_opt_sched(sched);
+            self.sink.lock().opt_sched = Some(sched);
         }
         self.sink
             .record_stage_wall(Stage::Opt, wall.elapsed().as_nanos());

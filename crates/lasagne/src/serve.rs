@@ -30,10 +30,13 @@
 //! switchable) forms — none of which changes a single response byte:
 //!
 //! * **Metrics (always on).** Every server owns a [`MetricsRegistry`]
-//!   recording per-rung service-latency histograms
+//!   holding every daemon counter ([`ServeStats`] is a view of one
+//!   snapshot), the pipeline counters each run it executes publishes
+//!   (`pipeline.*`, `opt.sched.*`; see [`crate::PipelineReport::publish`]),
+//!   per-rung service-latency histograms
 //!   (`serve.latency.{hot,coalesced,disk,cold}` — one observation per
-//!   counted rung hit, so histogram totals reconcile *exactly* with
-//!   [`ServeStats`]), admission queue wait, deadline remaining at
+//!   counted rung hit, so histogram totals reconcile *exactly* with the
+//!   rung counters), admission queue wait, deadline remaining at
 //!   dispatch, payload sizes, and hot-tier eviction churn. A
 //!   [`wire::Request::Metrics`] frame returns the registry as JSON
 //!   (with server-side p50/p99/p999 derived by
@@ -113,6 +116,20 @@ pub const SIZE_BOUNDS: [u64; 19] = {
 /// instead of minting one track per connection.
 const CONN_TRACKS: u64 = 8;
 
+/// The daemon's lifetime counters in its registry, in [`ServeStats`]
+/// field order. Registered at zero on bind, so the Prometheus body
+/// lists each one from the first scrape.
+const SERVE_COUNTERS: [&str; 8] = [
+    "serve.requests",
+    "serve.hits.hot",
+    "serve.hits.coalesced",
+    "serve.hits.disk",
+    "serve.hits.cold",
+    "serve.shed",
+    "serve.timeouts",
+    "serve.errors",
+];
+
 /// Server configuration. The defaults suit an interactive daemon; the
 /// bench and CI harnesses tighten `queue`/`hot_bytes` to force the
 /// degraded paths.
@@ -154,8 +171,9 @@ impl Default for Config {
     }
 }
 
-/// Lifetime counters, readable while the server runs and snapshotted
-/// into the [`Request::Stats`] response.
+/// The daemon's lifetime counters, read from one snapshot of its
+/// metrics registry, plus the hot tier's residency and the uptime: the
+/// [`Request::Stats`] response.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeStats {
     /// Translation requests received (including shed/timed-out ones).
@@ -217,18 +235,13 @@ impl ServeStats {
 }
 
 /// Shared server state: configuration, the hot tier, admission and
-/// lifecycle flags, and the counters. Connection threads hold an `Arc`.
+/// lifecycle flags, and the metrics. Connection threads hold an `Arc`.
 struct Inner {
     cfg: Config,
     hot: HotTier,
     stop: AtomicBool,
     in_service: AtomicUsize,
-    requests: AtomicU64,
-    hits: [AtomicU64; 4], // indexed by Source discriminant order
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-    errors: AtomicU64,
-    /// Always-on metrics registry (shared with the hot tier).
+    /// Always-on registry of every daemon metric (shared with the hot tier).
     metrics: Arc<MetricsRegistry>,
     /// Per-request span collector; disabled unless `cfg.trace_out`.
     trace: TraceCtx,
@@ -243,16 +256,23 @@ struct Inner {
 
 impl Inner {
     fn stats(&self) -> ServeStats {
+        self.stats_of(&self.metrics.snapshot())
+    }
+
+    /// The [`ServeStats`] view of one registry snapshot.
+    fn stats_of(&self, snap: &MetricsSnapshot) -> ServeStats {
+        let [requests, hot, coalesced, disk, cold, shed, timeouts, errors] =
+            SERVE_COUNTERS.map(|name| snap.counter(name));
         let tier = self.hot.stats();
         ServeStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            hot: self.hits[0].load(Ordering::Relaxed),
-            coalesced: self.hits[1].load(Ordering::Relaxed),
-            disk: self.hits[2].load(Ordering::Relaxed),
-            cold: self.hits[3].load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            requests,
+            hot,
+            coalesced,
+            disk,
+            cold,
+            shed,
+            timeouts,
+            errors,
             hot_entries: tier.entries,
             hot_bytes: tier.bytes,
             hot_evictions: tier.evictions,
@@ -267,17 +287,10 @@ impl Inner {
         self.cfg.jobs.max(1) as u64 * 4 + 1
     }
 
-    fn count_hit(&self, source: Source) {
-        let idx = match source {
-            Source::Hot => 0,
-            Source::Coalesced => 1,
-            Source::Disk => 2,
-            Source::Cold => 3,
-        };
-        self.hits[idx].fetch_add(1, Ordering::Relaxed);
-        // The rung's latency observation happens at the same decision
-        // point (see `translate`), so histogram totals and these
-        // counters reconcile exactly.
+    /// Adds one to registry counter `name`, striped by the calling
+    /// connection's track.
+    fn count(&self, name: &str) {
+        self.metrics.add(lasagne_trace::current_track(), name, 1);
     }
 
     /// Runs one translation request through the lookup ladder and
@@ -304,6 +317,7 @@ impl Inner {
                 p = p.with_trace(trace.clone());
             }
             let (t, report) = p.run(bin).map_err(|e| e.to_string())?;
+            report.publish(&self.metrics);
             let source = if report.cache.as_ref().is_some_and(|c| c.warm) {
                 Source::Disk
             } else {
@@ -323,15 +337,20 @@ impl Inner {
                 if t0.elapsed() > cfg.timeout {
                     // Success past the deadline is a timeout, not a hit:
                     // neither the rung counter nor its histogram records.
-                    self.timeouts.fetch_add(1, Ordering::Relaxed);
+                    self.count("serve.timeouts");
                     return Response::Timeout;
                 }
-                self.count_hit(source);
-                self.metrics.observe(
-                    &format!("serve.latency.{}", source.name()),
-                    &LATENCY_BOUNDS,
-                    nanos,
-                );
+                // The rung counter and its latency observation are taken
+                // at the same decision point, so histogram totals and
+                // counters reconcile exactly.
+                let (hit, latency) = match source {
+                    Source::Hot => ("serve.hits.hot", "serve.latency.hot"),
+                    Source::Coalesced => ("serve.hits.coalesced", "serve.latency.coalesced"),
+                    Source::Disk => ("serve.hits.disk", "serve.latency.disk"),
+                    Source::Cold => ("serve.hits.cold", "serve.latency.cold"),
+                };
+                self.count(hit);
+                self.metrics.observe(latency, &LATENCY_BOUNDS, nanos);
                 Response::Ok {
                     source,
                     nanos,
@@ -339,16 +358,16 @@ impl Inner {
                 }
             }
             Ok(Err(TierError::Timeout)) => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
+                self.count("serve.timeouts");
                 Response::Timeout
             }
             Ok(Err(TierError::Failed(msg))) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
+                self.count("serve.errors");
                 Response::Error { msg }
             }
             Err(panic) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.metrics.add(0, "serve.panics", 1);
+                self.count("serve.errors");
+                self.count("serve.panics");
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -385,7 +404,7 @@ impl Inner {
                 (Response::ShuttingDown, 0)
             }
             Request::Translate { version, jobs, bin } => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
+                self.count("serve.requests");
                 if self.stop.load(Ordering::Acquire) {
                     return (Response::ShuttingDown, 0);
                 }
@@ -403,7 +422,7 @@ impl Inner {
                 drop(wait_span);
                 let wait = t_recv.elapsed().as_nanos() as u64;
                 if !admitted {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
+                    self.count("serve.shed");
                     return (Response::Shed, wait);
                 }
                 // One queue-wait and one deadline-remaining observation
@@ -438,7 +457,7 @@ impl Inner {
         let (resp, wait_nanos) = match decoded {
             Ok(req) => self.serve_request(req, t_recv),
             Err(_) => {
-                self.metrics.add(0, "serve.requests_malformed", 1);
+                self.count("serve.requests_malformed");
                 (
                     Response::Error {
                         msg: "malformed request".into(),
@@ -487,15 +506,15 @@ impl Inner {
         (out, matches!(resp, Response::ShuttingDown))
     }
 
-    /// The Metrics response's JSON body: versioned, with the stats
-    /// snapshot, the raw registry, and derived percentiles per
-    /// histogram.
+    /// The Metrics response's JSON body: versioned, with the stats view
+    /// of one registry snapshot, the snapshot itself, and derived
+    /// percentiles per histogram.
     fn metrics_json(&self) -> String {
         let snap = self.metrics.snapshot();
         let mut s = format!(
             "{{\"schema\":{},\"stats\":{},\"metrics\":{}",
             ServeStats::JSON_SCHEMA,
-            self.stats().to_json(),
+            self.stats_of(&snap).to_json(),
             snap.to_json()
         );
         s.push_str(",\"percentiles\":{");
@@ -516,10 +535,10 @@ impl Inner {
         s
     }
 
-    /// The Metrics response's Prometheus-style text exposition:
-    /// `lasagne_serve_*` counters from [`ServeStats`], every registry
-    /// counter, and every histogram in cumulative-bucket form
-    /// (`_bucket{le=...}` / `_sum` / `_count`).
+    /// The Metrics response's Prometheus-style text exposition: the
+    /// gauges that live outside the registry (hot-tier residency and the
+    /// uptime), every registry counter, and every histogram in
+    /// cumulative-bucket form (`_bucket{le=...}` / `_sum` / `_count`).
     fn metrics_prom(&self) -> String {
         fn metric_name(name: &str) -> String {
             let mut out = String::with_capacity(name.len() + 8);
@@ -529,23 +548,18 @@ impl Inner {
             }
             out
         }
-        let st = self.stats();
+        // Residency falls on eviction, so it is a gauge: a Prometheus
+        // `rate()` would read a falling counter as a counter reset.
+        let tier = self.hot.stats();
+        let uptime = self.started.elapsed().as_nanos() as u64;
         let mut s = String::new();
         for (name, v) in [
-            ("serve.requests", st.requests),
-            ("serve.hits.hot", st.hot),
-            ("serve.hits.coalesced", st.coalesced),
-            ("serve.hits.disk", st.disk),
-            ("serve.hits.cold", st.cold),
-            ("serve.shed", st.shed),
-            ("serve.timeouts", st.timeouts),
-            ("serve.errors", st.errors),
-            ("serve.hot.entries", st.hot_entries),
-            ("serve.hot.bytes", st.hot_bytes),
-            ("serve.uptime_nanos", st.uptime_nanos),
+            ("serve.hot.entries", tier.entries),
+            ("serve.hot.bytes", tier.bytes),
+            ("serve.uptime_nanos", uptime),
         ] {
             let n = metric_name(name);
-            s.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+            s.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
         }
         let snap = self.metrics.snapshot();
         for (name, v) in &snap.counters {
@@ -652,6 +666,9 @@ impl Server {
             (Listener::Unix(l, path), addr)
         };
         let metrics = Arc::new(MetricsRegistry::new());
+        for name in SERVE_COUNTERS {
+            metrics.add(0, name, 0);
+        }
         let trace = if cfg.trace_out.is_some() {
             TraceCtx::collecting()
         } else {
@@ -666,11 +683,6 @@ impl Server {
             cfg,
             stop: AtomicBool::new(false),
             in_service: AtomicUsize::new(0),
-            requests: AtomicU64::new(0),
-            hits: Default::default(),
-            shed: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             metrics,
             trace,
             log,
@@ -821,7 +833,7 @@ fn handle_conn(inner: Arc<Inner>, mut stream: Stream) {
             Ok(p) => p,
             Err(WireError::Closed) | Err(WireError::Stopped) => return,
             Err(WireError::Corrupt) => {
-                inner.metrics.add(0, "serve.frames_corrupt", 1);
+                inner.count("serve.frames_corrupt");
                 let resp = Response::Error {
                     msg: "corrupt frame".into(),
                 };

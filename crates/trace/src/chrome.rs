@@ -10,12 +10,16 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use std::sync::atomic::Ordering;
+
 use crate::{json, Collector, Event};
 
 /// Renders `col`'s events as a Chrome trace-event JSON document.
 pub fn chrome_json(col: &Collector) -> String {
     let events = col.all_events();
-    let tracks = col.max_track();
+    // Every declared or observed track gets a name.
+    let declared = col.tracks.load(Ordering::Relaxed);
+    let tracks = events.iter().map(|e| e.track).fold(declared, u32::max);
     let mut s = String::with_capacity(events.len() * 96 + 256);
     s.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     s.push_str(

@@ -24,13 +24,14 @@
 //!
 //! # Tracks
 //!
-//! Chrome trace viewers group events by `(pid, tid)`. Worker threads
-//! spawned by the pipeline's `par_map` are short-lived (one
-//! `std::thread::scope` per stage), so using OS thread identity would
-//! scatter one worker slot's events over dozens of tracks. Instead the
-//! pipeline assigns each worker *slot* a stable small integer via
-//! [`set_current_track`] (slot `w` → track `w + 1`; the main thread is
-//! track 0), giving exactly one track per worker thread in the output.
+//! Chrome trace viewers group events by `(pid, tid)`. Instead of OS
+//! thread ids, which are opaque and unbounded in number (the serve daemon
+//! spawns a thread per connection), every event carries a small stable
+//! *track* id set per thread with [`set_current_track`]: each long-lived
+//! worker of the work-stealing pool takes track `w + 1` for its slot `w`
+//! once, at spawn; the orchestrating thread is track 0; and daemon
+//! connections share a small ring of tracks above the workers'. The
+//! output thus shows exactly one track per worker thread.
 //!
 //! # Lock discipline
 //!
@@ -82,9 +83,10 @@ pub fn current_track() -> u32 {
 /// instrumentation) guards is either append-only or written in a single
 /// statement, so recovery is always safe — and an `unwrap()` here would
 /// let one panicking worker take the whole trace (or the work-stealing
-/// pool) down with it. Public so the pipeline's `TimingSink` and the
-/// `lasagne-pool` work-stealing pool share the one poison policy; `ci.sh`
-/// greps both crates for raw `lock().unwrap()` calls.
+/// pool) down with it. Public so every crate of the workspace that locks
+/// a shared structure — the pool, the pipeline, the serve daemon — shares
+/// the one poison policy; `ci.sh` greps them for raw `lock().unwrap()`
+/// calls.
 ///
 /// ```
 /// use std::sync::Mutex;
@@ -217,13 +219,6 @@ impl Collector {
     /// Chrome export names them even if a slot recorded no events.
     pub fn declare_tracks(&self, n: u32) {
         self.tracks.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Highest declared or observed track id.
-    pub fn max_track(&self) -> u32 {
-        let declared = self.tracks.load(Ordering::Relaxed);
-        let observed = self.all_events().iter().map(|e| e.track).max().unwrap_or(0);
-        declared.max(observed)
     }
 
     /// The metrics registry.

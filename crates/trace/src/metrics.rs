@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::json;
+use crate::{json, lock_clean};
 
 /// Number of counter stripes.
 pub const COUNTER_STRIPES: usize = 8;
@@ -184,13 +184,6 @@ impl Default for MetricsRegistry {
     }
 }
 
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> MetricsRegistry {
@@ -216,23 +209,28 @@ impl MetricsRegistry {
     /// Records `value` into histogram `name`, creating it with `bounds` on
     /// first use.
     pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
-        let mut histos = lock_clean(&self.histos);
-        histos
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(value);
+        self.with_histogram(name, bounds, |h| h.record(value));
     }
 
     /// Folds an externally maintained histogram into histogram `name`
     /// (creating it with `src`'s bounds on first use). The pipeline uses
     /// this to publish the shared pool's per-run queue-depth delta into a
-    /// traced run's metrics.
+    /// registry.
     pub fn merge_histogram(&self, name: &str, src: &Histogram) {
+        self.with_histogram(name, &src.bounds, |h| h.merge(src));
+    }
+
+    /// Applies `f` to histogram `name`, creating it with `bounds` first
+    /// if absent. The name is looked up before it is copied, so only the
+    /// first use of a name allocates.
+    fn with_histogram(&self, name: &str, bounds: &[u64], f: impl FnOnce(&mut Histogram)) {
         let mut histos = lock_clean(&self.histos);
-        histos
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(&src.bounds))
-            .merge(src);
+        match histos.get_mut(name) {
+            Some(h) => f(h),
+            None => f(histos
+                .entry(name.to_string())
+                .or_insert_with(|| Histogram::new(bounds))),
+        }
     }
 
     /// Merges every stripe into one deterministic snapshot.

@@ -703,8 +703,9 @@ fn check_trace_file(path: &str, expect_jobs: Option<usize>) -> Result<String, St
 /// Validates a Metrics response body: versioned schema, every rung
 /// latency histogram's total equal to that rung's Stats counter, payload
 /// histograms covering every translation request, eviction churn equal
-/// between counter and tier stats, and derived percentiles present for
-/// every histogram. This is the reconciliation CI relies on: the
+/// between counter and tier stats, pipeline runs bracketed by the rungs
+/// that run the pipeline, and derived percentiles present for every
+/// histogram. This is the reconciliation CI relies on: the
 /// histograms and the counters are recorded at the same decision points,
 /// so on a quiescent daemon they must agree exactly.
 fn check_serve_metrics(body: &str) -> Result<String, String> {
@@ -753,20 +754,35 @@ fn check_serve_metrics(body: &str) -> Result<String, String> {
         }
         checked += 1;
     }
+    let counter = |name: &str| -> u64 {
+        doc.get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
+    };
     let evictions = stats
         .get("hot_tier")
         .and_then(|t| t.get("evictions"))
         .and_then(|v| v.as_u64())
         .ok_or("stats lacks hot_tier.evictions")?;
-    let churn = doc
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("serve.hot.evictions"))
-        .and_then(|v| v.as_u64())
-        .unwrap_or(0);
+    let churn = counter("serve.hot.evictions");
     if evictions != churn {
         return Err(format!(
             "hot_tier.evictions {evictions} != serve.hot.evictions counter {churn}"
+        ));
+    }
+    checked += 1;
+    // Every disk or cold answer is one pipeline run, published before the
+    // rung is counted; a run may also end as a timeout (finished past its
+    // deadline) or an error (panicked after publishing).
+    let runs = counter("pipeline.runs");
+    let ran = stat("cold")? + stat("disk")?;
+    let failed = stat("timeouts")? + stat("errors")?;
+    if runs < ran || runs > ran + failed {
+        return Err(format!(
+            "pipeline.runs {runs} outside [cold + disk, + timeouts + errors] = [{ran}, {}]",
+            ran + failed
         ));
     }
     checked += 1;

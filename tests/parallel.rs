@@ -167,3 +167,58 @@ fn jobs4_fan_out_structure_is_pinned() {
         pool.shutdown();
     }
 }
+
+#[test]
+fn report_invariants_hold_and_function_entries_are_jobs_invariant() {
+    // The sink folds every unit of work into the report as it is
+    // recorded; whatever order the workers deliver records in, the
+    // report's totals must be the sums of its parts and its per-function
+    // structure must not depend on the job count.
+    for b in all_benchmarks(48) {
+        for v in Version::ALL {
+            let entries = |jobs: usize| {
+                let (_, r) = Pipeline::new(v).with_jobs(jobs).run(&b.binary).unwrap();
+                let ctx = format!("{} under {} at jobs={jobs}", b.name, v.name());
+                for st in &r.stages {
+                    let funcs: u128 = st.funcs.iter().map(|f| f.nanos).sum();
+                    assert_eq!(
+                        st.nanos,
+                        funcs + st.module_nanos,
+                        "{ctx}: stage {} nanos != funcs + module",
+                        st.stage.name()
+                    );
+                }
+                let invocations: u64 = r.opt_passes.iter().map(|p| p.invocations).sum();
+                assert_eq!(
+                    invocations,
+                    r.opt_sched.map_or(0, |s| s.ran),
+                    "{ctx}: opt-pass invocations != opt_sched.ran"
+                );
+                for p in &r.opt_passes {
+                    assert_eq!(
+                        p.hist.iter().sum::<u64>(),
+                        p.invocations,
+                        "{ctx}: {} histogram does not sum to its invocations",
+                        p.pass
+                    );
+                }
+                r.stages
+                    .iter()
+                    .map(|st| {
+                        st.funcs
+                            .iter()
+                            .map(|f| (f.func.clone(), f.index, f.changes, f.insts))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                entries(1),
+                entries(4),
+                "{} under {}: per-function report entries differ between jobs 1 and 4",
+                b.name,
+                v.name()
+            );
+        }
+    }
+}

@@ -287,6 +287,43 @@ fn metrics_reconcile_roundtrip(cfg: Config) {
     );
     assert!(prom.contains("lasagne_serve_latency_hot_bucket"));
     assert!(prom.contains("lasagne_serve_latency_hot_count 3"));
+    // Hot-tier residency falls on eviction: a gauge, never a counter.
+    for name in ["lasagne_serve_hot_entries", "lasagne_serve_hot_bytes"] {
+        assert!(
+            prom.lines().any(|l| l == format!("# TYPE {name} gauge")),
+            "{name} must be declared a gauge:\n{prom}"
+        );
+    }
+}
+
+#[test]
+fn daemon_registry_carries_the_pipeline_counters_of_its_cold_runs() {
+    let benches = all_benchmarks(24);
+    let server = Server::spawn(unix_cfg("pipeline-counters")).expect("spawn");
+    let mut client =
+        Client::connect_with_retry(server.addr(), std::time::Duration::from_secs(5)).unwrap();
+    let (mut ran, mut skipped, mut retired) = (0, 0, 0);
+    for b in benches.iter().take(3) {
+        let (source, _) = ask(&mut client, &b.binary, Version::PPOpt);
+        assert_eq!(source, Source::Cold, "{}: expected a cold run", b.name);
+        // Scheduler counters are jobs-invariant, so a serial local run
+        // must match the daemon's.
+        let (_, report) = Pipeline::new(Version::PPOpt).run(&b.binary).unwrap();
+        let sched = report.opt_sched.expect("PPOpt runs the opt stage");
+        ran += sched.ran;
+        skipped += sched.skipped;
+        retired += sched.retired;
+    }
+    let m = server.metrics();
+    server.stop();
+    assert_eq!(m.counter("pipeline.runs"), 3);
+    assert_eq!(m.counter("opt.sched.ran"), ran);
+    assert_eq!(m.counter("opt.sched.skipped"), skipped);
+    assert_eq!(m.counter("opt.sched.retired"), retired);
+    for stage in ["lift", "refine", "fences", "merge", "opt", "armgen"] {
+        let name = format!("pipeline.{stage}.nanos");
+        assert!(m.counter(&name) > 0, "{name} is zero after 3 cold runs");
+    }
 }
 
 #[test]
