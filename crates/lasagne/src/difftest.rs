@@ -338,6 +338,302 @@ pub fn build_cfg_binary(segments: &[(Vec<Inst>, Shape)]) -> Binary {
     bin.finish()
 }
 
+// ---- flag-heavy generator ------------------------------------------------
+//
+// The lifter materialises a status flag only where its liveness analysis
+// says a later instruction reads it, so a wrong entry in that analysis's
+// read or write table shows up only as a flag read that sees a stale
+// value. [`any_op`] draws flag producers and consumers independently and
+// mostly far apart; this family packs producers, partial writers and
+// consumers of every kind close together, and keeps flags live across
+// block boundaries and loop back edges.
+
+/// A flag-writing ALU op of any width.
+fn any_flag_alu() -> impl Strategy<Value = AluOp> {
+    prop_oneof![
+        Just(AluOp::Add),
+        Just(AluOp::Sub),
+        Just(AluOp::Cmp),
+        Just(AluOp::And),
+        Just(AluOp::Or),
+        Just(AluOp::Xor),
+    ]
+}
+
+/// A carry chain: `add`/`sub` then one to three `adc`/`sbb`, each reading
+/// the CF its predecessor wrote.
+fn any_carry_chain() -> impl Strategy<Value = Vec<Inst>> {
+    let link = (any::<bool>(), any_dst(), any_reg(), any_width()).prop_map(|(sbb, d, s, w)| {
+        Inst::AluRRm {
+            op: if sbb { AluOp::Sbb } else { AluOp::Adc },
+            w,
+            dst: d,
+            src: Rm::Reg(s),
+        }
+    });
+    (
+        any::<bool>(),
+        any_dst(),
+        any_reg(),
+        collection::vec(link, 1..4),
+    )
+        .prop_map(|(sub, d, s, links)| {
+            let mut v = vec![Inst::AluRRm {
+                op: if sub { AluOp::Sub } else { AluOp::Add },
+                w: Width::W64,
+                dst: d,
+                src: Rm::Reg(s),
+            }];
+            v.extend(links);
+            v
+        })
+}
+
+/// `ucomisd xmm0, xmm1` against an integer-valued or a NaN XMM1 (so PF is
+/// exercised both ways), then a parity or unsigned-order consumer.
+fn any_ucomis() -> impl Strategy<Value = Vec<Inst>> {
+    let xmm1 = XmmRm::Reg(Xmm(1));
+    let cc = prop_oneof![Just(Cond::P), Just(Cond::Np), Just(Cond::B), Just(Cond::A)];
+    (any::<bool>(), any_reg(), cc, any_dst()).prop_map(move |(nan, s, cc, d)| {
+        let mut v = if nan {
+            vec![
+                Inst::Xorps {
+                    dst: Xmm(1),
+                    src: xmm1,
+                },
+                Inst::SseScalar {
+                    op: SseOp::Div,
+                    prec: FpPrec::Double,
+                    dst: Xmm(1),
+                    src: xmm1,
+                },
+            ]
+        } else {
+            vec![Inst::CvtSi2F {
+                prec: FpPrec::Double,
+                iw: Width::W64,
+                dst: Xmm(1),
+                src: Rm::Reg(s),
+            }]
+        };
+        v.push(Inst::Ucomis {
+            prec: FpPrec::Double,
+            a: Xmm(0),
+            b: xmm1,
+        });
+        v.push(Inst::Setcc {
+            cc,
+            dst: Rm::Reg(d),
+        });
+        v
+    })
+}
+
+/// One step of the flag corpus: a producer, a partial writer, a consumer,
+/// or a flag-transparent op that stale flags must survive.
+#[allow(clippy::too_many_lines)]
+pub fn any_flag_step() -> impl Strategy<Value = Vec<Inst>> {
+    prop_oneof![
+        // Producers that write all five flags.
+        (any_flag_alu(), any_dst(), any_reg(), any_width()).prop_map(|(op, d, s, w)| {
+            vec![Inst::AluRRm {
+                op,
+                w,
+                dst: d,
+                src: Rm::Reg(s),
+            }]
+        }),
+        (any_dst(), any_width()).prop_map(|(d, w)| vec![Inst::Neg { w, dst: Rm::Reg(d) }]),
+        (any_reg(), any_reg(), any_width()).prop_map(|(a, b, w)| {
+            vec![Inst::Test {
+                w,
+                a: Rm::Reg(a),
+                b,
+            }]
+        }),
+        (any_reg(), -4i32..4, any_width()).prop_map(|(a, imm, w)| {
+            vec![Inst::TestI {
+                w,
+                a: Rm::Reg(a),
+                imm,
+            }]
+        }),
+        (
+            prop_oneof![Just(ShiftOp::Shl), Just(ShiftOp::Shr), Just(ShiftOp::Sar)],
+            any_dst(),
+            0u8..8
+        )
+            .prop_map(|(op, d, imm)| {
+                vec![Inst::ShiftI {
+                    op,
+                    w: Width::W64,
+                    dst: Rm::Reg(d),
+                    imm,
+                }]
+            }),
+        any_carry_chain(),
+        // imul writes only CF and OF: the ZF/SF/PF of the last producer
+        // stay live across it for the second consumer.
+        (
+            any::<bool>(),
+            any_dst(),
+            any_reg(),
+            prop_oneof![Just(Cond::O), Just(Cond::B)],
+            any_dst(),
+            any_cond()
+        )
+            .prop_map(|(three, d, s, cc, sd, cc2)| {
+                let imul = if three {
+                    Inst::IMul3 {
+                        w: Width::W64,
+                        dst: d,
+                        src: Rm::Reg(s),
+                        imm: 7,
+                    }
+                } else {
+                    Inst::IMul2 {
+                        w: Width::W64,
+                        dst: d,
+                        src: Rm::Reg(s),
+                    }
+                };
+                vec![
+                    imul,
+                    Inst::Setcc {
+                        cc,
+                        dst: Rm::Reg(sd),
+                    },
+                    Inst::Setcc {
+                        cc: cc2,
+                        dst: Rm::Reg(d),
+                    },
+                ]
+            }),
+        // lock cmpxchg writes only ZF; half the time RAX is first loaded
+        // from the slot, so the exchange succeeds.
+        (any::<bool>(), any_reg(), any_slot(), any_dst()).prop_map(|(hit, s, off, d)| {
+            let mem = MemRef::base_disp(Gpr::Rdi, off);
+            let mut v = Vec::new();
+            if hit {
+                v.push(Inst::MovRRm {
+                    w: Width::W64,
+                    dst: Gpr::Rax,
+                    src: Rm::Mem(mem),
+                });
+            }
+            v.push(Inst::LockCmpxchg {
+                w: Width::W64,
+                mem,
+                src: s,
+            });
+            v.push(Inst::Setcc {
+                cc: Cond::E,
+                dst: Rm::Reg(d),
+            });
+            v
+        }),
+        any_ucomis(),
+        // Consumers of whatever flags are live.
+        (any_cond(), any_dst()).prop_map(|(cc, d)| vec![Inst::Setcc {
+            cc,
+            dst: Rm::Reg(d)
+        }]),
+        (any_cond(), any_dst(), any_reg()).prop_map(|(cc, d, s)| {
+            vec![Inst::Cmovcc {
+                cc,
+                w: Width::W64,
+                dst: d,
+                src: Rm::Reg(s),
+            }]
+        }),
+        // Flag-transparent ops.
+        (any_dst(), -1000i64..1000).prop_map(|(d, v)| {
+            vec![Inst::MovRmI {
+                w: Width::W64,
+                dst: Rm::Reg(d),
+                imm: v as i32,
+            }]
+        }),
+        (any_dst(), any_slot()).prop_map(|(d, off)| {
+            vec![Inst::Lea {
+                w: Width::W64,
+                dst: d,
+                addr: MemRef::base_disp(Gpr::Rdi, off),
+            }]
+        }),
+        (any_dst(), any_width()).prop_map(|(d, w)| vec![Inst::Not { w, dst: Rm::Reg(d) }]),
+        (any_reg(), any_slot()).prop_map(|(s, off)| {
+            vec![Inst::MovRmR {
+                w: Width::W64,
+                dst: Rm::Mem(MemRef::base_disp(Gpr::Rdi, off)),
+                src: s,
+            }]
+        }),
+    ]
+}
+
+/// A flag-corpus segment: one to five steps.
+pub fn any_flag_segment() -> impl Strategy<Value = Vec<Inst>> {
+    collection::vec(any_flag_step(), 1..6).prop_map(|steps| steps.concat())
+}
+
+/// What a flag-corpus segment starts with.
+#[derive(Debug, Clone)]
+pub enum Boundary {
+    /// Nothing: the segment continues the previous block.
+    None,
+    /// `jcc cc, join; not r9; join:` — a diamond that writes no flag, so
+    /// the flags the previous segment left are read after the join.
+    Fork(Cond),
+    /// A counted loop over the segment (r10 is the counter): the first
+    /// iteration reads the flags from before the loop, later ones those of
+    /// the decrement at the back edge.
+    Loop(u8),
+}
+
+/// Any [`Boundary`].
+pub fn any_boundary() -> impl Strategy<Value = Boundary> {
+    prop_oneof![
+        Just(Boundary::None),
+        any_cond().prop_map(Boundary::Fork),
+        (1u8..4).prop_map(Boundary::Loop),
+    ]
+}
+
+/// Builds a one-function binary (`fuzz`) from flag-corpus segments. A
+/// `cmp` after the prologue defines every flag before the first read.
+pub fn build_flag_binary(segments: &[(Vec<Inst>, Boundary)]) -> Binary {
+    let mut bin = BinaryBuilder::new();
+    let mut a = Asm::new();
+    emit_prologue(&mut a);
+    a.push(Inst::AluRRm {
+        op: AluOp::Cmp,
+        w: Width::W64,
+        dst: REGS[0],
+        src: Rm::Reg(REGS[1]),
+    });
+    for (ops, boundary) in segments {
+        match boundary {
+            Boundary::None => emit_segment(&mut a, ops, &Shape::Straight),
+            Boundary::Fork(cc) => {
+                let join = a.label();
+                a.jcc(*cc, join);
+                a.push(Inst::Not {
+                    w: Width::W64,
+                    dst: Rm::Reg(Gpr::R9),
+                });
+                a.bind(join);
+                emit_segment(&mut a, ops, &Shape::Straight);
+            }
+            Boundary::Loop(n) => emit_segment(&mut a, ops, &Shape::Loop(*n)),
+        }
+    }
+    a.push(Inst::Ret);
+    let addr = bin.next_function_addr();
+    bin.add_function("fuzz", a.finish(addr).unwrap());
+    bin.finish()
+}
+
 // ---- executors -----------------------------------------------------------
 
 fn init_region<M: FnMut(u64, u64)>(mut write: M) {
@@ -792,7 +1088,36 @@ pub fn run_difftest(opts: &DiffOptions) -> DiffSummary {
         return summary;
     }
 
-    // Family 3: the Phoenix suite.
+    // Family 3: flag-heavy bodies.
+    let info_flags = TestInfo {
+        name: "lasagne::difftest::threeway_flags",
+        manifest_dir: env!("CARGO_MANIFEST_DIR"),
+        source_file: file!(),
+    };
+    let execs = Cell::new(0u64);
+    let funcs = Cell::new(0u64);
+    let flagged = collection::vec((any_flag_segment(), any_boundary()), 1..5);
+    let outcome = runner::check(info_flags, &cfg, &flagged, |segments| {
+        let bin = build_flag_binary(&segments);
+        match check_threeway(&bin, "qc-flags", Some(&opts.cache_dir)) {
+            Ok(n) => {
+                execs.set(execs.get() + n);
+                funcs.set(funcs.get() + 1);
+                Ok(())
+            }
+            Err(e) => Err(TestCaseError::Fail(e)),
+        }
+    });
+    summary.qc_functions += funcs.get();
+    summary.executions += execs.get();
+    if let Err(f) = outcome {
+        summary.divergences += 1;
+        summary.counterexample = Some(record_failure(&info_flags, &f));
+        summary.wall_ms = t0.elapsed().as_millis();
+        return summary;
+    }
+
+    // Family 4: the Phoenix suite.
     if !opts.skip_phoenix {
         for b in all_benchmarks(opts.scale) {
             match check_phoenix(&b, &opts.cache_dir) {
@@ -878,6 +1203,67 @@ mod tests {
         ];
         let bin = build_binary(&body);
         check_threeway(&bin, "fixed", None).unwrap();
+    }
+
+    /// A fixed flag-corpus body: a carry chain, an `imul` partial write,
+    /// `lock cmpxchg`, and flags read across a fork and around a loop.
+    #[test]
+    fn threeway_on_fixed_flag_body() {
+        let reg = |r| Rm::Reg(r);
+        let segments = [
+            (
+                vec![
+                    Inst::AluRRm {
+                        op: AluOp::Add,
+                        w: Width::W64,
+                        dst: Gpr::Rax,
+                        src: reg(Gpr::Rcx),
+                    },
+                    Inst::AluRRm {
+                        op: AluOp::Adc,
+                        w: Width::W32,
+                        dst: Gpr::Rdx,
+                        src: reg(Gpr::R8),
+                    },
+                    Inst::IMul2 {
+                        w: Width::W64,
+                        dst: Gpr::R8,
+                        src: reg(Gpr::Rax),
+                    },
+                ],
+                Boundary::None,
+            ),
+            (
+                vec![Inst::Setcc {
+                    cc: Cond::S,
+                    dst: reg(Gpr::R9),
+                }],
+                Boundary::Fork(Cond::B),
+            ),
+            (
+                vec![
+                    Inst::Cmovcc {
+                        cc: Cond::Ne,
+                        w: Width::W64,
+                        dst: Gpr::Rcx,
+                        src: reg(Gpr::Rdx),
+                    },
+                    Inst::LockCmpxchg {
+                        w: Width::W64,
+                        mem: MemRef::base_disp(Gpr::Rdi, 8),
+                        src: Gpr::Rcx,
+                    },
+                    Inst::MovRmR {
+                        w: Width::W64,
+                        dst: Rm::Mem(MemRef::base_disp(Gpr::Rdi, 16)),
+                        src: Gpr::Rcx,
+                    },
+                ],
+                Boundary::Loop(3),
+            ),
+        ];
+        let bin = build_flag_binary(&segments);
+        check_threeway(&bin, "fixed flags", None).unwrap();
     }
 
     /// The historical persisted counterexample, checked against all three

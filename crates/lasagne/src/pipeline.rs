@@ -199,9 +199,11 @@ impl FuncFenceRecord {
 
 /// The stable description of the pass schedule `version` runs, as folded
 /// into every cache key. Any change to the schedule changes this string
-/// and thereby invalidates all cached entries for the version.
+/// and thereby invalidates all cached entries for the version. The lift
+/// is named by what it emits: `lift[live-flags]` materialises only live
+/// status flags, so entries cached by the every-flag lift miss.
 pub fn pass_list(version: Version) -> String {
-    let mut s = String::from("lift,fences-naive");
+    let mut s = String::from("lift[live-flags],fences-naive");
     if version == Version::PPOpt {
         s.push_str(",refine[refine,promote,sweep]x3");
     }
@@ -1017,14 +1019,25 @@ impl PipelineReport {
     }
 
     /// Writes the run's counters into `registry` — the one writer of
-    /// pipeline counters into any [`MetricsRegistry`]: `pipeline.runs`,
+    /// pipeline counters into any [`MetricsRegistry`]: everything
+    /// [`PipelineReport::publish_run`] writes, plus, when the run used the
+    /// pool, its pool delta ([`publish_pool`]). A traced run publishes into
+    /// its trace's registry.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        self.publish_run(registry);
+        if let Some(p) = &self.pool {
+            publish_pool(registry, p);
+        }
+    }
+
+    /// Writes the run's own counters into `registry`: `pipeline.runs`,
     /// `pipeline.<stage>.nanos` (each stage's `nanos`), and, when the opt
     /// stage ran, `opt.sched.{ran,skipped,retired}` and the `ipsccp`
-    /// totals `opt.ipsccp.{facts,substitutions}`; when the run used the
-    /// pool, `pool.{submitted,executed,steals,parks}` and the
-    /// `pool.queue_depth` histogram. A traced run publishes into its
-    /// trace's registry; the serve daemon into its always-on one.
-    pub fn publish(&self, registry: &MetricsRegistry) {
+    /// totals `opt.ipsccp.{facts,substitutions}`. A run's `pool` is the
+    /// shared pool's activity during the run, which includes the tasks of
+    /// every run overlapping it, so the serve daemon publishes runs with
+    /// this and the shared pool's own counters beside them.
+    pub fn publish_run(&self, registry: &MetricsRegistry) {
         let track = lasagne_trace::current_track();
         let add = |name: &str, v: u64| registry.add(track, name, v);
         add("pipeline.runs", 1);
@@ -1043,13 +1056,6 @@ impl PipelineReport {
                 rounds.iter().map(|r| r.substitutions).sum(),
             );
         }
-        if let Some(p) = &self.pool {
-            add("pool.submitted", p.submitted);
-            add("pool.executed", p.executed);
-            add("pool.steals", p.steals);
-            add("pool.parks", p.parks);
-            registry.merge_histogram("pool.queue_depth", &p.queue_depth);
-        }
     }
 
     /// The stage entry for `stage`.
@@ -1060,6 +1066,17 @@ impl PipelineReport {
     pub fn stage(&self, stage: Stage) -> &StageTiming {
         &self.stages[stage.index()]
     }
+}
+
+/// Adds pool activity `p` to `registry`: `pool.{submitted,executed,
+/// steals,parks}` and the `pool.queue_depth` histogram.
+pub fn publish_pool(registry: &MetricsRegistry, p: &PoolStats) {
+    let track = lasagne_trace::current_track();
+    registry.add(track, "pool.submitted", p.submitted);
+    registry.add(track, "pool.executed", p.executed);
+    registry.add(track, "pool.steals", p.steals);
+    registry.add(track, "pool.parks", p.parks);
+    registry.merge_histogram("pool.queue_depth", &p.queue_depth);
 }
 
 /// Counts `IntToPtr`/`PtrToInt` instructions in one function. Module

@@ -71,10 +71,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lasagne_pool::{Pool, PoolStats};
 use lasagne_trace::{lock_clean, set_current_track, MetricsRegistry, MetricsSnapshot, TraceCtx};
 use lasagne_x86::binary::Binary;
 
-use crate::pipeline::module_key;
+use crate::pipeline::{module_key, publish_pool};
 use crate::{Pipeline, Version};
 use hot::{HotTier, TierError};
 use wire::{Request, Response, Source, WireError};
@@ -252,11 +253,27 @@ struct Inner {
     /// Monotone connection counter feeding the trace-track ring.
     conns: AtomicU64,
     started: Instant,
+    /// The shared pool's counters when `metrics` last caught up with them
+    /// (at bind, then at every [`Inner::snapshot`]).
+    pool_published: Mutex<PoolStats>,
 }
 
 impl Inner {
     fn stats(&self) -> ServeStats {
-        self.stats_of(&self.metrics.snapshot())
+        self.stats_of(&self.snapshot())
+    }
+
+    /// A registry snapshot whose `pool.*` are the shared pool's own
+    /// counters since bind. Runs publish without their pool deltas:
+    /// overlapping cold runs would each count the other's tasks.
+    fn snapshot(&self) -> MetricsSnapshot {
+        {
+            let mut published = lock_clean(&self.pool_published);
+            let now = Pool::shared().stats();
+            publish_pool(&self.metrics, &now.since(&published));
+            *published = now;
+        }
+        self.metrics.snapshot()
     }
 
     /// The [`ServeStats`] view of one registry snapshot.
@@ -317,7 +334,7 @@ impl Inner {
                 p = p.with_trace(trace.clone());
             }
             let (t, report) = p.run(bin).map_err(|e| e.to_string())?;
-            report.publish(&self.metrics);
+            report.publish_run(&self.metrics);
             let source = if report.cache.as_ref().is_some_and(|c| c.warm) {
                 Source::Disk
             } else {
@@ -510,7 +527,7 @@ impl Inner {
     /// of one registry snapshot, the snapshot itself, and derived
     /// percentiles per histogram.
     fn metrics_json(&self) -> String {
-        let snap = self.metrics.snapshot();
+        let snap = self.snapshot();
         let mut s = format!(
             "{{\"schema\":{},\"stats\":{},\"metrics\":{}",
             ServeStats::JSON_SCHEMA,
@@ -561,7 +578,7 @@ impl Inner {
             let n = metric_name(name);
             s.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
         }
-        let snap = self.metrics.snapshot();
+        let snap = self.snapshot();
         for (name, v) in &snap.counters {
             let n = metric_name(name);
             s.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
@@ -665,6 +682,7 @@ impl Server {
             let addr = cfg.addr.clone();
             (Listener::Unix(l, path), addr)
         };
+        let pool_published = Mutex::new(Pool::shared().stats());
         let metrics = Arc::new(MetricsRegistry::new());
         for name in SERVE_COUNTERS {
             metrics.add(0, name, 0);
@@ -689,6 +707,7 @@ impl Server {
             ids: AtomicU64::new(0),
             conns: AtomicU64::new(0),
             started: Instant::now(),
+            pool_published,
         });
         // Name every track the export can use up front: pipeline worker
         // slots plus the connection ring, so `trace-check` sees a name
@@ -799,7 +818,7 @@ impl ServerHandle {
     /// This is how the bench harness reads server-side histograms
     /// without going through the socket.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        self.inner.snapshot()
     }
 
     /// Requests shutdown, waits for the drain, and returns the final

@@ -1,11 +1,36 @@
-//! Register use/def sets and live-variable analysis over the machine CFG.
+//! Register and status-flag use/def sets, and live-variable analyses over
+//! the machine CFG.
 //!
-//! Used by function type discovery (paper §4.1): a System-V parameter
-//! register that is live at function entry (read before written) is a
-//! parameter.
+//! Register liveness is used by function type discovery (paper §4.1): a
+//! System-V parameter register that is live at function entry (read before
+//! written) is a parameter.
+//!
+//! Flag liveness is used by the translator, which materialises a flag only
+//! where it is live after the instruction that writes it, as mctoll does:
+//! an `add` whose flags nothing reads lifts to one LIR `add` instead of the
+//! twenty-odd instructions of a full CF/PF/ZF/SF/OF expansion. A read
+//! missing from these sets, or a write claimed that the lowering does not
+//! make, leaves a live flag unwritten and its reader sees a stale value.
+//! The read and write sets follow the lifter's *model* semantics, which
+//! the x86 interpreter shares, not the architectural ones:
+//!
+//! - ALU ops, `test`, shifts, `neg`, `ucomis` and `lock xadd` write all
+//!   five flags; `imul` writes only CF and OF; `lock cmpxchg` writes only
+//!   ZF; `mul`/`div`, `lock add` and `not` write none. A partial write
+//!   kills only the flags it writes.
+//! - `adc`/`sbb` read CF; `jcc`/`setcc`/`cmovcc` read their condition's
+//!   flags ([`cond_uses`]).
+//! - Calls are transparent: each lifted function keeps its flags in its own
+//!   slots, so a call neither reads nor kills them. `ret`, tail-call jumps
+//!   and `ud2` read none.
+//!
+//! Per-block gen/kill sets feed a backward fixpoint over [`XCfg`] for the
+//! live-out sets; one backward walk of each block then gives the live-after
+//! set of every instruction ([`FlagLiveness::after`]).
 
 use crate::xcfg::XCfg;
-use lasagne_x86::inst::{Inst, MemRef, Rm, Target, XmmRm};
+use lasagne_x86::flags::{cond_uses, Flag, FlagSet};
+use lasagne_x86::inst::{AluOp, Inst, MemRef, Rm, Target, XmmRm};
 use lasagne_x86::reg::{Gpr, Xmm};
 
 /// A set of machine registers (16 GPRs + 16 XMMs) as bitmasks.
@@ -367,6 +392,106 @@ pub fn analyze_with(cfg: &XCfg, call_uses: impl Fn(u64) -> RegSet) -> Liveness {
     Liveness { live_in, live_out }
 }
 
+/// The flags `inst` reads under the lifter's model semantics.
+pub fn flag_reads(inst: &Inst) -> FlagSet {
+    match inst {
+        Inst::Jcc { cc, .. } | Inst::Setcc { cc, .. } | Inst::Cmovcc { cc, .. } => cond_uses(*cc),
+        Inst::AluRRm { op, .. } | Inst::AluRmR { op, .. } | Inst::AluRmI { op, .. }
+            if matches!(op, AluOp::Adc | AluOp::Sbb) =>
+        {
+            FlagSet::of(&[Flag::Cf])
+        }
+        _ => FlagSet::EMPTY,
+    }
+}
+
+/// The flags `inst` writes under the lifter's model semantics.
+pub fn flag_writes(inst: &Inst) -> FlagSet {
+    match inst {
+        Inst::AluRRm { .. }
+        | Inst::AluRmR { .. }
+        | Inst::AluRmI { .. }
+        | Inst::Test { .. }
+        | Inst::TestI { .. }
+        | Inst::ShiftI { .. }
+        | Inst::ShiftCl { .. }
+        | Inst::Neg { .. }
+        | Inst::Ucomis { .. }
+        | Inst::LockXadd { .. } => FlagSet::ALL,
+        Inst::IMul2 { .. } | Inst::IMul3 { .. } => FlagSet::of(&[Flag::Cf, Flag::Of]),
+        Inst::LockCmpxchg { .. } => FlagSet::of(&[Flag::Zf]),
+        _ => FlagSet::EMPTY,
+    }
+}
+
+/// Flag liveness of one function.
+#[derive(Debug, Clone)]
+pub struct FlagLiveness {
+    /// Flags live on entry to each block (indexed like `XCfg::blocks`).
+    pub live_in: Vec<FlagSet>,
+    /// Flags live on exit of each block.
+    pub live_out: Vec<FlagSet>,
+    /// Flags live after each instruction: `after[b][k]` for the `k`-th
+    /// instruction of block `b`.
+    pub after: Vec<Vec<FlagSet>>,
+}
+
+/// Computes backward flag liveness over the machine CFG (see the module
+/// docs for the read and write sets).
+pub fn analyze_flags(cfg: &XCfg) -> FlagLiveness {
+    let n = cfg.blocks.len();
+    // gen = read before written in block; kill = written in block.
+    let mut gen = vec![FlagSet::EMPTY; n];
+    let mut kill = vec![FlagSet::EMPTY; n];
+    for (i, b) in cfg.blocks.iter().enumerate() {
+        for d in &b.insts {
+            gen[i] = gen[i].union(flag_reads(&d.inst).minus(kill[i]));
+            kill[i] = kill[i].union(flag_writes(&d.inst));
+        }
+    }
+    let succs: Vec<Vec<usize>> = cfg
+        .blocks
+        .iter()
+        .map(|b| b.succs.iter().filter_map(|s| cfg.block_index(*s)).collect())
+        .collect();
+    let mut live_in = vec![FlagSet::EMPTY; n];
+    let mut live_out = vec![FlagSet::EMPTY; n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..n).rev() {
+            let out = succs[i]
+                .iter()
+                .fold(FlagSet::EMPTY, |acc, j| acc.union(live_in[*j]));
+            let inn = gen[i].union(out.minus(kill[i]));
+            if out != live_out[i] || inn != live_in[i] {
+                live_out[i] = out;
+                live_in[i] = inn;
+                changed = true;
+            }
+        }
+    }
+    let after = cfg
+        .blocks
+        .iter()
+        .zip(&live_out)
+        .map(|(b, out)| {
+            let mut after = vec![FlagSet::EMPTY; b.insts.len()];
+            let mut live = *out;
+            for (k, d) in b.insts.iter().enumerate().rev() {
+                after[k] = live;
+                live = live.minus(flag_writes(&d.inst)).union(flag_reads(&d.inst));
+            }
+            after
+        })
+        .collect();
+    FlagLiveness {
+        live_in,
+        live_out,
+        after,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,5 +580,147 @@ mod tests {
         assert!(lv.live_in[0].has_gpr(Gpr::Rsi));
         assert!(lv.live_in[0].has_gpr(Gpr::Rdi));
         assert!(lv.live_in[0].has_gpr(Gpr::Rax), "rax read before written");
+    }
+
+    fn cmp(a: Gpr, b: Gpr) -> Inst {
+        Inst::AluRRm {
+            op: AluOp::Cmp,
+            w: Width::W64,
+            dst: a,
+            src: Rm::Reg(b),
+        }
+    }
+
+    fn setcc(cc: Cond) -> Inst {
+        Inst::Setcc {
+            cc,
+            dst: Rm::Reg(Gpr::Rax),
+        }
+    }
+
+    fn flags(fs: &[Flag]) -> FlagSet {
+        FlagSet::of(fs)
+    }
+
+    #[test]
+    fn flag_table_follows_the_model() {
+        assert_eq!(flag_writes(&cmp(Gpr::Rax, Gpr::Rbx)), FlagSet::ALL);
+        let mov = Inst::MovRRm {
+            w: Width::W64,
+            dst: Gpr::Rax,
+            src: Rm::Reg(Gpr::Rbx),
+        };
+        assert!(flag_writes(&mov).is_empty() && flag_reads(&mov).is_empty());
+        let call = Inst::Call {
+            target: Target::Abs(0x1000),
+        };
+        assert!(flag_writes(&call).is_empty() && flag_reads(&call).is_empty());
+        assert_eq!(
+            flag_reads(&setcc(Cond::G)),
+            flags(&[Flag::Zf, Flag::Sf, Flag::Of])
+        );
+    }
+
+    /// `cmp` in one block, `mov` then `setl` in a successor: SF and OF stay
+    /// live across the edge; CF, PF and ZF are dead after the `cmp` (ZF
+    /// only feeds the `je` that ends the block).
+    #[test]
+    fn flags_live_across_a_block_boundary() {
+        let mut a = Asm::new();
+        let join = a.label();
+        a.push(cmp(Gpr::Rdi, Gpr::Rsi));
+        a.jcc(Cond::E, join);
+        a.push(Inst::MovRmI {
+            w: Width::W64,
+            dst: Rm::Reg(Gpr::Rcx),
+            imm: 1,
+        });
+        a.bind(join);
+        a.push(Inst::MovRmI {
+            w: Width::W64,
+            dst: Rm::Reg(Gpr::Rdx),
+            imm: 2,
+        });
+        a.push(setcc(Cond::L));
+        a.push(Inst::Ret);
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let lv = analyze_flags(&cfg);
+        let sf_of = flags(&[Flag::Sf, Flag::Of]);
+        assert_eq!(lv.after[0][0], sf_of.union(flags(&[Flag::Zf])));
+        assert_eq!(lv.live_out[0], sf_of);
+        let join = cfg.blocks.len() - 1;
+        assert_eq!(lv.live_in[join], sf_of);
+        assert_eq!(lv.after[join][0], sf_of, "a mov kills no flag");
+        assert!(lv.after[join][1].is_empty());
+    }
+
+    /// `add; adc; adc`: each link reads the CF its predecessor wrote, and
+    /// nothing else is live.
+    #[test]
+    fn adc_chain_keeps_cf_live() {
+        let mut a = Asm::new();
+        for op in [AluOp::Add, AluOp::Adc, AluOp::Adc] {
+            a.push(Inst::AluRRm {
+                op,
+                w: Width::W64,
+                dst: Gpr::Rax,
+                src: Rm::Reg(Gpr::Rbx),
+            });
+        }
+        a.push(Inst::Ret);
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let lv = analyze_flags(&cfg);
+        let cf = flags(&[Flag::Cf]);
+        assert_eq!(lv.after[0][..3], [cf, cf, FlagSet::EMPTY]);
+        assert!(lv.live_in[0].is_empty());
+    }
+
+    /// `cmp; top: setb; sub; jne top`: the CF the `sub` writes is read by
+    /// the next iteration's `setb`, so it stays live around the back edge,
+    /// and the `cmp` before the loop must supply it too.
+    #[test]
+    fn flags_live_around_a_loop_back_edge() {
+        let mut a = Asm::new();
+        let top = a.label();
+        a.push(cmp(Gpr::Rdi, Gpr::Rsi));
+        a.bind(top);
+        a.push(setcc(Cond::B));
+        a.push(Inst::AluRmI {
+            op: AluOp::Sub,
+            w: Width::W64,
+            dst: Rm::Reg(Gpr::Rdi),
+            imm: 1,
+        });
+        a.jcc(Cond::Ne, top);
+        a.push(Inst::Ret);
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let lv = analyze_flags(&cfg);
+        let cf = flags(&[Flag::Cf]);
+        assert_eq!(lv.after[0][0], cf, "cmp feeds the first setb");
+        let body = cfg.block_index(cfg.blocks[0].succs[0]).unwrap();
+        assert_eq!(lv.live_in[body], cf);
+        assert_eq!(lv.after[body][1], cf.union(flags(&[Flag::Zf])));
+        assert_eq!(lv.live_out[body], cf);
+    }
+
+    /// `imul` writes only CF and OF, so the ZF of the `cmp` before it is
+    /// still the one `sete` reads; the `cmp`'s CF and OF are dead.
+    #[test]
+    fn partial_write_leaves_other_flags_live() {
+        let mut a = Asm::new();
+        a.push(cmp(Gpr::Rdi, Gpr::Rsi));
+        a.push(Inst::IMul2 {
+            w: Width::W64,
+            dst: Gpr::Rcx,
+            src: Rm::Reg(Gpr::Rdx),
+        });
+        a.push(setcc(Cond::E));
+        a.push(setcc(Cond::O));
+        a.push(Inst::Ret);
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let lv = analyze_flags(&cfg);
+        let zf = flags(&[Flag::Zf]);
+        assert_eq!(lv.after[0][0], zf);
+        assert_eq!(lv.after[0][1], zf.union(flags(&[Flag::Of])));
     }
 }

@@ -1,15 +1,23 @@
 //! Instruction translation: machine CFG → LIR (paper §4.2).
 //!
-//! The translator is maximally naive, as a lifter must be to stay correct:
-//! every register lives in a write-through stack slot (`alloca`), every
-//! flag-setting instruction eagerly materialises CF/PF/ZF/SF/OF, all memory
-//! addresses are computed as 64-bit integer arithmetic and converted with
-//! `inttoptr` right before each access, and the x86 stack is reconstructed
-//! as a byte-array `alloca` (§4.2.3). The resulting bloat is deliberate —
-//! it is what the paper's Figure 16/17 measure — and is cleaned up by SSA
-//! promotion (for GPR slots, mirroring mctoll's SSA output), the refinement
-//! rules (§5), and the optimizer.
+//! The translator is naive wherever being clever would need information a
+//! lifter does not have: every register lives in a write-through stack slot
+//! (`alloca`), all memory addresses are computed as 64-bit integer
+//! arithmetic and converted with `inttoptr` right before each access, and
+//! the x86 stack is reconstructed as a byte-array `alloca` (§4.2.3). That
+//! bloat is what the paper's Figures 16/17 measure, and it is cleaned up by
+//! SSA promotion (for GPR slots, mirroring mctoll's SSA output), the
+//! refinement rules (§5), and the optimizer.
+//!
+//! Status flags are the exception. Like mctoll, the translator
+//! materialises a flag only where it is live after the instruction that
+//! writes it ([`crate::liveness::analyze_flags`]): a dead flag costs
+//! neither its computation nor its slot store. Emitting every flag and
+//! leaving dead ones to the optimizer would produce the same optimized
+//! code, but would build, promote, refine and delete several LIR
+//! instructions per x86 instruction for nothing.
 
+use crate::liveness::analyze_flags;
 use crate::typedisc::FuncType;
 use crate::xcfg::XCfg;
 use lasagne_lir::func::Function;
@@ -19,6 +27,7 @@ use lasagne_lir::inst::{
 };
 use lasagne_lir::types::{Pointee, Ty};
 use lasagne_lir::BlockId;
+use lasagne_x86::flags::{Flag, FlagSet};
 use lasagne_x86::inst::{AluOp, FpPrec, Inst, MemRef, MulDivOp, Rm, ShiftOp, SseOp, Target, XmmRm};
 use lasagne_x86::reg::{Cond, Gpr, Width, Xmm};
 use std::collections::{BTreeMap, BTreeSet};
@@ -70,16 +79,6 @@ impl SymbolEnv {
     }
 }
 
-/// Flag indices in the flag-slot table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fl {
-    Cf = 0,
-    Pf = 1,
-    Zf = 2,
-    Sf = 3,
-    Of = 4,
-}
-
 /// Options controlling translation.
 #[derive(Debug, Clone, Copy)]
 pub struct TranslateOptions {
@@ -128,6 +127,14 @@ struct Tr<'a> {
     al_const: Option<u8>,
     opts: TranslateOptions,
     gpr_slot_ids: Vec<InstId>,
+    /// Flags live after the instruction being lowered; writes of any other
+    /// flag are dead and are not emitted.
+    live: FlagSet,
+    /// Per-flag counts of `read_flag` calls and of the stores `write_flag`
+    /// emits, indexed by `Flag as usize` (pins the lowering against the
+    /// liveness table).
+    #[cfg(test)]
+    flag_io: ([u32; 5], [u32; 5]),
 }
 
 const PTR_I8: Ty = Ty::Ptr(Pointee::I8);
@@ -250,11 +257,15 @@ impl<'a> Tr<'a> {
 
     // ---- flags -----------------------------------------------------------
 
-    fn flag_slot(&mut self, fl: Fl) -> Operand {
+    fn flag_slot(&mut self, fl: Flag) -> Operand {
         Operand::Inst(self.flag_slot[fl as usize].expect("flag slot not preallocated"))
     }
 
-    fn read_flag(&mut self, fl: Fl) -> Operand {
+    fn read_flag(&mut self, fl: Flag) -> Operand {
+        #[cfg(test)]
+        {
+            self.flag_io.0[fl as usize] += 1;
+        }
         let slot = self.flag_slot(fl);
         self.emit(
             Ty::I1,
@@ -265,7 +276,20 @@ impl<'a> Tr<'a> {
         )
     }
 
-    fn write_flag(&mut self, fl: Fl, v: Operand) {
+    fn is_live(&self, fl: Flag) -> bool {
+        self.live.contains(fl)
+    }
+
+    /// Stores `v` to `fl`'s slot if `fl` is live; callers skip computing a
+    /// dead flag's value before they get here.
+    fn write_flag(&mut self, fl: Flag, v: Operand) {
+        if !self.is_live(fl) {
+            return;
+        }
+        #[cfg(test)]
+        {
+            self.flag_io.1[fl as usize] += 1;
+        }
         let slot = self.flag_slot(fl);
         self.emit_void(InstKind::Store {
             ptr: slot,
@@ -274,7 +298,7 @@ impl<'a> Tr<'a> {
         });
     }
 
-    fn write_flag_const(&mut self, fl: Fl, v: bool) {
+    fn write_flag_const(&mut self, fl: Flag, v: bool) {
         self.write_flag(fl, Operand::bool(v));
     }
 
@@ -289,26 +313,21 @@ impl<'a> Tr<'a> {
         )
     }
 
+    /// Writes `fl` as `pred(lhs, rhs)` if it is live.
+    fn write_flag_icmp(&mut self, fl: Flag, pred: IPred, lhs: Operand, rhs: Operand) {
+        if self.is_live(fl) {
+            let v = self.emit(Ty::I1, InstKind::ICmp { pred, lhs, rhs });
+            self.write_flag(fl, v);
+        }
+    }
+
     /// ZF/SF/PF from a result (common to all flag groups).
     fn set_zsp(&mut self, res: Operand, w: Width) {
-        let zf = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Eq,
-                lhs: res,
-                rhs: cint(w, 0),
-            },
-        );
-        self.write_flag(Fl::Zf, zf);
-        let sf = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Slt,
-                lhs: res,
-                rhs: cint(w, 0),
-            },
-        );
-        self.write_flag(Fl::Sf, sf);
+        self.write_flag_icmp(Flag::Zf, IPred::Eq, res, cint(w, 0));
+        self.write_flag_icmp(Flag::Sf, IPred::Slt, res, cint(w, 0));
+        if !self.is_live(Flag::Pf) {
+            return;
+        }
         // Parity of the low byte, computed with shift/xor reduction — one of
         // the "more than one LLVM instruction" expansions of §4.2.
         let b = if w == Width::W8 {
@@ -322,103 +341,66 @@ impl<'a> Tr<'a> {
                 },
             )
         };
-        let s4 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::LShr,
-                lhs: b,
-                rhs: cint(Width::W8, 4),
-            },
-        );
-        let x4 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::Xor,
-                lhs: b,
-                rhs: s4,
-            },
-        );
-        let s2 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::LShr,
-                lhs: x4,
-                rhs: cint(Width::W8, 2),
-            },
-        );
-        let x2 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::Xor,
-                lhs: x4,
-                rhs: s2,
-            },
-        );
-        let s1 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::LShr,
-                lhs: x2,
-                rhs: cint(Width::W8, 1),
-            },
-        );
-        let x1 = self.emit(
-            Ty::I8,
-            InstKind::Bin {
-                op: BinOp::Xor,
-                lhs: x2,
-                rhs: s1,
-            },
-        );
+        let mut x = b;
+        for sh in [4, 2, 1] {
+            let s = self.emit(
+                Ty::I8,
+                InstKind::Bin {
+                    op: BinOp::LShr,
+                    lhs: x,
+                    rhs: cint(Width::W8, sh),
+                },
+            );
+            x = self.emit(
+                Ty::I8,
+                InstKind::Bin {
+                    op: BinOp::Xor,
+                    lhs: x,
+                    rhs: s,
+                },
+            );
+        }
         let low = self.emit(
             Ty::I8,
             InstKind::Bin {
                 op: BinOp::And,
-                lhs: x1,
+                lhs: x,
                 rhs: cint(Width::W8, 1),
             },
         );
-        let pf = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Eq,
-                lhs: low,
-                rhs: cint(Width::W8, 0),
-            },
-        );
-        self.write_flag(Fl::Pf, pf);
+        self.write_flag_icmp(Flag::Pf, IPred::Eq, low, cint(Width::W8, 0));
     }
 
     fn set_flags_logic(&mut self, res: Operand, w: Width) {
-        self.write_flag_const(Fl::Cf, false);
-        self.write_flag_const(Fl::Of, false);
+        self.write_flag_const(Flag::Cf, false);
+        self.write_flag_const(Flag::Of, false);
         self.set_zsp(res, w);
     }
 
-    fn set_flags_add(&mut self, a: Operand, b: Operand, res: Operand, w: Width) {
-        let cf = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Ult,
-                lhs: res,
-                rhs: a,
-            },
-        );
-        self.write_flag(Fl::Cf, cf);
+    /// OF as the sign bit of `(p ^ q) & (r ^ s)`, if OF is live.
+    fn write_of_xor_and(
+        &mut self,
+        w: Width,
+        (p, q): (Operand, Operand),
+        (r, s): (Operand, Operand),
+    ) {
+        if !self.is_live(Flag::Of) {
+            return;
+        }
         let t1 = self.emit(
             width_ty(w),
             InstKind::Bin {
                 op: BinOp::Xor,
-                lhs: a,
-                rhs: res,
+                lhs: p,
+                rhs: q,
             },
         );
         let t2 = self.emit(
             width_ty(w),
             InstKind::Bin {
                 op: BinOp::Xor,
-                lhs: b,
-                rhs: res,
+                lhs: r,
+                rhs: s,
             },
         );
         let t3 = self.emit(
@@ -429,84 +411,41 @@ impl<'a> Tr<'a> {
                 rhs: t2,
             },
         );
-        let of = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Slt,
-                lhs: t3,
-                rhs: cint(w, 0),
-            },
-        );
-        self.write_flag(Fl::Of, of);
+        self.write_flag_icmp(Flag::Of, IPred::Slt, t3, cint(w, 0));
+    }
+
+    fn set_flags_add(&mut self, a: Operand, b: Operand, res: Operand, w: Width) {
+        self.write_flag_icmp(Flag::Cf, IPred::Ult, res, a);
+        self.write_of_xor_and(w, (a, res), (b, res));
         self.set_zsp(res, w);
     }
 
     fn set_flags_sub(&mut self, a: Operand, b: Operand, res: Operand, w: Width) {
-        let cf = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Ult,
-                lhs: a,
-                rhs: b,
-            },
-        );
-        self.write_flag(Fl::Cf, cf);
-        let t1 = self.emit(
-            width_ty(w),
-            InstKind::Bin {
-                op: BinOp::Xor,
-                lhs: a,
-                rhs: b,
-            },
-        );
-        let t2 = self.emit(
-            width_ty(w),
-            InstKind::Bin {
-                op: BinOp::Xor,
-                lhs: a,
-                rhs: res,
-            },
-        );
-        let t3 = self.emit(
-            width_ty(w),
-            InstKind::Bin {
-                op: BinOp::And,
-                lhs: t1,
-                rhs: t2,
-            },
-        );
-        let of = self.emit(
-            Ty::I1,
-            InstKind::ICmp {
-                pred: IPred::Slt,
-                lhs: t3,
-                rhs: cint(w, 0),
-            },
-        );
-        self.write_flag(Fl::Of, of);
+        self.write_flag_icmp(Flag::Cf, IPred::Ult, a, b);
+        self.write_of_xor_and(w, (a, b), (a, res));
         self.set_zsp(res, w);
     }
 
     fn cond_value(&mut self, cc: Cond) -> Operand {
         match cc {
-            Cond::O => self.read_flag(Fl::Of),
+            Cond::O => self.read_flag(Flag::Of),
             Cond::No => {
-                let v = self.read_flag(Fl::Of);
+                let v = self.read_flag(Flag::Of);
                 self.not1(v)
             }
-            Cond::B => self.read_flag(Fl::Cf),
+            Cond::B => self.read_flag(Flag::Cf),
             Cond::Ae => {
-                let v = self.read_flag(Fl::Cf);
+                let v = self.read_flag(Flag::Cf);
                 self.not1(v)
             }
-            Cond::E => self.read_flag(Fl::Zf),
+            Cond::E => self.read_flag(Flag::Zf),
             Cond::Ne => {
-                let v = self.read_flag(Fl::Zf);
+                let v = self.read_flag(Flag::Zf);
                 self.not1(v)
             }
             Cond::Be => {
-                let c = self.read_flag(Fl::Cf);
-                let z = self.read_flag(Fl::Zf);
+                let c = self.read_flag(Flag::Cf);
+                let z = self.read_flag(Flag::Zf);
                 self.emit(
                     Ty::I1,
                     InstKind::Bin {
@@ -517,8 +456,8 @@ impl<'a> Tr<'a> {
                 )
             }
             Cond::A => {
-                let c = self.read_flag(Fl::Cf);
-                let z = self.read_flag(Fl::Zf);
+                let c = self.read_flag(Flag::Cf);
+                let z = self.read_flag(Flag::Zf);
                 let o = self.emit(
                     Ty::I1,
                     InstKind::Bin {
@@ -529,19 +468,19 @@ impl<'a> Tr<'a> {
                 );
                 self.not1(o)
             }
-            Cond::S => self.read_flag(Fl::Sf),
+            Cond::S => self.read_flag(Flag::Sf),
             Cond::Ns => {
-                let v = self.read_flag(Fl::Sf);
+                let v = self.read_flag(Flag::Sf);
                 self.not1(v)
             }
-            Cond::P => self.read_flag(Fl::Pf),
+            Cond::P => self.read_flag(Flag::Pf),
             Cond::Np => {
-                let v = self.read_flag(Fl::Pf);
+                let v = self.read_flag(Flag::Pf);
                 self.not1(v)
             }
             Cond::L => {
-                let s = self.read_flag(Fl::Sf);
-                let o = self.read_flag(Fl::Of);
+                let s = self.read_flag(Flag::Sf);
+                let o = self.read_flag(Flag::Of);
                 self.emit(
                     Ty::I1,
                     InstKind::ICmp {
@@ -552,8 +491,8 @@ impl<'a> Tr<'a> {
                 )
             }
             Cond::Ge => {
-                let s = self.read_flag(Fl::Sf);
-                let o = self.read_flag(Fl::Of);
+                let s = self.read_flag(Flag::Sf);
+                let o = self.read_flag(Flag::Of);
                 self.emit(
                     Ty::I1,
                     InstKind::ICmp {
@@ -564,8 +503,8 @@ impl<'a> Tr<'a> {
                 )
             }
             Cond::Le => {
-                let s = self.read_flag(Fl::Sf);
-                let o = self.read_flag(Fl::Of);
+                let s = self.read_flag(Flag::Sf);
+                let o = self.read_flag(Flag::Of);
                 let ne = self.emit(
                     Ty::I1,
                     InstKind::ICmp {
@@ -574,7 +513,7 @@ impl<'a> Tr<'a> {
                         rhs: o,
                     },
                 );
-                let z = self.read_flag(Fl::Zf);
+                let z = self.read_flag(Flag::Zf);
                 self.emit(
                     Ty::I1,
                     InstKind::Bin {
@@ -585,8 +524,8 @@ impl<'a> Tr<'a> {
                 )
             }
             Cond::G => {
-                let s = self.read_flag(Fl::Sf);
-                let o = self.read_flag(Fl::Of);
+                let s = self.read_flag(Flag::Sf);
+                let o = self.read_flag(Flag::Of);
                 let eq = self.emit(
                     Ty::I1,
                     InstKind::ICmp {
@@ -595,7 +534,7 @@ impl<'a> Tr<'a> {
                         rhs: o,
                     },
                 );
-                let z = self.read_flag(Fl::Zf);
+                let z = self.read_flag(Flag::Zf);
                 let nz = self.not1(z);
                 self.emit(
                     Ty::I1,
@@ -897,6 +836,25 @@ pub fn translate_function(
     sqrt_extern: ExternId,
     opts: TranslateOptions,
 ) -> Result<Translated, TranslateError> {
+    let live_after = analyze_flags(cfg).after;
+    let tr = lift_body(name, cfg, fty, env, sqrt_extern, opts, &live_after)?;
+    Ok(Translated {
+        func: tr.f,
+        gpr_slots: tr.gpr_slot_ids,
+    })
+}
+
+/// Lowers every block of `cfg`, materialising after the `k`-th instruction
+/// of block `b` only the flags in `live_after[b][k]`.
+fn lift_body<'a>(
+    name: &str,
+    cfg: &XCfg,
+    fty: &FuncType,
+    env: &'a SymbolEnv,
+    sqrt_extern: ExternId,
+    opts: TranslateOptions,
+    live_after: &[Vec<FlagSet>],
+) -> Result<Tr<'a>, TranslateError> {
     let mut f = Function::new(name, fty.params.clone(), fty.ret);
 
     // One LIR block per machine block, plus the entry preamble (block 0).
@@ -917,6 +875,9 @@ pub fn translate_function(
         al_const: None,
         opts,
         gpr_slot_ids: Vec::new(),
+        live: FlagSet::EMPTY,
+        #[cfg(test)]
+        flag_io: ([0; 5], [0; 5]),
     };
 
     // ---- preamble: allocas + parameter stores + stack setup ----
@@ -1001,11 +962,12 @@ pub fn translate_function(
     tr.f.set_term(BlockId(0), Terminator::Br { dest: entry_block });
 
     // ---- translate each machine block ----
-    for xb in &cfg.blocks {
+    for (xb, live_after) in cfg.blocks.iter().zip(live_after) {
         tr.cur = block_map[&xb.start];
         tr.al_const = None;
         let mut terminated = false;
-        for d in &xb.insts {
+        for (d, live) in xb.insts.iter().zip(live_after) {
+            tr.live = *live;
             if d.inst.is_terminator() {
                 let term = tr.lower_terminator(&d.inst, xb, &block_map)?;
                 let cur = tr.cur;
@@ -1030,10 +992,7 @@ pub fn translate_function(
         }
     }
 
-    Ok(Translated {
-        func: tr.f,
-        gpr_slots: tr.gpr_slot_ids,
-    })
+    Ok(tr)
 }
 
 impl Tr<'_> {
@@ -1244,8 +1203,8 @@ impl Tr<'_> {
                     },
                 );
                 // CF/OF approximated as cleared; imul sets them only on overflow.
-                self.write_flag_const(Fl::Cf, false);
-                self.write_flag_const(Fl::Of, false);
+                self.write_flag_const(Flag::Cf, false);
+                self.write_flag_const(Flag::Of, false);
                 self.write_gpr(*dst, *w, res);
             }
             Inst::IMul3 { w, dst, src, imm } => {
@@ -1258,8 +1217,8 @@ impl Tr<'_> {
                         rhs: cint(*w, i64::from(*imm)),
                     },
                 );
-                self.write_flag_const(Fl::Cf, false);
-                self.write_flag_const(Fl::Of, false);
+                self.write_flag_const(Flag::Cf, false);
+                self.write_flag_const(Flag::Of, false);
                 self.write_gpr(*dst, *w, res);
             }
             Inst::MulDiv { op, w, src } => self.mul_div(*op, *w, src),
@@ -1561,51 +1520,44 @@ impl Tr<'_> {
             Inst::Ucomis { prec, a, b } => {
                 let x = self.read_xmm_scalar(*a, *prec);
                 let y = self.read_xmmrm_scalar(b, *prec);
-                let unord = self.emit(
-                    Ty::I1,
-                    InstKind::FCmp {
-                        pred: FPred::Uno,
-                        lhs: x,
-                        rhs: y,
-                    },
-                );
-                let oeq = self.emit(
-                    Ty::I1,
-                    InstKind::FCmp {
-                        pred: FPred::Oeq,
-                        lhs: x,
-                        rhs: y,
-                    },
-                );
-                let olt = self.emit(
-                    Ty::I1,
-                    InstKind::FCmp {
-                        pred: FPred::Olt,
-                        lhs: x,
-                        rhs: y,
-                    },
-                );
-                let zf = self.emit(
-                    Ty::I1,
-                    InstKind::Bin {
-                        op: BinOp::Or,
-                        lhs: oeq,
-                        rhs: unord,
-                    },
-                );
-                let cf = self.emit(
-                    Ty::I1,
-                    InstKind::Bin {
-                        op: BinOp::Or,
-                        lhs: olt,
-                        rhs: unord,
-                    },
-                );
-                self.write_flag(Fl::Zf, zf);
-                self.write_flag(Fl::Cf, cf);
-                self.write_flag(Fl::Pf, unord);
-                self.write_flag_const(Fl::Of, false);
-                self.write_flag_const(Fl::Sf, false);
+                let (zf, cf) = (self.is_live(Flag::Zf), self.is_live(Flag::Cf));
+                if zf || cf || self.is_live(Flag::Pf) {
+                    let fcmp = |tr: &mut Self, pred| {
+                        tr.emit(
+                            Ty::I1,
+                            InstKind::FCmp {
+                                pred,
+                                lhs: x,
+                                rhs: y,
+                            },
+                        )
+                    };
+                    let unord = fcmp(self, FPred::Uno);
+                    let or = |tr: &mut Self, c| {
+                        tr.emit(
+                            Ty::I1,
+                            InstKind::Bin {
+                                op: BinOp::Or,
+                                lhs: c,
+                                rhs: unord,
+                            },
+                        )
+                    };
+                    let oeq = zf.then(|| fcmp(self, FPred::Oeq));
+                    let olt = cf.then(|| fcmp(self, FPred::Olt));
+                    // ZF = equal or unordered; CF = less or unordered.
+                    let zf = oeq.map(|c| or(self, c));
+                    let cf = olt.map(|c| or(self, c));
+                    if let Some(v) = zf {
+                        self.write_flag(Flag::Zf, v);
+                    }
+                    if let Some(v) = cf {
+                        self.write_flag(Flag::Cf, v);
+                    }
+                    self.write_flag(Flag::Pf, unord);
+                }
+                self.write_flag_const(Flag::Of, false);
+                self.write_flag_const(Flag::Sf, false);
             }
             Inst::CvtSi2F { prec, iw, dst, src } => {
                 let v = self.read_rm(src, *iw);
@@ -1657,15 +1609,7 @@ impl Tr<'_> {
                         new,
                     },
                 );
-                let zf = self.emit(
-                    Ty::I1,
-                    InstKind::ICmp {
-                        pred: IPred::Eq,
-                        lhs: old,
-                        rhs: expected,
-                    },
-                );
-                self.write_flag(Fl::Zf, zf);
+                self.write_flag_icmp(Flag::Zf, IPred::Eq, old, expected);
                 self.write_gpr(Gpr::Rax, *w, old);
             }
             Inst::LockXadd { w, mem, src } => {
@@ -1789,7 +1733,7 @@ impl Tr<'_> {
                 r
             }
             AluOp::Adc => {
-                let c = self.read_flag(Fl::Cf);
+                let c = self.read_flag(Flag::Cf);
                 let cw = self.emit(
                     ty,
                     InstKind::Cast {
@@ -1817,7 +1761,7 @@ impl Tr<'_> {
                 r
             }
             AluOp::Sbb => {
-                let c = self.read_flag(Fl::Cf);
+                let c = self.read_flag(Flag::Cf);
                 let cw = self.emit(
                     ty,
                     InstKind::Cast {
@@ -1863,8 +1807,8 @@ impl Tr<'_> {
             },
         );
         // CF/OF after shifts are rarely consumed; ZF/SF/PF modelled exactly.
-        self.write_flag_const(Fl::Cf, false);
-        self.write_flag_const(Fl::Of, false);
+        self.write_flag_const(Flag::Cf, false);
+        self.write_flag_const(Flag::Of, false);
         self.set_zsp(r, w);
         r
     }
@@ -2124,5 +2068,231 @@ impl Tr<'_> {
             }
         }
         args
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::liveness::{flag_reads, flag_writes};
+    use crate::xcfg::build_xcfg;
+    use lasagne_x86::asm::Asm;
+
+    /// Every flag-touching instruction form: all ALU ops in all three
+    /// operand shapes, tests, shifts, multiplies, the atomics, `ucomis`,
+    /// the flag-transparent near misses (`not`, `mul`/`div`, `lock add`),
+    /// and `setcc`/`cmovcc`/`jcc` under every condition.
+    fn flag_forms() -> Vec<Inst> {
+        let w = Width::W64;
+        let mem = MemRef::base_disp(Gpr::Rdi, 8);
+        let mut v = Vec::new();
+        for op in [
+            AluOp::Add,
+            AluOp::Or,
+            AluOp::Adc,
+            AluOp::Sbb,
+            AluOp::And,
+            AluOp::Sub,
+            AluOp::Xor,
+            AluOp::Cmp,
+        ] {
+            v.push(Inst::AluRRm {
+                op,
+                w,
+                dst: Gpr::Rax,
+                src: Rm::Reg(Gpr::Rcx),
+            });
+            v.push(Inst::AluRmR {
+                op,
+                w: Width::W32,
+                dst: Rm::Mem(mem),
+                src: Gpr::Rdx,
+            });
+            v.push(Inst::AluRmI {
+                op,
+                w: Width::W8,
+                dst: Rm::Reg(Gpr::Rsi),
+                imm: 3,
+            });
+        }
+        v.push(Inst::Test {
+            w,
+            a: Rm::Reg(Gpr::Rax),
+            b: Gpr::Rcx,
+        });
+        v.push(Inst::TestI {
+            w: Width::W16,
+            a: Rm::Mem(mem),
+            imm: 5,
+        });
+        for op in [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar] {
+            v.push(Inst::ShiftI {
+                op,
+                w,
+                dst: Rm::Reg(Gpr::Rax),
+                imm: 3,
+            });
+            v.push(Inst::ShiftCl {
+                op,
+                w: Width::W32,
+                dst: Rm::Reg(Gpr::Rdx),
+            });
+        }
+        v.push(Inst::Neg {
+            w,
+            dst: Rm::Reg(Gpr::Rax),
+        });
+        v.push(Inst::Not {
+            w,
+            dst: Rm::Reg(Gpr::Rax),
+        });
+        v.push(Inst::IMul2 {
+            w,
+            dst: Gpr::Rax,
+            src: Rm::Reg(Gpr::Rcx),
+        });
+        v.push(Inst::IMul3 {
+            w: Width::W32,
+            dst: Gpr::Rax,
+            src: Rm::Mem(mem),
+            imm: 9,
+        });
+        for op in [MulDivOp::Mul, MulDivOp::IMul, MulDivOp::Div, MulDivOp::IDiv] {
+            v.push(Inst::MulDiv {
+                op,
+                w,
+                src: Rm::Reg(Gpr::Rcx),
+            });
+        }
+        for prec in [FpPrec::Single, FpPrec::Double] {
+            v.push(Inst::Ucomis {
+                prec,
+                a: Xmm(0),
+                b: XmmRm::Reg(Xmm(1)),
+            });
+        }
+        v.push(Inst::LockCmpxchg {
+            w,
+            mem,
+            src: Gpr::Rcx,
+        });
+        v.push(Inst::LockXadd {
+            w,
+            mem,
+            src: Gpr::Rcx,
+        });
+        v.push(Inst::LockAddI { w, mem, imm: 1 });
+        for cc in Cond::ALL {
+            v.push(Inst::Setcc {
+                cc,
+                dst: Rm::Reg(Gpr::Rax),
+            });
+            v.push(Inst::Cmovcc {
+                cc,
+                w,
+                dst: Gpr::Rax,
+                src: Rm::Reg(Gpr::Rcx),
+            });
+            v.push(Inst::Jcc {
+                cc,
+                target: Target::Abs(0),
+            });
+        }
+        v
+    }
+
+    fn flag_counts(s: FlagSet) -> [u32; 5] {
+        Flag::ALL.map(|f| u32::from(s.contains(f)))
+    }
+
+    /// With every flag live, lowering `inst` reads and writes each flag
+    /// exactly as often as the liveness table says it does: once if the
+    /// table lists it, never otherwise. A table entry the lowering
+    /// disagrees with would make the analysis drop a live flag's write.
+    #[test]
+    fn flag_table_matches_lowering() {
+        let env = SymbolEnv::default();
+        let fty = FuncType {
+            params: Vec::new(),
+            ret: Ty::Void,
+        };
+        for inst in flag_forms() {
+            let mut a = Asm::new();
+            if let Inst::Jcc { cc, .. } = inst {
+                let next = a.label();
+                a.jcc(cc, next);
+                a.bind(next);
+            } else {
+                a.push(inst);
+            }
+            a.push(Inst::Ret);
+            let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+            let all_live: Vec<Vec<FlagSet>> = cfg
+                .blocks
+                .iter()
+                .map(|b| vec![FlagSet::ALL; b.insts.len()])
+                .collect();
+            let tr = lift_body(
+                "f",
+                &cfg,
+                &fty,
+                &env,
+                ExternId(0),
+                TranslateOptions::default(),
+                &all_live,
+            )
+            .unwrap();
+            let (reads, writes) = tr.flag_io;
+            assert_eq!(reads, flag_counts(flag_reads(&inst)), "reads of {inst}");
+            assert_eq!(writes, flag_counts(flag_writes(&inst)), "writes of {inst}");
+        }
+    }
+
+    /// The analysis drives the lowering: after a `cmp` whose only reader
+    /// is `jl`, only SF and OF are stored, and the parity chain is gone.
+    #[test]
+    fn dead_flags_are_not_materialised() {
+        let mut a = Asm::new();
+        let done = a.label();
+        a.push(Inst::AluRRm {
+            op: AluOp::Cmp,
+            w: Width::W64,
+            dst: Gpr::Rdi,
+            src: Rm::Reg(Gpr::Rsi),
+        });
+        a.jcc(Cond::L, done);
+        a.bind(done);
+        a.push(Inst::Ret);
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let fty = FuncType {
+            params: vec![Ty::I64, Ty::I64],
+            ret: Ty::Void,
+        };
+        let env = SymbolEnv::default();
+        let live = crate::liveness::analyze_flags(&cfg).after;
+        let tr = lift_body(
+            "f",
+            &cfg,
+            &fty,
+            &env,
+            ExternId(0),
+            TranslateOptions::default(),
+            &live,
+        )
+        .unwrap();
+        assert_eq!(tr.flag_io.1, [0, 0, 0, 1, 1]);
+        let lshrs =
+            tr.f.iter_insts()
+                .filter(|(_, i)| {
+                    matches!(
+                        tr.f.inst(*i).kind,
+                        InstKind::Bin {
+                            op: BinOp::LShr,
+                            ..
+                        }
+                    )
+                })
+                .count();
+        assert_eq!(lshrs, 0, "dead PF still computed");
     }
 }

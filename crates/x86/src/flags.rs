@@ -1,12 +1,13 @@
-//! Processor status flag metadata.
+//! Processor status flag vocabulary.
 //!
 //! The lifter models the x86 flags register (§4.2 of the paper: "instructions
 //! that implicitly set processor status flags will result in more than one
-//! LLVM instruction"). This module records which flags each instruction
-//! defines and which a condition code uses, so the lifter can materialise
-//! exactly the flag computations a later `jcc`/`setcc`/`cmovcc` consumes.
+//! LLVM instruction"). This module names the five modelled flags and records
+//! which of them a condition code reads. Which flags each instruction reads
+//! and writes under the model semantics — the table the lifter's flag
+//! liveness runs on — lives beside the register use/def sets in
+//! `lasagne_lifter::liveness`.
 
-use crate::inst::{AluOp, Inst};
 use crate::reg::Cond;
 
 /// The subset of RFLAGS the lifter models.
@@ -25,7 +26,7 @@ pub enum Flag {
 }
 
 impl Flag {
-    /// All modelled flags.
+    /// All modelled flags, in slot order (`Flag as usize` indexes them).
     pub const ALL: [Flag; 5] = [Flag::Cf, Flag::Pf, Flag::Zf, Flag::Sf, Flag::Of];
 }
 
@@ -38,24 +39,20 @@ impl FlagSet {
     pub const EMPTY: FlagSet = FlagSet(0);
     /// All five modelled flags.
     pub const ALL: FlagSet = FlagSet(0b11111);
-    /// The arithmetic set: CF, PF, ZF, SF, OF.
-    pub const ARITH: FlagSet = FlagSet(0b11111);
-    /// The logic set (CF and OF are cleared, still *defined*): CF, PF, ZF, SF, OF.
-    pub const LOGIC: FlagSet = FlagSet(0b11111);
 
-    fn bit(f: Flag) -> u8 {
-        match f {
-            Flag::Cf => 1,
-            Flag::Pf => 2,
-            Flag::Zf => 4,
-            Flag::Sf => 8,
-            Flag::Of => 16,
-        }
+    const fn bit(f: Flag) -> u8 {
+        1 << f as u8
     }
 
     /// Set containing exactly the given flags.
-    pub fn of(flags: &[Flag]) -> FlagSet {
-        FlagSet(flags.iter().fold(0, |m, f| m | Self::bit(*f)))
+    pub const fn of(flags: &[Flag]) -> FlagSet {
+        let mut m = 0;
+        let mut i = 0;
+        while i < flags.len() {
+            m |= Self::bit(flags[i]);
+            i += 1;
+        }
+        FlagSet(m)
     }
 
     /// Whether `f` is in the set.
@@ -66,6 +63,11 @@ impl FlagSet {
     /// Union.
     pub fn union(self, other: FlagSet) -> FlagSet {
         FlagSet(self.0 | other.0)
+    }
+
+    /// Difference: the flags of `self` not in `other`.
+    pub fn minus(self, other: FlagSet) -> FlagSet {
+        FlagSet(self.0 & !other.0)
     }
 
     /// Whether the set is empty.
@@ -88,77 +90,14 @@ pub fn cond_uses(cc: Cond) -> FlagSet {
     }
 }
 
-/// The flags that `inst` defines (writes).
-pub fn inst_defines(inst: &Inst) -> FlagSet {
-    match inst {
-        Inst::AluRRm { op, .. } | Inst::AluRmR { op, .. } | Inst::AluRmI { op, .. } => match op {
-            AluOp::And | AluOp::Or | AluOp::Xor => FlagSet::LOGIC,
-            _ => FlagSet::ARITH,
-        },
-        Inst::Test { .. } | Inst::TestI { .. } => FlagSet::LOGIC,
-        Inst::ShiftI { .. } | Inst::ShiftCl { .. } => FlagSet::ARITH,
-        Inst::IMul2 { .. } | Inst::IMul3 { .. } | Inst::MulDiv { .. } => {
-            FlagSet::of(&[Flag::Cf, Flag::Of])
-        }
-        Inst::Neg { .. } => FlagSet::ARITH,
-        Inst::Ucomis { .. } => FlagSet::of(&[Flag::Zf, Flag::Pf, Flag::Cf]),
-        Inst::LockCmpxchg { .. } => FlagSet::ARITH,
-        Inst::LockXadd { .. } | Inst::LockAddI { .. } => FlagSet::ARITH,
-        _ => FlagSet::EMPTY,
-    }
-}
-
-/// The flags that `inst` uses (reads).
-pub fn inst_uses(inst: &Inst) -> FlagSet {
-    match inst {
-        Inst::Jcc { cc, .. } | Inst::Setcc { cc, .. } | Inst::Cmovcc { cc, .. } => cond_uses(*cc),
-        Inst::AluRRm {
-            op: AluOp::Adc | AluOp::Sbb,
-            ..
-        }
-        | Inst::AluRmR {
-            op: AluOp::Adc | AluOp::Sbb,
-            ..
-        }
-        | Inst::AluRmI {
-            op: AluOp::Adc | AluOp::Sbb,
-            ..
-        } => FlagSet::of(&[Flag::Cf]),
-        _ => FlagSet::EMPTY,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{MemRef, Rm};
-    use crate::reg::{Gpr, Width};
 
     #[test]
-    fn cmp_defines_what_jl_uses() {
-        let cmp = Inst::AluRRm {
-            op: AluOp::Cmp,
-            w: Width::W64,
-            dst: Gpr::Rax,
-            src: Rm::Reg(Gpr::Rbx),
-        };
-        let defined = inst_defines(&cmp);
-        for f in [Flag::Sf, Flag::Of, Flag::Zf] {
-            assert!(defined.contains(f));
-        }
+    fn jl_reads_sf_and_of() {
         let uses = cond_uses(Cond::L);
         assert!(uses.contains(Flag::Sf) && uses.contains(Flag::Of) && !uses.contains(Flag::Zf));
-    }
-
-    #[test]
-    fn mov_defines_nothing() {
-        let mov = Inst::MovRRm {
-            w: Width::W64,
-            dst: Gpr::Rax,
-            src: Rm::Mem(MemRef::base(Gpr::Rdi)),
-        };
-        assert!(inst_defines(&mov).is_empty());
-        assert!(inst_uses(&mov).is_empty());
     }
 
     #[test]
@@ -173,6 +112,8 @@ mod tests {
         let b = FlagSet::of(&[Flag::Zf]);
         let u = a.union(b);
         assert!(u.contains(Flag::Cf) && u.contains(Flag::Zf) && !u.contains(Flag::Of));
+        assert_eq!(u.minus(a), b);
+        assert_eq!(FlagSet::ALL, FlagSet::of(&Flag::ALL));
         assert!(FlagSet::EMPTY.is_empty());
         assert!(!FlagSet::ALL.is_empty());
     }

@@ -31,29 +31,26 @@ fn headline_fence_reduction() {
     );
 }
 
-/// Figure 12's shape: translated code is slower than native but the
-/// full pipeline recovers most of the gap on every benchmark.
+/// Figure 12's shape, as EXPERIMENTS.md states it: on every benchmark
+/// Native < PPOpt ≤ POpt ≤ Opt < Lifted in simulated runtime, at the
+/// report's scale. The ≤ steps compare runtimes normalized to native at
+/// the two decimals Figure 12 prints: where refinement gains nothing,
+/// PPOpt's different code layout can cost a few hundredths of a percent
+/// (matrix_multiply, pca), which the figure cannot show.
 #[test]
 fn runtime_shape() {
-    for b in all_benchmarks(96) {
-        let native = measure_native(&b).runtime_cycles as f64;
-        let (_, lifted, _) = measure_version(&b, &Pipeline::new(Version::Lifted));
-        let (_, ppopt, _) = measure_version(&b, &Pipeline::new(Version::PPOpt));
-        let lifted_norm = lifted.runtime_cycles as f64 / native;
-        let ppopt_norm = ppopt.runtime_cycles as f64 / native;
+    for b in all_benchmarks(256) {
+        let native = measure_native(&b).runtime_cycles;
+        let cycles = |v: Version| measure_version(&b, &Pipeline::new(v)).1.runtime_cycles;
+        let [lifted, opt, popt, ppopt] = Version::ALL.map(cycles);
+        let fig12 = |c: u64| (100.0 * c as f64 / native as f64).round() as u64;
         assert!(
-            lifted_norm > 1.5,
-            "{}: Lifted should be well above native",
-            b.name
-        );
-        assert!(
-            ppopt_norm < lifted_norm / 2.0,
-            "{}: PPOpt should recover most of the gap",
-            b.name
-        );
-        assert!(
-            ppopt_norm >= 1.0,
-            "{}: translated code cannot beat native",
+            native < ppopt
+                && fig12(ppopt) <= fig12(popt)
+                && fig12(popt) <= fig12(opt)
+                && opt < lifted,
+            "{}: want Native < PPOpt <= POpt <= Opt < Lifted, got \
+             {native} / {ppopt} / {popt} / {opt} / {lifted} cycles",
             b.name
         );
     }

@@ -39,8 +39,8 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ("PCA", "arm-ppopt", "ret=4647468300 ArmStats { insts: 57857, cycles: 243380, dmbs: (2460, 104, 80), exclusives: 0 } threads=[55141, 55141, 55141, 55141]"),
     ("PCA", "arm-native", "ret=4647468300 ArmStats { insts: 52085, cycles: 198060, dmbs: (0, 0, 0), exclusives: 0 } threads=[45362, 45362, 45362, 45362]"),
     ("SM", "x86", "ret=4 X86Stats { insts: 8758, loads: 1991, stores: 1227, fences: (0, 0, 0), rmws: 0, cycles: 18412 } threads=[4515, 4525, 4517, 4513]"),
-    ("SM", "lir-ppopt", "ret=4 ExecStats { insts: 10414, loads: 796, stores: 634, fences: (796, 24, 0), rmws: 0, cycles: 28783 } threads=[6968, 6968, 6969, 6967]"),
-    ("SM", "arm-ppopt", "ret=4 ArmStats { insts: 33436, cycles: 119533, dmbs: (796, 24, 0), exclusives: 0 } threads=[29134, 29194, 29157, 29111]"),
+    ("SM", "lir-ppopt", "ret=4 ExecStats { insts: 10038, loads: 796, stores: 634, fences: (796, 24, 0), rmws: 0, cycles: 28407 } threads=[6874, 6874, 6875, 6873]"),
+    ("SM", "arm-ppopt", "ret=4 ArmStats { insts: 33308, cycles: 118893, dmbs: (796, 24, 0), exclusives: 0 } threads=[28974, 29034, 28997, 28951]"),
     ("SM", "arm-native", "ret=4 ArmStats { insts: 15665, cycles: 55070, dmbs: (0, 0, 0), exclusives: 0 } threads=[13188, 13188, 13188, 13188]"),
     ("WC", "x86", "ret=9192534839428 X86Stats { insts: 39745, loads: 10340, stores: 4466, fences: (0, 0, 0), rmws: 0, cycles: 76419 } threads=[4422, 4422, 4422, 4422]"),
     ("WC", "lir-ppopt", "ret=9192534839428 ExecStats { insts: 84065, loads: 10200, stores: 4342, fences: (5912, 20, 4288), rmws: 0, cycles: 389395 } threads=[10226, 10226, 10226, 10226]"),

@@ -251,6 +251,8 @@ fn suite_opt_scheduler_counters_are_pinned() {
         sum.4 += s.compacted;
         sum.5 += s.compact_skipped;
     }
-    // (ran, skipped, retired, rounds, compacted, compact_skipped)
-    assert_eq!(sum, (549, 283, 3, 15, 30, 0));
+    // (ran, skipped, retired, rounds, compacted, compact_skipped). Two
+    // slots moved from ran to skipped when the lifter stopped emitting
+    // dead flags: SM's PPOpt body reaches its fixpoint sooner.
+    assert_eq!(sum, (547, 285, 3, 15, 30, 0));
 }
