@@ -11,6 +11,12 @@ cargo test -q --offline --workspace
 # difftest divergence. Its model test therefore runs again here with 2000
 # cases instead of its usual 96.
 LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test memory_model
+# The lifter builds registers and flags as SSA values with the LIR's
+# SsaBuilder instead of promoting slots, so every lifted function rests
+# on it. Its equivalence with slot promotion over random CFGs (loops,
+# self-loops, unreachable and irreducible regions) runs here with 2000
+# cases instead of its usual 256.
+LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test ssa_construction
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Layering: the memory-model checker is a leaf. It may link only the

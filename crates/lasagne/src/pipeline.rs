@@ -200,10 +200,12 @@ impl FuncFenceRecord {
 /// The stable description of the pass schedule `version` runs, as folded
 /// into every cache key. Any change to the schedule changes this string
 /// and thereby invalidates all cached entries for the version. The lift
-/// is named by what it emits: `lift[live-flags]` materialises only live
-/// status flags, so entries cached by the every-flag lift miss.
+/// is named by what it emits: `lift[live-flags,ssa]` materialises only
+/// live status flags and builds registers and flags as SSA values while
+/// lifting, so entries cached by the every-flag lift or by the slot lift
+/// (whose promotion left dead φs that refine reads) miss.
 pub fn pass_list(version: Version) -> String {
-    let mut s = String::from("lift[live-flags],fences-naive");
+    let mut s = String::from("lift[live-flags,ssa],fences-naive");
     if version == Version::PPOpt {
         s.push_str(",refine[refine,promote,sweep]x3");
     }
@@ -2026,6 +2028,15 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
+        // Entries written by an earlier lift (the slot lift, the
+        // every-flag lift) carry another pass list in their keys and miss.
+        for v in Version::ALL {
+            assert!(
+                pass_list(v).starts_with("lift[live-flags,ssa],fences-naive,"),
+                "{}",
+                pass_list(v)
+            );
+        }
         let (cold, cold_rep) = Pipeline::new(Version::PPOpt)
             .with_cache(&dir)
             .run(&b.binary)

@@ -387,7 +387,7 @@ impl LiftPlan {
     /// Panics if `i` is out of range.
     pub fn lift_function(&self, i: usize, ctx: &TraceCtx) -> Result<Function, LiftError> {
         let (_, name, cfg) = &self.work[i];
-        let mut tr = translate::translate_function(
+        let mut func = translate::translate_function(
             name,
             cfg,
             &self.tys[i],
@@ -396,11 +396,10 @@ impl LiftPlan {
             self.opts,
         )
         .map_err(LiftError::Translate)?;
-        translate::promote_registers(&mut tr);
-        tr.func.compact();
+        func.compact();
         if ctx.is_enabled() {
             let p = self.function_profile(i);
-            let lir_insts = tr.func.iter_insts().count();
+            let lir_insts = func.iter_insts().count();
             ctx.add("lift.funcs", 1);
             ctx.add("lift.x86_insts", p.x86_insts as u64);
             ctx.add("lift.lir_insts", lir_insts as u64);
@@ -422,7 +421,7 @@ impl LiftPlan {
                 ],
             );
         }
-        Ok(tr.func)
+        Ok(func)
     }
 
     /// Installs the translated bodies (one per work item, in work-item

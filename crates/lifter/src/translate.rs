@@ -1,21 +1,30 @@
 //! Instruction translation: machine CFG → LIR (paper §4.2).
 //!
 //! The translator is naive wherever being clever would need information a
-//! lifter does not have: every register lives in a write-through stack slot
-//! (`alloca`), all memory addresses are computed as 64-bit integer
-//! arithmetic and converted with `inttoptr` right before each access, and
-//! the x86 stack is reconstructed as a byte-array `alloca` (§4.2.3). That
-//! bloat is what the paper's Figures 16/17 measure, and it is cleaned up by
-//! SSA promotion (for GPR slots, mirroring mctoll's SSA output), the
-//! refinement rules (§5), and the optimizer.
+//! lifter does not have: all memory addresses are computed as 64-bit
+//! integer arithmetic and converted with `inttoptr` right before each
+//! access, the x86 stack is reconstructed as a byte-array `alloca`
+//! (§4.2.3), and each XMM register lives in a 16-byte `alloca` slot. That
+//! bloat is what the paper's Figures 16/17 measure, and it is cleaned up
+//! by the refinement rules (§5) and the optimizer (`sroa`/`mem2reg` find
+//! the XMM slots).
 //!
-//! Status flags are the exception. Like mctoll, the translator
-//! materialises a flag only where it is live after the instruction that
-//! writes it ([`crate::liveness::analyze_flags`]): a dead flag costs
-//! neither its computation nor its slot store. Emitting every flag and
-//! leaving dead ones to the optimizer would produce the same optimized
-//! code, but would build, promote, refine and delete several LIR
-//! instructions per x86 instruction for nothing.
+//! The 16 GPRs and 5 status flags are SSA values from the start, as in
+//! mctoll, which models registers and EFLAGS as LLVM values. `read_gpr64`
+//! / `write_gpr` and `read_flag` / `write_flag` go through one
+//! [`SsaBuilder`] over 21 variables (the GPRs in `Gpr::ALL` order, then
+//! the flags), which keeps each block's current definitions and makes a
+//! φ only where a read needs one (Braun et al.'s on-the-fly
+//! construction). No register or flag slot, load or store is emitted, so
+//! no promotion runs afterwards and no dead φ is left for refine to read.
+//!
+//! Like mctoll, the translator also materialises a flag only where it is
+//! live after the instruction that writes it
+//! ([`crate::liveness::analyze_flags`]): a dead flag costs neither its
+//! computation nor its definition. Emitting every flag and leaving dead
+//! ones to the optimizer would produce the same optimized code, but would
+//! build, refine and delete several LIR instructions per x86 instruction
+//! for nothing.
 
 use crate::liveness::analyze_flags;
 use crate::typedisc::FuncType;
@@ -25,6 +34,7 @@ use lasagne_lir::inst::{
     BinOp, Callee, CastOp, ExternId, FPred, FenceKind, FuncId, GlobalId, IPred, InstId, InstKind,
     Operand, Ordering, RmwOp, Terminator,
 };
+use lasagne_lir::ssa::SsaBuilder;
 use lasagne_lir::types::{Pointee, Ty};
 use lasagne_lir::BlockId;
 use lasagne_x86::flags::{Flag, FlagSet};
@@ -92,41 +102,30 @@ impl Default for TranslateOptions {
     }
 }
 
-/// Result of translating one function.
-pub struct Translated {
-    /// The produced LIR function (registers still in slots; call
-    /// [`promote_registers`] to obtain mctoll-style SSA output).
-    pub func: Function,
-    /// Instruction ids of the GPR slot allocas (promotion candidates).
-    pub gpr_slots: Vec<InstId>,
+/// The SSA variable of a GPR: its position in `Gpr::ALL`, its encoding.
+fn gpr_var(r: Gpr) -> usize {
+    r.encoding() as usize
 }
 
-/// Promotes the translator's GPR and flag slots to SSA — the lifter's
-/// equivalent of mctoll's SSA value tracking (mctoll models registers and
-/// EFLAGS as values, not memory). XMM slots are intentionally left in
-/// memory for the downstream `sroa`/`mem2reg` passes to find (Figure 17).
-pub fn promote_registers(t: &mut Translated) {
-    let mut eligible = vec![false; t.func.insts.len()];
-    for id in &t.gpr_slots {
-        eligible[id.0 as usize] = true;
-    }
-    lasagne_lir::ssa::promote_allocas(&mut t.func, |_, id| eligible[id.0 as usize]);
+/// The SSA variable of a status flag, after the 16 GPRs.
+fn flag_var(fl: Flag) -> usize {
+    16 + fl as usize
 }
 
 struct Tr<'a> {
     f: Function,
     env: &'a SymbolEnv,
     cur: BlockId,
-    gpr_slot: [Option<InstId>; 16],
+    /// Current definitions of the GPRs and flags (see [`gpr_var`],
+    /// [`flag_var`]).
+    ssa: SsaBuilder,
     xmm_slot: [Option<InstId>; 16],
-    flag_slot: [Option<InstId>; 5],
     sqrt_ext: ExternId,
     /// Parameter registers written so far (variadic-call heuristic, §4.2.1).
     written_params: BTreeSet<Gpr>,
     /// Last constant moved into AL/EAX (SSE-count for variadic calls).
     al_const: Option<u8>,
     opts: TranslateOptions,
-    gpr_slot_ids: Vec<InstId>,
     /// Flags live after the instruction being lowered; writes of any other
     /// flag are dead and are not emitted.
     live: FlagSet,
@@ -173,21 +172,10 @@ impl<'a> Tr<'a> {
         self.f.push(self.cur, Ty::Void, kind);
     }
 
-    // ---- register slots -------------------------------------------------
-
-    fn gpr_slot(&mut self, r: Gpr) -> Operand {
-        Operand::Inst(self.gpr_slot[r.encoding() as usize].expect("slot not preallocated"))
-    }
+    // ---- registers ---------------------------------------------------------
 
     fn read_gpr64(&mut self, r: Gpr) -> Operand {
-        let slot = self.gpr_slot(r);
-        self.emit(
-            Ty::I64,
-            InstKind::Load {
-                ptr: slot,
-                order: Ordering::NotAtomic,
-            },
-        )
+        self.ssa.read(&mut self.f, self.cur, gpr_var(r))
     }
 
     fn read_gpr(&mut self, r: Gpr, w: Width) -> Operand {
@@ -244,12 +232,7 @@ impl<'a> Tr<'a> {
                 )
             }
         };
-        let slot = self.gpr_slot(r);
-        self.emit_void(InstKind::Store {
-            ptr: slot,
-            val: v64,
-            order: Ordering::NotAtomic,
-        });
+        self.ssa.write(self.cur, gpr_var(r), v64);
         if Gpr::PARAMS.contains(&r) {
             self.written_params.insert(r);
         }
@@ -257,31 +240,20 @@ impl<'a> Tr<'a> {
 
     // ---- flags -----------------------------------------------------------
 
-    fn flag_slot(&mut self, fl: Flag) -> Operand {
-        Operand::Inst(self.flag_slot[fl as usize].expect("flag slot not preallocated"))
-    }
-
     fn read_flag(&mut self, fl: Flag) -> Operand {
         #[cfg(test)]
         {
             self.flag_io.0[fl as usize] += 1;
         }
-        let slot = self.flag_slot(fl);
-        self.emit(
-            Ty::I1,
-            InstKind::Load {
-                ptr: slot,
-                order: Ordering::NotAtomic,
-            },
-        )
+        self.ssa.read(&mut self.f, self.cur, flag_var(fl))
     }
 
     fn is_live(&self, fl: Flag) -> bool {
         self.live.contains(fl)
     }
 
-    /// Stores `v` to `fl`'s slot if `fl` is live; callers skip computing a
-    /// dead flag's value before they get here.
+    /// Makes `v` the value of `fl` if `fl` is live; callers skip computing
+    /// a dead flag's value before they get here.
     fn write_flag(&mut self, fl: Flag, v: Operand) {
         if !self.is_live(fl) {
             return;
@@ -290,12 +262,7 @@ impl<'a> Tr<'a> {
         {
             self.flag_io.1[fl as usize] += 1;
         }
-        let slot = self.flag_slot(fl);
-        self.emit_void(InstKind::Store {
-            ptr: slot,
-            val: v,
-            order: Ordering::NotAtomic,
-        });
+        self.ssa.write(self.cur, flag_var(fl), v);
     }
 
     fn write_flag_const(&mut self, fl: Flag, v: bool) {
@@ -835,13 +802,9 @@ pub fn translate_function(
     env: &SymbolEnv,
     sqrt_extern: ExternId,
     opts: TranslateOptions,
-) -> Result<Translated, TranslateError> {
+) -> Result<Function, TranslateError> {
     let live_after = analyze_flags(cfg).after;
-    let tr = lift_body(name, cfg, fty, env, sqrt_extern, opts, &live_after)?;
-    Ok(Translated {
-        func: tr.f,
-        gpr_slots: tr.gpr_slot_ids,
-    })
+    Ok(lift_body(name, cfg, fty, env, sqrt_extern, opts, &live_after)?.f)
 }
 
 /// Lowers every block of `cfg`, materialising after the `k`-th instruction
@@ -858,51 +821,41 @@ fn lift_body<'a>(
     let mut f = Function::new(name, fty.params.clone(), fty.ret);
 
     // One LIR block per machine block, plus the entry preamble (block 0).
+    // Machine block `k` is LIR block `k + 1`, and its successors are the
+    // LIR terminator's, in the same order.
     let mut block_map: BTreeMap<u64, BlockId> = BTreeMap::new();
     for b in &cfg.blocks {
         block_map.insert(b.start, f.add_block());
     }
+    let mut edges = vec![(BlockId(0), block_map[&cfg.entry])];
+    for (k, b) in cfg.blocks.iter().enumerate() {
+        let from = BlockId(k as u32 + 1);
+        edges.extend(b.succs.iter().map(|s| (from, block_map[s])));
+    }
+    let mut var_tys = vec![Ty::I64; 16];
+    var_tys.extend([Ty::I1; 5]);
+    let ssa = SsaBuilder::new(var_tys, cfg.blocks.len() + 1, &edges);
 
     let mut tr = Tr {
         f,
         env,
         cur: BlockId(0),
-        gpr_slot: [None; 16],
+        ssa,
         xmm_slot: [None; 16],
-        flag_slot: [None; 5],
         sqrt_ext: sqrt_extern,
         written_params: BTreeSet::new(),
         al_const: None,
         opts,
-        gpr_slot_ids: Vec::new(),
         live: FlagSet::EMPTY,
         #[cfg(test)]
         flag_io: ([0; 5], [0; 5]),
     };
 
-    // ---- preamble: allocas + parameter stores + stack setup ----
+    // ---- preamble: XMM slots + parameters + stack setup ----
     tr.cur = BlockId(0);
-    for r in Gpr::ALL {
-        let id = tr.f.push(
-            BlockId(0),
-            Ty::Ptr(Pointee::I64),
-            InstKind::Alloca { size: 8 },
-        );
-        tr.gpr_slot[r.encoding() as usize] = Some(id);
-        tr.gpr_slot_ids.push(id);
-    }
     for x in 0..16u8 {
         let id = tr.f.push(BlockId(0), PTR_I8, InstKind::Alloca { size: 16 });
         tr.xmm_slot[x as usize] = Some(id);
-    }
-    for fl in 0..5usize {
-        let id = tr.f.push(
-            BlockId(0),
-            Ty::Ptr(Pointee::I8),
-            InstKind::Alloca { size: 1 },
-        );
-        tr.flag_slot[fl] = Some(id);
-        tr.gpr_slot_ids.push(id);
     }
     // Reconstructed stack (§4.2.3): an i8 array; RSP starts at its end.
     let stack = tr.f.push(
@@ -927,12 +880,7 @@ fn lift_body<'a>(
             rhs: Operand::i64(opts.stack_size as i64),
         },
     );
-    let rsp_slot = tr.gpr_slot(Gpr::Rsp);
-    tr.emit_void(InstKind::Store {
-        ptr: rsp_slot,
-        val: sp_top,
-        order: Ordering::NotAtomic,
-    });
+    tr.ssa.write(BlockId(0), gpr_var(Gpr::Rsp), sp_top);
 
     // Parameters into their conventional registers.
     let mut int_idx = 0usize;
@@ -949,17 +897,14 @@ fn lift_body<'a>(
         } else {
             let r = Gpr::PARAMS[int_idx];
             int_idx += 1;
-            let slot = tr.gpr_slot(r);
-            tr.emit_void(InstKind::Store {
-                ptr: slot,
-                val: Operand::Param(pi as u32),
-                order: Ordering::NotAtomic,
-            });
+            tr.ssa
+                .write(BlockId(0), gpr_var(r), Operand::Param(pi as u32));
             tr.written_params.insert(r);
         }
     }
     let entry_block = block_map[&cfg.entry];
     tr.f.set_term(BlockId(0), Terminator::Br { dest: entry_block });
+    tr.ssa.fill(&mut tr.f, BlockId(0));
 
     // ---- translate each machine block ----
     for (xb, live_after) in cfg.blocks.iter().zip(live_after) {
@@ -990,8 +935,9 @@ fn lift_body<'a>(
                 },
             );
         }
+        tr.ssa.fill(&mut tr.f, tr.cur);
     }
-
+    tr.ssa.finish(&mut tr.f);
     Ok(tr)
 }
 

@@ -46,6 +46,7 @@
 
 pub mod analysis;
 pub mod func;
+pub mod hash;
 pub mod inst;
 pub mod interp;
 pub mod print;

@@ -1,10 +1,15 @@
-//! SSA construction: promotion of memory slots (`alloca`s) to SSA values
-//! with φ-insertion — the classic `mem2reg` algorithm (iterated dominance
-//! frontiers + dominator-tree renaming).
+//! SSA construction, two ways.
 //!
-//! The lifter uses this to turn its write-through register slots into the
-//! SSA form mctoll produces; the optimizer re-exports it as the `mem2reg`
-//! pass of Figure 17.
+//! - [`SsaBuilder`] builds SSA while code is being produced, for a fixed
+//!   set of variables (Braun et al., CC 2013). The lifter keeps the 16
+//!   GPRs and 5 status flags in one, so registers and EFLAGS are SSA
+//!   values from the start, as in mctoll; no slot is ever emitted for
+//!   them.
+//! - [`promote_allocas`] promotes memory slots (`alloca`s) that already
+//!   exist, with φ-insertion: the classic `mem2reg` algorithm (iterated
+//!   dominance frontiers + dominator-tree renaming). The optimizer
+//!   re-exports it as the `mem2reg` pass of Figure 17, which finds the
+//!   XMM slots the lifter leaves in memory.
 
 use crate::analysis::{Cfg, Dominators};
 use crate::func::Function;
@@ -322,6 +327,473 @@ pub fn prune_trivial_phis(f: &mut Function) -> usize {
         subst.apply(f);
     }
     count
+}
+
+/// On-the-fly SSA construction for a fixed set of variables, after Braun
+/// et al., "Simple and Efficient Construction of SSA Form" (CC 2013).
+///
+/// A producer that knows its CFG up front (the lifter: one LIR block per
+/// machine block) fills blocks in any order, calling [`SsaBuilder::write`]
+/// for each definition of a variable and [`SsaBuilder::read`] for each use,
+/// and [`SsaBuilder::fill`] once a block's last instruction and terminator
+/// are in place. No memory slot, load or store is ever emitted, so there
+/// is nothing for [`promote_allocas`] to clean up.
+///
+/// - A block is *sealed* once all its predecessors are filled. A read in
+///   an unsealed block makes an incomplete φ, completed when the block is
+///   sealed.
+/// - A read in a sealed block with one predecessor continues in that
+///   predecessor; with several it makes a φ and reads each incoming value
+///   from its predecessor (iteratively, through a work list, so long
+///   chains of blocks cost no stack).
+/// - Trivial φs (one distinct incoming value besides themselves) are
+///   recorded in a [`Subst`] as they are found. [`SsaBuilder::finish`]
+///   runs one fixpoint over the created φs, then removes redundant φ
+///   cycles (the SCC pass that makes the result minimal for irreducible
+///   control flow too), splices the survivors at their block heads,
+///   highest variable first, and applies the `Subst` once.
+///
+/// Predecessors are taken in [`Cfg::compute`] order and unreachable ones
+/// are ignored; a read in a block no path from the entry reaches is
+/// `undef`. For programs without copies this gives every read the value
+/// [`promote_allocas`] gives the equivalent slot load, with none of the
+/// dead φs promotion leaves behind: a φ is made only when a read needs it.
+pub struct SsaBuilder {
+    /// The type of each variable.
+    tys: Vec<Ty>,
+    /// Successors per block: `succ_list[succ_start[b]..succ_start[b + 1]]`.
+    succ_start: Vec<u32>,
+    succ_list: Vec<BlockId>,
+    /// Reachable predecessors per block, in `Cfg::compute` order.
+    pred_start: Vec<u32>,
+    pred_list: Vec<BlockId>,
+    /// Whether the entry reaches each block.
+    reachable: Vec<bool>,
+    /// Predecessors of each block not yet filled; a block is sealed at 0.
+    unfilled: Vec<u32>,
+    /// The current definition of variable `v` in block `b`, at
+    /// `defs[b * nvars + v]`.
+    defs: Vec<Option<Operand>>,
+    /// Incomplete φs of each unsealed block, as `(variable, φ)`.
+    incomplete: Vec<Vec<(u32, InstId)>>,
+    /// Every φ made, as `(block, variable, φ)`.
+    phis: Vec<(BlockId, u32, InstId)>,
+    /// φs whose incoming values are still to be read.
+    pending: Vec<(BlockId, u32, InstId)>,
+    /// Blocks a lookup walked through (scratch).
+    chain: Vec<BlockId>,
+    subst: Subst,
+}
+
+impl SsaBuilder {
+    /// A builder for variables of types `tys` over `nblocks` blocks whose
+    /// CFG edges are `edges`, listed by source block in block order and,
+    /// within a block, in terminator successor order (the order
+    /// [`crate::inst::Terminator::successors`] gives). Block 0 is the
+    /// entry.
+    pub fn new(tys: Vec<Ty>, nblocks: usize, edges: &[(BlockId, BlockId)]) -> SsaBuilder {
+        let mut succ_start = vec![0u32; nblocks + 1];
+        for (from, _) in edges {
+            succ_start[from.0 as usize + 1] += 1;
+        }
+        for b in 0..nblocks {
+            succ_start[b + 1] += succ_start[b];
+        }
+        let succ_list: Vec<BlockId> = edges.iter().map(|(_, to)| *to).collect();
+        let mut reachable = vec![false; nblocks];
+        let mut stack = vec![BlockId(0)];
+        reachable[0] = true;
+        while let Some(b) = stack.pop() {
+            let b = b.0 as usize;
+            for &s in &succ_list[succ_start[b] as usize..succ_start[b + 1] as usize] {
+                if !reachable[s.0 as usize] {
+                    reachable[s.0 as usize] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        // A stable counting sort by target keeps each block's predecessors
+        // in source-block order, as `Cfg::compute` lists them.
+        let mut pred_start = vec![0u32; nblocks + 1];
+        for (from, to) in edges {
+            if reachable[from.0 as usize] {
+                pred_start[to.0 as usize + 1] += 1;
+            }
+        }
+        for b in 0..nblocks {
+            pred_start[b + 1] += pred_start[b];
+        }
+        let mut next = pred_start.clone();
+        let mut pred_list = vec![BlockId(0); pred_start[nblocks] as usize];
+        for (from, to) in edges {
+            if reachable[from.0 as usize] {
+                pred_list[next[to.0 as usize] as usize] = *from;
+                next[to.0 as usize] += 1;
+            }
+        }
+        let unfilled = (0..nblocks)
+            .map(|b| pred_start[b + 1] - pred_start[b])
+            .collect();
+        let nvars = tys.len();
+        SsaBuilder {
+            tys,
+            succ_start,
+            succ_list,
+            pred_start,
+            pred_list,
+            reachable,
+            unfilled,
+            defs: vec![None; nblocks * nvars],
+            incomplete: vec![Vec::new(); nblocks],
+            phis: Vec::new(),
+            pending: Vec::new(),
+            chain: Vec::new(),
+            subst: Subst::new(),
+        }
+    }
+
+    fn preds(&self, b: BlockId) -> std::ops::Range<usize> {
+        self.pred_start[b.0 as usize] as usize..self.pred_start[b.0 as usize + 1] as usize
+    }
+
+    fn def_at(&self, b: BlockId, var: usize) -> usize {
+        b.0 as usize * self.tys.len() + var
+    }
+
+    /// Records `v` as the current value of `var` in block `b`.
+    pub fn write(&mut self, b: BlockId, var: usize, v: Operand) {
+        let at = self.def_at(b, var);
+        self.defs[at] = Some(v);
+    }
+
+    /// The value of `var` at the current end of block `b`, making φs in
+    /// `f` as needed.
+    pub fn read(&mut self, f: &mut Function, b: BlockId, var: usize) -> Operand {
+        let v = self.lookup(f, b, var);
+        self.complete_pending(f);
+        v
+    }
+
+    /// Marks block `b` filled: its definitions are final. Each successor
+    /// whose predecessors are now all filled is sealed.
+    pub fn fill(&mut self, f: &mut Function, b: BlockId) {
+        if !self.reachable[b.0 as usize] {
+            return;
+        }
+        let b = b.0 as usize;
+        for i in self.succ_start[b] as usize..self.succ_start[b + 1] as usize {
+            let s = self.succ_list[i];
+            self.unfilled[s.0 as usize] -= 1;
+            if self.unfilled[s.0 as usize] == 0 {
+                for (var, phi) in std::mem::take(&mut self.incomplete[s.0 as usize]) {
+                    self.pending.push((s, var, phi));
+                }
+                self.complete_pending(f);
+            }
+        }
+    }
+
+    /// Looks `var` up from the end of `b`, walking single-predecessor
+    /// chains. A φ made at a sealed join is queued on `pending`; the value
+    /// found is recorded in every block walked through.
+    fn lookup(&mut self, f: &mut Function, b: BlockId, var: usize) -> Operand {
+        self.chain.clear();
+        let mut cur = b;
+        let val = loop {
+            if let Some(v) = self.defs[self.def_at(cur, var)] {
+                break self.subst.resolve(v);
+            }
+            if self.unfilled[cur.0 as usize] > 0 {
+                let phi = self.new_phi(f, cur, var);
+                self.incomplete[cur.0 as usize].push((var as u32, phi));
+                break Operand::Inst(phi);
+            }
+            let preds = self.preds(cur);
+            match preds.len() {
+                0 => break Operand::Undef(self.tys[var]),
+                1 => {
+                    self.chain.push(cur);
+                    cur = self.pred_list[preds.start];
+                }
+                _ => {
+                    let phi = self.new_phi(f, cur, var);
+                    self.pending.push((cur, var as u32, phi));
+                    break Operand::Inst(phi);
+                }
+            }
+        };
+        let at = self.def_at(cur, var);
+        self.defs[at] = Some(val);
+        for i in 0..self.chain.len() {
+            let at = self.def_at(self.chain[i], var);
+            self.defs[at] = Some(val);
+        }
+        val
+    }
+
+    fn new_phi(&mut self, f: &mut Function, b: BlockId, var: usize) -> InstId {
+        let phi = InstId(f.insts.len() as u32);
+        f.insts.push(Inst {
+            ty: self.tys[var],
+            kind: InstKind::Phi {
+                incoming: Vec::new(),
+            },
+        });
+        self.phis.push((b, var as u32, phi));
+        phi
+    }
+
+    /// Reads the incoming values of every queued φ (which may queue
+    /// more) and records each φ that turns out trivial.
+    fn complete_pending(&mut self, f: &mut Function) {
+        while let Some((b, var, phi)) = self.pending.pop() {
+            let mut incoming = Vec::with_capacity(self.preds(b).len());
+            for i in self.preds(b) {
+                let p = self.pred_list[i];
+                incoming.push((p, self.lookup(f, p, var as usize)));
+            }
+            f.inst_mut(phi).kind = InstKind::Phi { incoming };
+            if let Some(v) = self.trivial_value(f, phi) {
+                self.subst.replace(phi, v);
+            }
+        }
+    }
+
+    /// The value `phi` stands for if it is trivial: its one distinct
+    /// incoming value other than itself (`undef` if it has none).
+    fn trivial_value(&mut self, f: &Function, phi: InstId) -> Option<Operand> {
+        let inst = f.inst(phi);
+        let InstKind::Phi { incoming } = &inst.kind else {
+            unreachable!("not a φ");
+        };
+        let mut unique: Option<Operand> = None;
+        for (_, v) in incoming {
+            let v = self.subst.resolve(*v);
+            if v == Operand::Inst(phi) {
+                continue;
+            }
+            match unique {
+                None => unique = Some(v),
+                Some(u) if u == v => {}
+                _ => return None,
+            }
+        }
+        Some(unique.unwrap_or(Operand::Undef(inst.ty)))
+    }
+
+    /// Whether `phi` has not been replaced.
+    fn kept(&mut self, phi: InstId) -> bool {
+        self.subst.resolve(Operand::Inst(phi)) == Operand::Inst(phi)
+    }
+
+    /// Removes the remaining trivial and redundant φs, places the others
+    /// and rewrites `f` through the recorded replacements. Every block
+    /// must have been filled; the builder is spent afterwards.
+    pub fn finish(&mut self, f: &mut Function) {
+        debug_assert!(self.pending.is_empty());
+        debug_assert!(self.incomplete.iter().all(Vec::is_empty));
+        // Trivial φs whose operands were replaced after they were read.
+        loop {
+            let mut changed = false;
+            for i in 0..self.phis.len() {
+                let phi = self.phis[i].2;
+                if self.kept(phi) {
+                    if let Some(v) = self.trivial_value(f, phi) {
+                        self.subst.replace(phi, v);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut kept: Vec<(BlockId, u32, InstId)> = Vec::new();
+        for i in 0..self.phis.len() {
+            if self.kept(self.phis[i].2) {
+                kept.push(self.phis[i]);
+            }
+        }
+        if !kept.is_empty() {
+            let nodes: Vec<InstId> = kept.iter().map(|p| p.2).collect();
+            let mut marks = PhiMarks::new(f.insts.len());
+            self.remove_redundant(f, &nodes, &mut marks);
+            kept.retain(|p| self.kept(p.2));
+            // Highest variable first at each block head.
+            kept.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+            for group in kept.chunk_by(|a, b| a.0 == b.0) {
+                let insts = &mut f.blocks[group[0].0 .0 as usize].insts;
+                insts.splice(0..0, group.iter().map(|p| p.2));
+            }
+        }
+        self.subst.apply(f);
+    }
+
+    /// Braun et al.'s Algorithm 5: in each strongly connected component
+    /// of the φ graph over `nodes` (operands first), a set of φs whose
+    /// operands from outside the component are one value `v` all stand
+    /// for `v`; otherwise the search recurses into the φs whose operands
+    /// all lie inside.
+    fn remove_redundant(&mut self, f: &Function, nodes: &[InstId], marks: &mut PhiMarks) {
+        let stamp = marks.stamp(nodes);
+        let mut adj_start = Vec::with_capacity(nodes.len() + 1);
+        let mut adj: Vec<u32> = Vec::new();
+        adj_start.push(0u32);
+        for &phi in nodes {
+            let InstKind::Phi { incoming } = &f.inst(phi).kind else {
+                unreachable!("not a φ");
+            };
+            for (_, v) in incoming {
+                if let Operand::Inst(q) = self.subst.resolve(*v) {
+                    if let Some(j) = marks.index(stamp, q) {
+                        adj.push(j);
+                    }
+                }
+            }
+            adj_start.push(adj.len() as u32);
+        }
+        for scc in tarjan(&adj_start, &adj) {
+            let scc: Vec<InstId> = scc.iter().map(|&i| nodes[i as usize]).collect();
+            if scc.len() == 1 {
+                if let Some(v) = self.trivial_value(f, scc[0]) {
+                    self.subst.replace(scc[0], v);
+                }
+                continue;
+            }
+            let inside = marks.stamp(&scc);
+            let mut outer: Option<Operand> = None;
+            let mut several = false;
+            let mut inner = Vec::new();
+            for &phi in &scc {
+                let InstKind::Phi { incoming } = &f.inst(phi).kind else {
+                    unreachable!("not a φ");
+                };
+                let mut is_inner = true;
+                for (_, v) in incoming {
+                    let v = self.subst.resolve(*v);
+                    if let Operand::Inst(q) = v {
+                        if marks.index(inside, q).is_some() {
+                            continue;
+                        }
+                    }
+                    is_inner = false;
+                    match outer {
+                        None => outer = Some(v),
+                        Some(o) if o == v => {}
+                        _ => several = true,
+                    }
+                }
+                if is_inner {
+                    inner.push(phi);
+                }
+            }
+            match outer {
+                Some(v) if !several => {
+                    for &phi in &scc {
+                        self.subst.replace(phi, v);
+                    }
+                }
+                _ if several && !inner.is_empty() => self.remove_redundant(f, &inner, marks),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// Membership of φs in the node set of the current SCC search: an
+/// arena-indexed `(stamp, index)` table, so each new set costs only its
+/// own size.
+struct PhiMarks {
+    at: Vec<(u32, u32)>,
+    next: u32,
+}
+
+impl PhiMarks {
+    fn new(arena: usize) -> PhiMarks {
+        PhiMarks {
+            at: vec![(0, 0); arena],
+            next: 0,
+        }
+    }
+
+    /// Numbers `nodes` under a fresh stamp and returns it.
+    fn stamp(&mut self, nodes: &[InstId]) -> u32 {
+        self.next += 1;
+        for (i, phi) in nodes.iter().enumerate() {
+            self.at[phi.0 as usize] = (self.next, i as u32);
+        }
+        self.next
+    }
+
+    fn index(&self, stamp: u32, phi: InstId) -> Option<u32> {
+        match self.at[phi.0 as usize] {
+            (s, i) if s == stamp => Some(i),
+            _ => None,
+        }
+    }
+}
+
+/// Tarjan's strongly connected components of the graph whose node `i`
+/// has the successors `adj[adj_start[i]..adj_start[i + 1]]`, iteratively.
+/// Components come out successors first.
+fn tarjan(adj_start: &[u32], adj: &[u32]) -> Vec<Vec<u32>> {
+    const NONE: u32 = u32::MAX;
+    let n = adj_start.len() - 1;
+    let mut index = vec![NONE; n];
+    let mut low = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut sccs = Vec::new();
+    let mut next = 0u32;
+    // (node, position of the next successor to visit)
+    let mut calls: Vec<(u32, u32)> = Vec::new();
+    for root in 0..n as u32 {
+        if index[root as usize] != NONE {
+            continue;
+        }
+        calls.push((root, adj_start[root as usize]));
+        index[root as usize] = next;
+        low[root as usize] = next;
+        next += 1;
+        stack.push(root);
+        on_stack[root as usize] = true;
+        while let Some(&mut (v, ref mut pos)) = calls.last_mut() {
+            let vi = v as usize;
+            if *pos < adj_start[vi + 1] {
+                let w = adj[*pos as usize];
+                *pos += 1;
+                let wi = w as usize;
+                if index[wi] == NONE {
+                    index[wi] = next;
+                    low[wi] = next;
+                    next += 1;
+                    stack.push(w);
+                    on_stack[wi] = true;
+                    calls.push((w, adj_start[wi]));
+                } else if on_stack[wi] {
+                    low[vi] = low[vi].min(index[wi]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(u, _)) = calls.last() {
+                low[u as usize] = low[u as usize].min(low[vi]);
+            }
+            if low[vi] == index[vi] {
+                let mut scc = Vec::new();
+                loop {
+                    let w = stack.pop().expect("tarjan stack");
+                    on_stack[w as usize] = false;
+                    scc.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                sccs.push(scc);
+            }
+        }
+    }
+    sccs
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Elim, Label};
 use lasagne_lir::func::Function;
+use lasagne_lir::hash::FxHashMap;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::subst::{users_by_group, NO_GROUP};
-use std::collections::HashMap;
 
 /// Eliminates overwritten non-atomic stores within basic blocks.
 ///
@@ -16,7 +16,7 @@ pub fn dse(f: &mut Function) -> usize {
     let mut removed = 0;
     // Pending store per pointer operand: (position in the block, strongest
     // fence since).
-    let mut pending: HashMap<Operand, (usize, Option<FenceKind>)> = HashMap::new();
+    let mut pending: FxHashMap<Operand, (usize, Option<FenceKind>)> = FxHashMap::default();
     let mut drop: Vec<bool> = Vec::new();
     for b in 0..f.blocks.len() {
         pending.clear();

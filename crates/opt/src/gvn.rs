@@ -8,11 +8,11 @@
 
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Label};
 use lasagne_lir::func::{Function, Module};
+use lasagne_lir::hash::FxHashMap;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand};
 use lasagne_lir::BlockId;
 use lasagne_lir::Subst;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// A hashable key for pure instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,7 +103,7 @@ pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::An
         Exit(usize),
     }
     let mut n = Numbering {
-        table: HashMap::new(),
+        table: FxHashMap::default(),
         undo: Vec::new(),
         subst: Subst::new(),
         dead: vec![false; f.insts.len()],
@@ -132,7 +132,7 @@ pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::An
 /// log of its insertions (unwound when a subtree is left) and the
 /// deferred replacements.
 struct Numbering {
-    table: HashMap<Key, InstId>,
+    table: FxHashMap<Key, InstId>,
     undo: Vec<Key>,
     subst: Subst,
     dead: Vec<bool>,
@@ -188,7 +188,7 @@ pub fn load_elim(f: &mut Function) -> usize {
             label: Label,
             fence: Option<FenceKind>,
         }
-        let mut avail: HashMap<OpKey, Avail> = HashMap::new();
+        let mut avail: FxHashMap<OpKey, Avail> = FxHashMap::default();
         let mut killed = false;
         for i in 0..f.block(b).insts.len() {
             let id = f.block(b).insts[i];

@@ -11,10 +11,10 @@
 
 use lasagne_lir::analysis::find_loops;
 use lasagne_lir::func::Function;
+use lasagne_lir::hash::FxHashMap;
 use lasagne_lir::inst::{BinOp, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::{BlockId, Subst, Ty};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Hoists loop-invariant instructions. Returns the number hoisted.
 pub fn licm(f: &mut Function) -> usize {
@@ -142,7 +142,7 @@ fn hoistable(kind: &InstKind, loop_writes: bool, defined_in_loop: impl Fn(InstId
 /// pure expression with the first occurrence. Expressions are keyed by
 /// type and kind, structurally.
 fn dedup_block(f: &mut Function, b: BlockId, subst: &mut Subst) -> usize {
-    let mut seen: HashMap<(Ty, InstKind), InstId> = HashMap::new();
+    let mut seen: FxHashMap<(Ty, InstKind), InstId> = FxHashMap::default();
     let mut drop: Vec<bool> = Vec::new();
     for pos in 0..f.block(b).insts.len() {
         let id = f.block(b).insts[pos];

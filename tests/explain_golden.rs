@@ -14,7 +14,10 @@
 //! pins the CLI tables with positions and column padding masked: it was
 //! recorded from the lifter that materialised every flag, and the hashes
 //! above were re-recorded when the lifter began materialising only the
-//! flags that are read, which moved positions and nothing else.
+//! flags that are read, which moved positions and nothing else, and again
+//! when it began building registers and flags as SSA values instead of
+//! promoting slots, which moved positions (the CLI tables of HT, LR and
+//! PCA kept their hashes) and left the fixture matching.
 
 use std::process::Command;
 
@@ -26,13 +29,13 @@ const DEMOS: [&str; 7] = ["HT", "KM", "LR", "MM", "PCA", "SM", "WC"];
 
 /// `(demo, CLI table, library records)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
-    ("HT", 0x3ee04b934911f16f, 0xc833e4ca0cc32477),
-    ("KM", 0x0004c0743202c5e1, 0xf69ca47f55a2a7f4),
-    ("LR", 0x7fae3f1d7f9cfe82, 0xa6a1d09878f1dddf),
-    ("MM", 0x7a46e0b56ff23862, 0x205bfcc697705eef),
-    ("PCA", 0x97bd938888dd4d50, 0x48b49ea1515f44c2),
-    ("SM", 0x0d4452c1a17e47fa, 0x7ecdbf6a205b6471),
-    ("WC", 0xc402f79f36059ae7, 0xa3ff51190a76efc5),
+    ("HT", 0x3ee04b934911f16f, 0x5b7e20ddb01a2b90),
+    ("KM", 0xb92c05a6f2ab12f1, 0xc60507760dcf1881),
+    ("LR", 0x7fae3f1d7f9cfe82, 0x442c10ee9079e0d3),
+    ("MM", 0x911b35f63abea3b1, 0xca5d6e387187a943),
+    ("PCA", 0x97bd938888dd4d50, 0x2c229597ae6c903b),
+    ("SM", 0x21395507086b646a, 0xcaff1e34fc63eaa9),
+    ("WC", 0x44fff300f3c5ea37, 0x33e6dddd86b2b138),
 ];
 
 fn hex(h: u64) -> String {
