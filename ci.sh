@@ -17,6 +17,13 @@ LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test memor
 # self-loops, unreachable and irreducible regions) runs here with 2000
 # cases instead of its usual 256.
 LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test ssa_construction
+# The opt scheduler skips a (function, pass) pair only when the pass ran
+# clean and nothing that feeds it has changed the function since, and
+# every pass shares one invalidation rule for the analysis cache. Both
+# rest on the scheduled-vs-blind equivalence over messy modules and on
+# every_pass_effect_is_honest, so this suite runs here with 10000 cases
+# instead of its usual 256 (about 2 s).
+LASAGNE_QC_CASES=10000 cargo test --release --offline -p lasagne-opt --test sched_equiv
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Layering: the memory-model checker is a leaf. It may link only the
@@ -240,5 +247,15 @@ if grep -rn 'HashMap<String' crates/opt/src/ crates/fences/src/ \
     crates/armgen/src/ crates/refine/src/ crates/lifter/src/ |
     grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
     echo 'opt, fences, armgen, refine and the lifter must not key tables by String' >&2
+    exit 1
+fi
+
+# One public entry point per optimizer pass and per lift operation: a
+# pass takes the analysis cache itself, so a `_with` or `_eff` twin that
+# only builds a fresh cache (or only reshapes the result) must not come
+# back. Only matches whose source text starts with a comment are exempt.
+if grep -rnE 'pub fn [a-z0-9_]+_(with|eff)[<(]' crates/opt/src/ crates/lifter/src/ |
+    grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
+    echo 'opt and the lifter must not grow _with/_eff twins of a pass' >&2
     exit 1
 fi

@@ -195,7 +195,7 @@ fn optimized_code_runs_faster_on_arm() {
     let mut m = lasagne_lifter::lift_binary(&build_sum_binary()).unwrap();
     lasagne_fences::place_fences_module(&mut m, lasagne_fences::Strategy::Naive);
     let mut opt = m.clone();
-    lasagne_opt::standard_pipeline(&mut opt, 4);
+    lasagne_opt::scheduled_pipeline(&mut opt, 4);
 
     let run = |m: &lasagne_lir::Module| {
         let amod = lower_module(m);

@@ -26,7 +26,7 @@ fn pipelines() -> Vec<(&'static str, fn(&mut lasagne_lir::Module))> {
         lasagne_refine::refine_module(m);
         lasagne_fences::place_fences_module(m, lasagne_fences::Strategy::StackAware);
         lasagne_fences::merge_fences_module(m);
-        lasagne_opt::standard_pipeline(m, 3);
+        lasagne_opt::scheduled_pipeline(m, 3);
     }
     vec![("lifted", lifted), ("optimized", optimized)]
 }

@@ -87,7 +87,7 @@ use std::time::Instant;
 use lasagne_cache::ser as cache_ser;
 use lasagne_cache::{CacheStats, Fnv64, FuncMeta, Manifest, ManifestEntry, TranslationCache};
 use lasagne_fences::{FenceDecision, FenceFate, FenceMerge, PlacementStats, Strategy};
-use lasagne_lifter::{LiftPlan, TranslateOptions};
+use lasagne_lifter::LiftPlan;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand};
 use lasagne_opt::sccp::IpsccpFact;
@@ -511,7 +511,18 @@ impl TimingSink {
                 jobs,
                 total_nanos: 0,
                 stages,
-                opt_passes: Vec::new(),
+                // One entry per pass, indexed by `PassKind::index` until
+                // `finish` puts the table in schedule order.
+                opt_passes: PassKind::ALL
+                    .iter()
+                    .map(|k| OptPassTiming {
+                        pass: k.name(),
+                        nanos: 0,
+                        changes: 0,
+                        invocations: 0,
+                        hist: [0; HIST_BUCKETS],
+                    })
+                    .collect(),
                 ipsccp_rounds: Vec::new(),
                 opt_sched: None,
                 barrier_wait_nanos: Vec::new(),
@@ -566,19 +577,7 @@ impl TimingSink {
     /// Records one pass execution inside an opt block.
     fn record_opt_pass(&self, pass: PassKind, nanos: u128, changes: u64) {
         let mut r = self.lock();
-        let passes = &mut r.opt_passes;
-        let pos = passes.iter().position(|p| p.pass == pass.name());
-        let pos = pos.unwrap_or_else(|| {
-            passes.push(OptPassTiming {
-                pass: pass.name(),
-                nanos: 0,
-                changes: 0,
-                invocations: 0,
-                hist: [0; HIST_BUCKETS],
-            });
-            passes.len() - 1
-        });
-        let p = &mut passes[pos];
+        let p = &mut r.opt_passes[pass.index()];
         p.nanos += nanos;
         p.changes += changes;
         p.invocations += 1;
@@ -662,17 +661,22 @@ impl TimingSink {
     }
 
     /// The finished report: functions named after `m`'s, the opt-pass
-    /// table in schedule order — each pass's first slot in `OPT_ORDER`,
-    /// not arrival order, which depends on how workers interleave — and
-    /// the `ipsccp` supersteps in round order.
+    /// table reduced to the passes that ran, in schedule order — each
+    /// pass's first slot in `OPT_ORDER`, not arrival order, which depends
+    /// on how workers interleave — and the `ipsccp` supersteps in round
+    /// order.
     fn finish(self, total_nanos: u128, m: &Module) -> PipelineReport {
         let mut r = self.report.into_inner().unwrap_or_else(|e| e.into_inner());
         r.total_nanos = total_nanos;
         for ft in r.stages.iter_mut().flat_map(|st| &mut st.funcs) {
             ft.func = m.funcs[ft.index].name.clone();
         }
-        r.opt_passes
-            .sort_by_key(|p| OPT_ORDER.iter().position(|k| k.name() == p.pass));
+        let mut by_kind: Vec<Option<OptPassTiming>> = r.opt_passes.drain(..).map(Some).collect();
+        r.opt_passes = OPT_ORDER
+            .iter()
+            .filter_map(|k| by_kind[k.index()].take())
+            .filter(|p| p.invocations > 0)
+            .collect();
         r.ipsccp_rounds.sort_by_key(|r| r.round);
         r
     }
@@ -1408,10 +1412,10 @@ impl<'p> Run<'p> {
     /// algorithm's `(target, param)` decision order over frozen summaries,
     /// including its intra-invocation cascade (see `opt::sccp`).
     ///
-    /// Emits the same `lattice-fact` instants as `sccp::ipsccp` and
-    /// records an [`IpsccpRoundTiming`] with the phase breakdown, whose
-    /// totals [`PipelineReport::publish`] turns into the `opt.ipsccp.*`
-    /// counters.
+    /// Emits its `lattice-fact` instants through
+    /// `sccp::trace_lattice_facts` and records an [`IpsccpRoundTiming`]
+    /// with the phase breakdown, whose totals [`PipelineReport::publish`]
+    /// turns into the `opt.ipsccp.*` counters.
     ///
     /// A function that received substitutions was mutated from outside
     /// its own pass runs, so its [`FuncState`] is marked externally
@@ -1464,25 +1468,7 @@ impl<'p> Run<'p> {
         }
         let apply_nanos = clock.elapsed().as_nanos() - gather_nanos - join_nanos;
 
-        if self.trace.is_enabled() {
-            for fact in &new_facts {
-                self.trace.instant(
-                    "opt",
-                    "lattice-fact",
-                    vec![
-                        (
-                            "func",
-                            lasagne_trace::ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
-                        ),
-                        ("param", lasagne_trace::ArgVal::from(fact.param as u64)),
-                        (
-                            "value",
-                            lasagne_trace::ArgVal::from(format!("{:?}", fact.value)),
-                        ),
-                    ],
-                );
-            }
-        }
+        lasagne_opt::sccp::trace_lattice_facts(self.trace, m, &new_facts);
         self.sink.lock().ipsccp_rounds.push(IpsccpRoundTiming {
             round,
             gather_nanos,
@@ -1559,7 +1545,7 @@ impl<'p> Run<'p> {
         // one fused work item.
         let wall_a = Instant::now();
         let plan = self.unit(Stage::Lift, "prepare", None, "changes", || {
-            (LiftPlan::prepare(bin, TranslateOptions::default()), 0, 0)
+            (LiftPlan::prepare(bin), 0, 0)
         })?;
         // x86 entry addresses, captured while the plan still exists: work
         // index i is FuncId(i), so this is parallel to `m.funcs` below.

@@ -5,8 +5,8 @@
 //! ([`xcfg`]), function types are discovered from the System-V calling
 //! convention via live-register analysis ([`typedisc`]), and instructions
 //! are translated to LIR ([`translate`]) with the stack reconstructed as a
-//! byte-array `alloca` and every flag effect materialised. Register slots
-//! are then promoted to SSA (mirroring mctoll's SSA output).
+//! byte-array `alloca`, only the live flag effects materialised, and
+//! registers and flags built as SSA values while lifting.
 //!
 //! # Example
 //!
@@ -44,8 +44,6 @@ use lasagne_x86::binary::Binary;
 use std::collections::BTreeMap;
 use translate::SymbolEnv;
 use typedisc::{FuncType, SigTable};
-
-pub use translate::TranslateOptions;
 
 /// Machine-code and type-discovery profile of one function, reported by
 /// [`LiftPlan::function_profile`] for the observability layer.
@@ -114,27 +112,16 @@ pub fn extern_signature(name: &str) -> Option<(FuncType, bool)> {
     }
 }
 
-/// Lifts a whole binary image to an LIR module.
+/// Lifts a whole binary image to an LIR module: [`LiftPlan::prepare`]
+/// followed by lifting every function in address order and
+/// [`LiftPlan::finish`] — the one-shot serial form of the two-phase API.
 ///
 /// # Errors
 ///
 /// Returns a [`LiftError`] if any function cannot be decoded, reconstructed,
 /// or translated, or if the produced module fails verification.
 pub fn lift_binary(bin: &Binary) -> Result<Module, LiftError> {
-    lift_binary_with(bin, TranslateOptions::default())
-}
-
-/// [`lift_binary`] with explicit options.
-///
-/// Equivalent to [`LiftPlan::prepare`] followed by lifting every function
-/// in address order and [`LiftPlan::finish`] — the one-shot serial form of
-/// the two-phase API.
-///
-/// # Errors
-///
-/// See [`lift_binary`].
-pub fn lift_binary_with(bin: &Binary, opts: TranslateOptions) -> Result<Module, LiftError> {
-    let plan = LiftPlan::prepare(bin, opts)?;
+    let plan = LiftPlan::prepare(bin)?;
     let bodies = (0..plan.num_functions())
         .map(|i| plan.lift_function(i, &TraceCtx::disabled()))
         .collect::<Result<Vec<_>, _>>()?;
@@ -164,7 +151,6 @@ pub struct LiftPlan {
     tys: Vec<FuncType>,
     /// Extern id of `sqrt` (needed by `sqrtsd` translation).
     sqrt_id: lasagne_lir::inst::ExternId,
-    opts: TranslateOptions,
 }
 
 impl LiftPlan {
@@ -174,7 +160,7 @@ impl LiftPlan {
     ///
     /// Returns [`LiftError::Cfg`] if any function's control flow cannot be
     /// reconstructed.
-    pub fn prepare(bin: &Binary, opts: TranslateOptions) -> Result<LiftPlan, LiftError> {
+    pub fn prepare(bin: &Binary) -> Result<LiftPlan, LiftError> {
         let mut module = Module::new();
 
         // Globals.
@@ -228,7 +214,7 @@ impl LiftPlan {
             .collect();
         let mut cfgs: BTreeMap<u64, (String, xcfg::XCfg)> = BTreeMap::new();
         for f in &bin.functions {
-            let cfg = xcfg::build_xcfg_with(bin.code_of(f), f.addr, |t| {
+            let cfg = xcfg::build_xcfg(bin.code_of(f), f.addr, |t| {
                 t != f.addr && call_targets.contains(&t)
             })
             .map_err(LiftError::Cfg)?;
@@ -308,7 +294,6 @@ impl LiftPlan {
             work,
             tys,
             sqrt_id,
-            opts,
         })
     }
 
@@ -387,15 +372,9 @@ impl LiftPlan {
     /// Panics if `i` is out of range.
     pub fn lift_function(&self, i: usize, ctx: &TraceCtx) -> Result<Function, LiftError> {
         let (_, name, cfg) = &self.work[i];
-        let mut func = translate::translate_function(
-            name,
-            cfg,
-            &self.tys[i],
-            &self.env,
-            self.sqrt_id,
-            self.opts,
-        )
-        .map_err(LiftError::Translate)?;
+        let mut func =
+            translate::translate_function(name, cfg, &self.tys[i], &self.env, self.sqrt_id)
+                .map_err(LiftError::Translate)?;
         func.compact();
         if ctx.is_enabled() {
             let p = self.function_profile(i);
@@ -505,7 +484,7 @@ mod tests {
         a.push(Inst::Ret);
         let addr = b.next_function_addr();
         b.add_function("id", a.finish(addr).unwrap());
-        let plan = LiftPlan::prepare(&b.finish(), TranslateOptions::default()).unwrap();
+        let plan = LiftPlan::prepare(&b.finish()).unwrap();
         let plain = plan.lift_function(0, &TraceCtx::disabled()).unwrap();
         let ctx = TraceCtx::collecting();
         let traced = plan.lift_function(0, &ctx).unwrap();

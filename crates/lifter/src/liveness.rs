@@ -329,26 +329,10 @@ pub struct Liveness {
     pub live_out: Vec<RegSet>,
 }
 
-/// Computes classic backward liveness over the machine CFG.
-///
-/// Calls are treated conservatively (reading every parameter register); use
-/// [`analyze_with`] to supply precise per-callee argument registers.
-pub fn analyze(cfg: &XCfg) -> Liveness {
-    analyze_with(cfg, |_| {
-        let mut s = RegSet::EMPTY;
-        for r in Gpr::PARAMS {
-            s.add_gpr(r);
-        }
-        for x in Xmm::PARAMS {
-            s.add_xmm(x);
-        }
-        s
-    })
-}
-
-/// Liveness with a callback giving the registers a direct call to `addr`
-/// actually reads (derived from already-discovered callee signatures).
-pub fn analyze_with(cfg: &XCfg, call_uses: impl Fn(u64) -> RegSet) -> Liveness {
+/// Computes classic backward liveness over the machine CFG, with a
+/// callback giving the registers a direct call to `addr` actually reads
+/// (derived from already-discovered callee signatures).
+pub fn analyze(cfg: &XCfg, call_uses: impl Fn(u64) -> RegSet) -> Liveness {
     let n = cfg.blocks.len();
     // gen = used before defined in block; kill = defined in block.
     let mut gen = vec![RegSet::EMPTY; n];
@@ -548,8 +532,8 @@ mod tests {
         });
         a.push(Inst::Ret);
         let bytes = a.finish(0).unwrap();
-        let cfg = build_xcfg(&bytes, 0).unwrap();
-        let lv = analyze(&cfg);
+        let cfg = build_xcfg(&bytes, 0, |_| false).unwrap();
+        let lv = analyze(&cfg, |_| RegSet::EMPTY);
         assert!(lv.live_in[0].has_gpr(Gpr::Rdi));
         assert!(!lv.live_in[0].has_gpr(Gpr::Rsi));
     }
@@ -575,8 +559,8 @@ mod tests {
         a.jcc(Cond::Ne, top);
         a.push(Inst::Ret);
         let bytes = a.finish(0).unwrap();
-        let cfg = build_xcfg(&bytes, 0).unwrap();
-        let lv = analyze(&cfg);
+        let cfg = build_xcfg(&bytes, 0, |_| false).unwrap();
+        let lv = analyze(&cfg, |_| RegSet::EMPTY);
         assert!(lv.live_in[0].has_gpr(Gpr::Rsi));
         assert!(lv.live_in[0].has_gpr(Gpr::Rdi));
         assert!(lv.live_in[0].has_gpr(Gpr::Rax), "rax read before written");
@@ -643,7 +627,7 @@ mod tests {
         });
         a.push(setcc(Cond::L));
         a.push(Inst::Ret);
-        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
         let lv = analyze_flags(&cfg);
         let sf_of = flags(&[Flag::Sf, Flag::Of]);
         assert_eq!(lv.after[0][0], sf_of.union(flags(&[Flag::Zf])));
@@ -668,7 +652,7 @@ mod tests {
             });
         }
         a.push(Inst::Ret);
-        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
         let lv = analyze_flags(&cfg);
         let cf = flags(&[Flag::Cf]);
         assert_eq!(lv.after[0][..3], [cf, cf, FlagSet::EMPTY]);
@@ -693,7 +677,7 @@ mod tests {
         });
         a.jcc(Cond::Ne, top);
         a.push(Inst::Ret);
-        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
         let lv = analyze_flags(&cfg);
         let cf = flags(&[Flag::Cf]);
         assert_eq!(lv.after[0][0], cf, "cmp feeds the first setb");
@@ -717,7 +701,7 @@ mod tests {
         a.push(setcc(Cond::E));
         a.push(setcc(Cond::O));
         a.push(Inst::Ret);
-        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
         let lv = analyze_flags(&cfg);
         let zf = flags(&[Flag::Zf]);
         assert_eq!(lv.after[0][0], zf);

@@ -89,18 +89,8 @@ impl SymbolEnv {
     }
 }
 
-/// Options controlling translation.
-#[derive(Debug, Clone, Copy)]
-pub struct TranslateOptions {
-    /// Bytes reserved for the reconstructed stack array (§4.2.3).
-    pub stack_size: u64,
-}
-
-impl Default for TranslateOptions {
-    fn default() -> Self {
-        TranslateOptions { stack_size: 4096 }
-    }
-}
+/// Bytes reserved for the reconstructed stack array (§4.2.3).
+const STACK_SIZE: u64 = 4096;
 
 /// The SSA variable of a GPR: its position in `Gpr::ALL`, its encoding.
 fn gpr_var(r: Gpr) -> usize {
@@ -125,7 +115,6 @@ struct Tr<'a> {
     written_params: BTreeSet<Gpr>,
     /// Last constant moved into AL/EAX (SSE-count for variadic calls).
     al_const: Option<u8>,
-    opts: TranslateOptions,
     /// Flags live after the instruction being lowered; writes of any other
     /// flag are dead and are not emitted.
     live: FlagSet,
@@ -801,10 +790,9 @@ pub fn translate_function(
     fty: &FuncType,
     env: &SymbolEnv,
     sqrt_extern: ExternId,
-    opts: TranslateOptions,
 ) -> Result<Function, TranslateError> {
     let live_after = analyze_flags(cfg).after;
-    Ok(lift_body(name, cfg, fty, env, sqrt_extern, opts, &live_after)?.f)
+    Ok(lift_body(name, cfg, fty, env, sqrt_extern, &live_after)?.f)
 }
 
 /// Lowers every block of `cfg`, materialising after the `k`-th instruction
@@ -815,7 +803,6 @@ fn lift_body<'a>(
     fty: &FuncType,
     env: &'a SymbolEnv,
     sqrt_extern: ExternId,
-    opts: TranslateOptions,
     live_after: &[Vec<FlagSet>],
 ) -> Result<Tr<'a>, TranslateError> {
     let mut f = Function::new(name, fty.params.clone(), fty.ret);
@@ -845,7 +832,6 @@ fn lift_body<'a>(
         sqrt_ext: sqrt_extern,
         written_params: BTreeSet::new(),
         al_const: None,
-        opts,
         live: FlagSet::EMPTY,
         #[cfg(test)]
         flag_io: ([0; 5], [0; 5]),
@@ -858,13 +844,8 @@ fn lift_body<'a>(
         tr.xmm_slot[x as usize] = Some(id);
     }
     // Reconstructed stack (§4.2.3): an i8 array; RSP starts at its end.
-    let stack = tr.f.push(
-        BlockId(0),
-        PTR_I8,
-        InstKind::Alloca {
-            size: tr.opts.stack_size,
-        },
-    );
+    let stack =
+        tr.f.push(BlockId(0), PTR_I8, InstKind::Alloca { size: STACK_SIZE });
     let sp_base = tr.emit(
         Ty::I64,
         InstKind::Cast {
@@ -877,7 +858,7 @@ fn lift_body<'a>(
         InstKind::Bin {
             op: BinOp::Add,
             lhs: sp_base,
-            rhs: Operand::i64(opts.stack_size as i64),
+            rhs: Operand::i64(STACK_SIZE as i64),
         },
     );
     tr.ssa.write(BlockId(0), gpr_var(Gpr::Rsp), sp_top);
@@ -2172,22 +2153,13 @@ mod tests {
                 a.push(inst);
             }
             a.push(Inst::Ret);
-            let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+            let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
             let all_live: Vec<Vec<FlagSet>> = cfg
                 .blocks
                 .iter()
                 .map(|b| vec![FlagSet::ALL; b.insts.len()])
                 .collect();
-            let tr = lift_body(
-                "f",
-                &cfg,
-                &fty,
-                &env,
-                ExternId(0),
-                TranslateOptions::default(),
-                &all_live,
-            )
-            .unwrap();
+            let tr = lift_body("f", &cfg, &fty, &env, ExternId(0), &all_live).unwrap();
             let (reads, writes) = tr.flag_io;
             assert_eq!(reads, flag_counts(flag_reads(&inst)), "reads of {inst}");
             assert_eq!(writes, flag_counts(flag_writes(&inst)), "writes of {inst}");
@@ -2209,23 +2181,14 @@ mod tests {
         a.jcc(Cond::L, done);
         a.bind(done);
         a.push(Inst::Ret);
-        let cfg = build_xcfg(&a.finish(0).unwrap(), 0).unwrap();
+        let cfg = build_xcfg(&a.finish(0).unwrap(), 0, |_| false).unwrap();
         let fty = FuncType {
             params: vec![Ty::I64, Ty::I64],
             ret: Ty::Void,
         };
         let env = SymbolEnv::default();
         let live = crate::liveness::analyze_flags(&cfg).after;
-        let tr = lift_body(
-            "f",
-            &cfg,
-            &fty,
-            &env,
-            ExternId(0),
-            TranslateOptions::default(),
-            &live,
-        )
-        .unwrap();
+        let tr = lift_body("f", &cfg, &fty, &env, ExternId(0), &live).unwrap();
         assert_eq!(tr.flag_io.1, [0, 0, 0, 1, 1]);
         let lshrs =
             tr.f.iter_insts()

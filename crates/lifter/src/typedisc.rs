@@ -165,8 +165,8 @@ fn scalar_ty(p: FpPrec) -> Ty {
 /// consulting `sigs` for the argument registers of direct callees.
 pub fn discover(cfg: &XCfg, sigs: &SigTable) -> FuncType {
     // Parameter discovery: live-at-entry ∩ parameter registers (§4.1).
-    // (analyze_with also consults `sigs` for tail-call jumps.)
-    let lv = liveness::analyze_with(cfg, |target| {
+    // (analyze also consults `sigs` for tail-call jumps.)
+    let lv = liveness::analyze(cfg, |target| {
         sigs.get(target).map_or(RegSet::EMPTY, FuncType::arg_regs)
     });
     let entry_idx = cfg.block_index(cfg.entry).unwrap_or(0);
@@ -347,7 +347,7 @@ mod tests {
     use lasagne_x86::reg::Width;
 
     fn discover_bytes(bytes: &[u8], base: u64) -> FuncType {
-        let cfg = build_xcfg(bytes, base).unwrap();
+        let cfg = build_xcfg(bytes, base, |_| false).unwrap();
         discover(&cfg, &SigTable::new())
     }
 
@@ -520,7 +520,7 @@ mod tests {
         });
         a.push(Inst::Ret);
         let bytes = a.finish(0).unwrap();
-        let cfg = build_xcfg(&bytes, 0).unwrap();
+        let cfg = build_xcfg(&bytes, 0, |_| false).unwrap();
         let t = discover(&cfg, &sigs);
         assert_eq!(t.params, vec![Ty::I64]);
         assert_eq!(t.ret, Ty::I64, "rax defined by g's return");

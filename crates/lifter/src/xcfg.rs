@@ -73,27 +73,16 @@ impl XCfg {
 /// Reconstructs the CFG of one function from its machine code.
 ///
 /// `base` is the address of `bytes[0]` (the function entry).
+/// `is_call_target` identifies addresses that are valid tail-call targets
+/// (entry points of other functions or extern stubs): a `jmp` to such an
+/// address terminates its block like a `ret`, and the translator lowers it
+/// as call-then-return (one of the paper's §4 mctoll contributions).
 ///
 /// # Errors
 ///
-/// Fails on undecodable bytes or branches that leave the function body.
-/// Unconditional jumps to *other functions* are accepted as tail calls
-/// when `is_call_target(t)` holds (see [`build_xcfg_with`]); the plain
-/// [`build_xcfg`] rejects them.
-pub fn build_xcfg(bytes: &[u8], base: u64) -> Result<XCfg, CfgError> {
-    build_xcfg_with(bytes, base, |_| false)
-}
-
-/// [`build_xcfg`] with a predicate identifying addresses that are valid
-/// tail-call targets (entry points of other functions or extern stubs).
-/// A `jmp` to such an address terminates its block like a `ret`; the
-/// translator lowers it as call-then-return (one of the paper's §4 mctoll
-/// contributions).
-///
-/// # Errors
-///
-/// See [`build_xcfg`].
-pub fn build_xcfg_with(
+/// Fails on undecodable bytes or branches that leave the function body,
+/// other than jumps to an address `is_call_target` accepts.
+pub fn build_xcfg(
     bytes: &[u8],
     base: u64,
     is_call_target: impl Fn(u64) -> bool,
@@ -233,7 +222,7 @@ mod tests {
     #[test]
     fn loop_cfg_shape() {
         let base = 0x40_1000;
-        let cfg = build_xcfg(&loop_bytes(base), base).unwrap();
+        let cfg = build_xcfg(&loop_bytes(base), base, |_| false).unwrap();
         assert_eq!(cfg.entry, base);
         // entry block, loop block, jmp block, ret block
         assert_eq!(cfg.blocks.len(), 4);
@@ -249,7 +238,7 @@ mod tests {
         a.push(Inst::Nop);
         a.push(Inst::Ret);
         let bytes = a.finish(0).unwrap();
-        let cfg = build_xcfg(&bytes, 0).unwrap();
+        let cfg = build_xcfg(&bytes, 0, |_| false).unwrap();
         assert_eq!(cfg.blocks.len(), 1);
         assert!(cfg.blocks[0].succs.is_empty());
         assert_eq!(cfg.blocks[0].insts.len(), 3);
@@ -266,7 +255,7 @@ mod tests {
             &mut v,
         )
         .unwrap();
-        let err = build_xcfg(&v, 0x100).unwrap_err();
+        let err = build_xcfg(&v, 0x100, |_| false).unwrap_err();
         assert!(matches!(err, CfgError::BranchOutOfFunction { .. }));
     }
 
@@ -290,7 +279,7 @@ mod tests {
         a.bind(skip);
         a.push(Inst::Ret);
         let bytes = a.finish(0x2000).unwrap();
-        let cfg = build_xcfg(&bytes, 0x2000).unwrap();
+        let cfg = build_xcfg(&bytes, 0x2000, |_| false).unwrap();
         assert_eq!(cfg.blocks.len(), 3);
         // middle block falls through to the ret block
         assert_eq!(cfg.blocks[1].succs, vec![cfg.blocks[2].start]);

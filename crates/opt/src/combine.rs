@@ -16,16 +16,11 @@ use lasagne_lir::Subst;
 /// Simplified instructions are deleted on the spot (they are pure), which
 /// keeps the sweep monotonic: the change count reaches zero at a fixpoint.
 /// Like LLVM's InstCombine worklist, trivially dead pure instructions
-/// encountered along the way are erased as well.
-pub fn instcombine(m: &Module, f: &mut Function) -> usize {
-    instcombine_with(m, f, &mut Analyses::new())
-}
-
-/// [`instcombine`] against a shared analysis cache: the erasure phase
-/// seeds a worklist from the cached use counts (rebuilt only if the
+/// encountered along the way are erased as well: the erasure phase seeds a
+/// worklist from the cached use counts in `an` (rebuilt only if the
 /// simplify sweep mutated) instead of recomputing them once per deletion
 /// round, and stores the maintained vector back for the next pass.
-pub fn instcombine_with(m: &Module, f: &mut Function, an: &mut Analyses) -> usize {
+pub fn instcombine(m: &Module, f: &mut Function, an: &mut Analyses) -> usize {
     let mut changed = 0;
     let mut subst = Subst::new();
     let mut dead = vec![false; f.insts.len()];
@@ -337,7 +332,7 @@ mod tests {
                 val: Some(Operand::Inst(a)),
             },
         );
-        assert_eq!(instcombine(&m, &mut f), 1);
+        assert_eq!(instcombine(&m, &mut f, &mut Analyses::new()), 1);
         match f.block(e).term {
             Terminator::Ret { val: Some(v) } => assert_eq!(v.as_const_int(), Some(42)),
             _ => unreachable!(),
@@ -381,7 +376,7 @@ mod tests {
                 val: Some(Operand::Inst(c)),
             },
         );
-        while instcombine(&m, &mut f) > 0 {}
+        while instcombine(&m, &mut f, &mut Analyses::new()) > 0 {}
         match f.block(e).term {
             Terminator::Ret {
                 val: Some(Operand::Param(0)),
@@ -409,7 +404,7 @@ mod tests {
                 val: Some(Operand::Inst(a)),
             },
         );
-        assert_eq!(instcombine(&m, &mut f), 1);
+        assert_eq!(instcombine(&m, &mut f, &mut Analyses::new()), 1);
     }
 
     #[test]
@@ -455,7 +450,7 @@ mod tests {
             },
         );
         // trunc(zext t) → t, then the outer zext(t) duplicates z (left for GVN).
-        assert!(instcombine(&m, &mut f) >= 1);
+        assert!(instcombine(&m, &mut f, &mut Analyses::new()) >= 1);
         assert!(matches!(f.inst(t2).kind, InstKind::Cast { .. }));
     }
 
@@ -487,7 +482,7 @@ mod tests {
                 val: Some(Operand::Inst(s)),
             },
         );
-        while instcombine(&m, &mut f) > 0 {}
+        while instcombine(&m, &mut f, &mut Analyses::new()) > 0 {}
         match f.block(e).term {
             Terminator::Ret { val: Some(v) } => assert_eq!(v.as_const_int(), Some(1)),
             _ => unreachable!(),

@@ -5,20 +5,16 @@ use lasagne_lir::func::Function;
 use lasagne_lir::inst::{InstId, Operand};
 
 /// Basic DCE: removes unused, side-effect-free instructions to closure.
-pub fn dce(f: &mut Function) -> usize {
-    dce_with(f, &mut Analyses::new())
-}
-
-/// [`dce`] against a shared analysis cache: seeds a worklist from the
-/// cached use counts instead of rebuilding them once per deletion round,
-/// decrements counts in place as instructions die, and stores the
-/// maintained vector back for the next pass.
+/// Seeds a worklist from the cached use counts in `an` instead of
+/// rebuilding them once per deletion round, decrements counts in place as
+/// instructions die, and stores the maintained vector back for the next
+/// pass.
 ///
 /// The removed set is the unique maximal closure of pure instructions
 /// transitively without uses — exactly what the old rebuild-per-round loop
 /// computed — and the single order-preserving `retain` leaves the blocks
 /// byte-identical to repeated per-round retains.
-pub fn dce_with(f: &mut Function, an: &mut Analyses) -> usize {
+pub fn dce(f: &mut Function, an: &mut Analyses) -> usize {
     let mut counts = an.seed_use_counts(f);
     let mut dead = vec![false; f.insts.len()];
     let mut work: Vec<InstId> = Vec::new();
@@ -56,18 +52,6 @@ pub fn dce_with(f: &mut Function, an: &mut Analyses) -> usize {
         }
     }
     an.store_use_counts(counts);
-    removed
-}
-
-/// [`adce`] against a shared analysis cache. The mark phase is already a
-/// seeded worklist (roots → transitive operands), so the cache's only role
-/// is bookkeeping: a removal invalidates the cached use counts (dead
-/// instructions may have used live ones).
-pub fn adce_with(f: &mut Function, an: &mut Analyses) -> usize {
-    let removed = adce(f);
-    if removed > 0 {
-        an.note_insts_changed();
-    }
     removed
 }
 
@@ -157,7 +141,7 @@ mod tests {
                 val: Some(Operand::Param(0)),
             },
         );
-        assert_eq!(dce(&mut f), 2);
+        assert_eq!(dce(&mut f, &mut Analyses::new()), 2);
         assert_eq!(f.live_inst_count(), 0);
     }
 
@@ -182,7 +166,7 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        assert_eq!(dce(&mut f), 0);
+        assert_eq!(dce(&mut f, &mut Analyses::new()), 0);
         assert_eq!(f.live_inst_count(), 2);
     }
 
@@ -224,7 +208,7 @@ mod tests {
 
         // Plain DCE can't remove the mutually-referencing pair…
         let mut g = f.clone();
-        assert_eq!(dce(&mut g), 0);
+        assert_eq!(dce(&mut g, &mut Analyses::new()), 0);
         // …aggressive DCE can.
         assert_eq!(adce(&mut f), 2);
         assert_eq!(f.live_inst_count(), 0);

@@ -7,6 +7,7 @@
 //! `lasagne-fences` so that fences between accesses are respected.
 
 use lasagne_fences::legality::{elim_adjacent, elim_fenced, Label};
+use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::hash::FxHashMap;
 use lasagne_lir::inst::{FenceKind, InstId, InstKind, Operand};
@@ -82,16 +83,12 @@ fn key_of(kind: &InstKind, ty: lasagne_lir::Ty) -> Option<Key> {
 }
 
 /// Runs GVN over a function. Returns the number of instructions replaced.
-pub fn gvn(m: &Module, f: &mut Function) -> usize {
-    gvn_with(m, f, &mut lasagne_lir::analysis::Analyses::new())
-}
-
-/// [`gvn`] against a shared analysis cache: the CFG and dominator tree —
-/// the pass's whole per-call rebuild cost — come from the cache, which is
-/// valid across every pass except sccp's branch folds (GVN itself only
-/// rewrites instructions, never terminator targets, so the cache survives
-/// its own run too).
-pub fn gvn_with(m: &Module, f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> usize {
+///
+/// The CFG and dominator tree — the pass's whole per-call rebuild cost —
+/// come from the analysis cache `an`, which is valid across every pass
+/// except sccp's branch folds (GVN itself only rewrites instructions, never
+/// terminator targets, so the cache survives its own run too).
+pub fn gvn(m: &Module, f: &mut Function, an: &mut Analyses) -> usize {
     let _ = m;
     let (_, doms) = an.cfg_and_doms(f);
 
@@ -306,7 +303,7 @@ mod tests {
                 val: Some(Operand::Inst(c)),
             },
         );
-        assert_eq!(gvn(&m, &mut f), 1);
+        assert_eq!(gvn(&m, &mut f, &mut Analyses::new()), 1);
         let _ = &mut m;
         match &f.inst(c).kind {
             InstKind::Bin { lhs, rhs, .. } => assert_eq!(lhs, rhs),
@@ -352,7 +349,11 @@ mod tests {
                 val: Some(Operand::Inst(c)),
             },
         );
-        assert_eq!(gvn(&m, &mut f), 1, "a+b and b+a must value-number equal");
+        assert_eq!(
+            gvn(&m, &mut f, &mut Analyses::new()),
+            1,
+            "a+b and b+a must value-number equal"
+        );
     }
 
     #[test]
@@ -401,7 +402,7 @@ mod tests {
                 val: Some(Operand::Inst(b)),
             },
         );
-        assert_eq!(gvn(&m, &mut f), 0);
+        assert_eq!(gvn(&m, &mut f, &mut Analyses::new()), 0);
     }
 
     #[test]

@@ -89,6 +89,12 @@ impl PassKind {
         PassKind::Dse,
     ];
 
+    /// Position of the pass in [`PassKind::ALL`], which lists the variants
+    /// in declaration order: the index of per-pass tables.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the pass has an interprocedural component that must run
     /// with exclusive access to the whole module (a serial barrier in the
     /// parallel pipeline driver). Only `ipsccp` qualifies; every other
@@ -123,7 +129,7 @@ pub fn run_pass(kind: PassKind, m: &mut Module) -> usize {
     // constants locally afterwards, as LLVM does.
     let mut total = 0;
     if kind.is_interprocedural() {
-        total += sccp::ipsccp(m, &mut Vec::new(), &lasagne_trace::TraceCtx::disabled());
+        total += sccp::ipsccp(m, &mut Vec::new()).iter().sum::<usize>();
     }
     total
         + for_each_function(m, |mm, f| {
@@ -137,73 +143,48 @@ pub fn run_pass(kind: PassKind, m: &mut Module) -> usize {
 ///
 /// For local passes this *is* the whole pass; for [`PassKind::IpSccp`] it
 /// is the local constant-propagation cleanup that follows the
-/// interprocedural analysis (which only [`run_pass`] performs). The
-/// function reads `m` solely for operand typing — never for other function
-/// bodies — so the pipeline driver may invoke it on distinct functions
-/// concurrently with results identical to any serial order.
+/// interprocedural analysis (which only [`run_pass`] and
+/// [`scheduled_pipeline`] perform). The function reads `m` solely for
+/// operand typing — never for other function bodies — so the pipeline
+/// driver may invoke it on distinct functions concurrently with results
+/// identical to any serial order.
 ///
-/// Every arm upholds the scheduler's soundness invariant — **a clean
-/// effect means the pass made zero mutations** — and keeps `an` honest:
-/// passes that maintain the cached use counts incrementally (`dce`,
-/// `instcombine`'s erasure) store them back, everything else notes the
-/// class of state it invalidated. Only sccp can change control flow, so
-/// only its arm ever drops the cached CFG/dominators.
+/// Every pass upholds the scheduler's soundness invariant — **a clean
+/// effect means the pass made zero mutations** — and `an` stays honest by
+/// one rule: a pass that reports changes invalidates the cached use counts.
+/// Two kinds of pass are exceptions and keep `an` current themselves:
+/// `dce` and `instcombine` maintain the use counts incrementally and store
+/// them back, and sccp, the only pass that can change control flow, drops
+/// the cached CFG/dominators when it folds a branch.
 pub fn run_pass_on_function(
     kind: PassKind,
     m: &Module,
     f: &mut Function,
     an: &mut Analyses,
 ) -> PassEffect {
-    match kind {
-        PassKind::IpSccp | PassKind::Sccp => sccp::sccp_eff(m, f, an),
-        PassKind::InstCombine => PassEffect::insts(combine::instcombine_with(m, f, an)),
-        PassKind::Dce => PassEffect::insts(dce::dce_with(f, an)),
-        PassKind::Adce => PassEffect::insts(dce::adce_with(f, an)),
-        PassKind::Licm => {
-            let n = licm::licm_with(f, an);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Reassociate => {
-            let n = combine::reassociate(m, f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Gvn => {
-            let n = gvn::gvn_with(m, f, an) + gvn::load_elim(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
-        PassKind::Mem2Reg => {
-            let n = mem::mem2reg(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
+    let n = match kind {
+        PassKind::IpSccp | PassKind::Sccp => return sccp::sccp(m, f, an),
+        PassKind::InstCombine => return PassEffect::insts(combine::instcombine(m, f, an)),
+        PassKind::Dce => return PassEffect::insts(dce::dce(f, an)),
+        PassKind::Adce => dce::adce(f),
+        PassKind::Licm => licm::licm(f, an),
+        PassKind::Reassociate => combine::reassociate(m, f),
+        PassKind::Gvn => gvn::gvn(m, f, an) + gvn::load_elim(f),
+        PassKind::Mem2Reg => mem::mem2reg(f),
         // LLVM's SROA both splits and promotes; mirror that.
         PassKind::Sroa => {
             let n = mem::sroa(f);
             if n > 0 {
                 mem::mem2reg(f);
-                an.note_insts_changed();
             }
-            PassEffect::insts(n)
+            n
         }
-        PassKind::Dse => {
-            let n = dse::dse(f) + dse::dse_dead_slots(f);
-            if n > 0 {
-                an.note_insts_changed();
-            }
-            PassEffect::insts(n)
-        }
+        PassKind::Dse => dse::dse(f) + dse::dse_dead_slots(f),
+    };
+    if n > 0 {
+        an.note_insts_changed();
     }
+    PassEffect::insts(n)
 }
 
 fn for_each_function(
@@ -220,7 +201,7 @@ fn for_each_function(
 }
 
 /// The 13 pass slots of one optimization round, in pipeline order. Shared
-/// by [`standard_pipeline`], [`blind_pipeline`], and `lasagne::pipeline`'s
+/// by [`scheduled_pipeline`], [`blind_pipeline`], and `lasagne::pipeline`'s
 /// fused driver (whose `pass_list()` cache key is derived from it — the
 /// order is load-bearing for warm-cache compatibility).
 pub const OPT_ORDER: [PassKind; 13] = [
@@ -240,17 +221,10 @@ pub const OPT_ORDER: [PassKind; 13] = [
 ];
 
 /// The standard optimization pipeline ("Opt" in the paper's Figure 12):
-/// iterates the full pass set until a fixpoint (bounded at `max_rounds`).
-/// Returns the total number of changes.
+/// iterates the full pass set until a fixpoint (bounded at `max_rounds`);
+/// [`SchedStats::changes`] is the total number of changes.
 ///
-/// Since the change-driven scheduler landed this is a shim over
-/// [`scheduled_pipeline`]; the module bytes and change total are identical
-/// to the old blind driver (see [`blind_pipeline`], kept as the oracle).
-pub fn standard_pipeline(m: &mut Module, max_rounds: usize) -> usize {
-    scheduled_pipeline(m, max_rounds).changes
-}
-
-/// The change-driven optimization pipeline: the same 13 slots per round as
+/// It is change-driven: the same 13 slots per round as
 /// [`blind_pipeline`], but each (function, pass) pair runs only while
 /// dirty (see [`sched`]), analyses are cached per function across passes,
 /// and converged functions skip whole rounds plus their final `compact()`.
@@ -268,18 +242,11 @@ pub fn scheduled_pipeline(m: &mut Module, max_rounds: usize) -> SchedStats {
         let mut round = 0usize;
         for p in OPT_ORDER {
             if p.is_interprocedural() {
-                // The ipSCCP superstep (gather → join → apply), exactly as
-                // `sccp::ipsccp` runs it; a function that received
-                // substitutions is externally mutated and must be fully
-                // reconsidered.
-                let mut summaries: Vec<sccp::CallSummary> =
-                    m.funcs.iter().map(sccp::summarize_calls).collect();
-                let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
-                let new = sccp::ipsccp_join(&param_counts, &mut summaries, &mut Vec::new());
-                for (target, f) in m.funcs.iter_mut().enumerate() {
-                    let subs = sccp::apply_ipsccp_facts(f, target as u32, &new);
+                // A function that received substitutions is externally
+                // mutated and must be fully reconsidered.
+                for (fi, subs) in sccp::ipsccp(m, &mut Vec::new()).into_iter().enumerate() {
                     if subs > 0 {
-                        states[target].note_external_change();
+                        states[fi].note_external_change();
                     }
                     round += subs;
                 }
@@ -437,7 +404,7 @@ mod tests {
         let mut machine = Machine::new(&m);
         let expect = machine.run(id, &[Val::B64(10)]).unwrap().ret;
 
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         verify_module(&m).unwrap();
         let after = m.inst_count();
         assert!(after < before, "pipeline should shrink {before} -> {after}");
@@ -516,7 +483,7 @@ mod tests {
         let before_result = run(&m);
         let before_count = m.inst_count();
 
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         verify_module(&m).unwrap();
 
         let after_result = run(&m);
@@ -571,7 +538,7 @@ mod tests {
         m.add_func(f);
         lasagne_fences::place_fences_module(&mut m, lasagne_fences::Strategy::Naive);
         let before = lasagne_fences::count_fences(&m);
-        standard_pipeline(&mut m, 4);
+        scheduled_pipeline(&mut m, 4);
         let after = lasagne_fences::count_fences(&m);
         assert_eq!(before, after, "optimization must not drop fences");
     }

@@ -9,7 +9,7 @@
 //! merged in the preheader, which is where LICM's static code-size wins
 //! come from.
 
-use lasagne_lir::analysis::find_loops;
+use lasagne_lir::analysis::{find_loops, Analyses};
 use lasagne_lir::func::Function;
 use lasagne_lir::hash::FxHashMap;
 use lasagne_lir::inst::{BinOp, InstId, InstKind, Operand, Ordering};
@@ -17,14 +17,11 @@ use lasagne_lir::{BlockId, Subst, Ty};
 use std::collections::hash_map::Entry;
 
 /// Hoists loop-invariant instructions. Returns the number hoisted.
-pub fn licm(f: &mut Function) -> usize {
-    licm_with(f, &mut lasagne_lir::analysis::Analyses::new())
-}
-
-/// [`licm`] against a shared analysis cache: CFG and dominators come from
-/// the cache (LICM moves instructions between blocks but never edits a
-/// terminator target, so the cache stays valid across its own run).
-pub fn licm_with(f: &mut Function, an: &mut lasagne_lir::analysis::Analyses) -> usize {
+///
+/// CFG and dominators come from the analysis cache `an` (LICM moves
+/// instructions between blocks but never edits a terminator target, so the
+/// cache stays valid across its own run).
+pub fn licm(f: &mut Function, an: &mut Analyses) -> usize {
     let (cfg, doms) = an.cfg_and_doms(f);
     let loops = find_loops(cfg, doms);
     let mut hoisted = 0;
@@ -244,7 +241,7 @@ mod tests {
             },
         );
 
-        let n = licm(&mut f);
+        let n = licm(&mut f, &mut Analyses::new());
         assert_eq!(n, 1);
         assert!(
             f.block(e).insts.contains(&t),
@@ -321,11 +318,11 @@ mod tests {
             (f, ld)
         };
         let (mut ro, ld) = build(false);
-        assert!(licm(&mut ro) >= 1);
+        assert!(licm(&mut ro, &mut Analyses::new()) >= 1);
         assert!(ro.block(ro.entry()).insts.contains(&ld));
 
         let (mut rw, ld2) = build(true);
-        licm(&mut rw);
+        licm(&mut rw, &mut Analyses::new());
         assert!(
             !rw.block(rw.entry()).insts.contains(&ld2),
             "load must stay in writing loop"
@@ -387,7 +384,7 @@ mod tests {
                 val: Some(Operand::Inst(phi)),
             },
         );
-        licm(&mut f);
+        licm(&mut f, &mut Analyses::new());
         assert!(f.block(body).insts.contains(&d));
     }
 }

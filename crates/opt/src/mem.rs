@@ -239,6 +239,7 @@ pub fn sroa(f: &mut Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lasagne_lir::analysis::Analyses;
     use lasagne_lir::func::Module;
     use lasagne_lir::inst::Terminator;
     use lasagne_lir::verify::verify_module;
@@ -320,7 +321,7 @@ mod tests {
         );
 
         assert_eq!(sroa(&mut f), 1);
-        crate::dce::dce(&mut f);
+        crate::dce::dce(&mut f, &mut Analyses::new());
         let promoted = mem2reg(&mut f);
         assert!(promoted >= 2, "split slots should promote, got {promoted}");
 
@@ -434,7 +435,7 @@ mod tests {
         };
         assert_eq!(run(&f), 9.0);
         let split = sroa(&mut f);
-        crate::dce::dce(&mut f);
+        crate::dce::dce(&mut f, &mut Analyses::new());
         mem2reg(&mut f);
         assert_eq!(run(&f), 9.0, "the load must see the high half");
         assert_eq!(split, 0);

@@ -12,16 +12,14 @@ use lasagne_trace::{ArgVal, TraceCtx};
 /// Folds constants (and constant conditions into unconditional branches)
 /// and removes unreachable blocks, fixing φ-nodes — constant propagation
 /// only, unlike `instcombine`, which also rewrites algebraic identities.
-pub fn sccp(m: &Module, f: &mut Function) -> usize {
-    sccp_eff(m, f, &mut Analyses::new()).changes
-}
-
-/// [`sccp`] reporting a full [`PassEffect`] against a shared analysis
-/// cache. The effect flags are the scheduler's ground truth, so they cover
-/// mutations the legacy change count never did: the unreachable-block
-/// cleanup rewrites terminators to `Unreachable` and prunes φ-incomings
-/// even on iterations whose reported count is zero.
-pub fn sccp_eff(m: &Module, f: &mut Function, an: &mut Analyses) -> PassEffect {
+///
+/// Reports a full [`PassEffect`] against the analysis cache `an`. The
+/// effect flags are the scheduler's ground truth, so they cover mutations
+/// the change count never did: the unreachable-block cleanup rewrites
+/// terminators to `Unreachable` and prunes φ-incomings even on iterations
+/// whose reported count is zero. As the only pass that changes control
+/// flow, it notes its own cache invalidations.
+pub fn sccp(m: &Module, f: &mut Function, an: &mut Analyses) -> PassEffect {
     let mut eff = PassEffect::clean();
     loop {
         let folds = const_fold(m, f);
@@ -52,12 +50,11 @@ pub fn sccp_eff(m: &Module, f: &mut Function, an: &mut Analyses) -> PassEffect {
             eff.changed_cfg = true;
             an.note_cfg_changed();
         }
-        let (dropped, pruned) = remove_unreachable_with(f, an);
+        let (dropped, pruned) = remove_unreachable(f, an);
         if pruned {
             // Terminators were rewritten to Unreachable and φ-incomings
             // pruned — possibly with `dropped == 0` (already-empty dead
-            // blocks). The cache note happens inside
-            // `remove_unreachable_with`.
+            // blocks). The cache note happens inside `remove_unreachable`.
             eff.changed_insts = true;
             eff.changed_cfg = true;
         }
@@ -117,17 +114,12 @@ fn const_fold(m: &Module, f: &mut Function) -> usize {
 }
 
 /// Deletes blocks unreachable from the entry, pruning φ-incomings that
-/// reference them. Returns the number of instructions dropped.
-pub fn remove_unreachable(f: &mut Function) -> usize {
-    remove_unreachable_with(f, &mut Analyses::new()).0
-}
-
-/// [`remove_unreachable`] against a shared analysis cache. Returns
-/// `(instructions dropped, any mutation)` — the second component is true
-/// whenever the function was touched at all, which the dropped count alone
-/// does not capture (emptying an already-empty dead block still rewrites
-/// its terminator and triggers φ pruning).
-pub fn remove_unreachable_with(f: &mut Function, an: &mut Analyses) -> (usize, bool) {
+/// reference them, and notes a CFG change in `an` if it touched anything.
+/// Returns `(instructions dropped, any mutation)` — the second component
+/// is true whenever the function was touched at all, which the dropped
+/// count alone does not capture (emptying an already-empty dead block
+/// still rewrites its terminator and triggers φ pruning).
+pub fn remove_unreachable(f: &mut Function, an: &mut Analyses) -> (usize, bool) {
     // Reachability snapshot from the (fresh-or-cached) CFG; like the
     // original single-shot computation, the snapshot deliberately predates
     // this call's own mutations.
@@ -187,53 +179,54 @@ pub struct IpsccpFact {
 /// Interprocedural SCCP: when every call site of a function passes the same
 /// constant for a parameter, the parameter's uses are replaced by that
 /// constant inside the callee. (`main`-like roots — functions with no call
-/// sites — are left untouched.) Returns the substitution count.
+/// sites — are left untouched.) Returns each function's substitution
+/// count, indexed like `m.funcs`, so a caller can tell which bodies changed.
 ///
 /// Every substitution decision is appended to `facts`. A decision is
 /// logged even when the callee no longer uses the parameter (zero textual
 /// substitutions): the decision itself depends on the other functions'
-/// call sites, which is what cache invalidation needs to observe. Each
-/// lattice transition is also recorded into `ctx`: the
-/// `opt.ipsccp.facts` / `opt.ipsccp.substitutions` counters plus (when
-/// tracing is enabled) a `lattice-fact` instant event per newly discovered
-/// fact — a parameter dropping from ⊤ (unknown) to a constant.
+/// call sites, which is what cache invalidation needs to observe.
 ///
-/// Structured as a superstep — parallel-friendly gather of per-function
-/// [`CallSummary`] snapshots, a serial [`ipsccp_join`] that replays the
-/// lattice decisions (including the intra-invocation cascade) over those
-/// frozen summaries, and an [`apply_ipsccp_facts`] substitution phase that
-/// is independent per function. The `lasagne::pipeline` pass manager runs
-/// the gather and apply phases on its worker pool; this serial entry point runs
-/// the identical phases inline and produces the identical module, facts,
-/// and substitution count.
-pub fn ipsccp(m: &mut Module, facts: &mut Vec<IpsccpFact>, ctx: &TraceCtx) -> usize {
-    let before = facts.len();
+/// Structured as a superstep — a gather of per-function [`CallSummary`]
+/// snapshots, a serial [`ipsccp_join`] that replays the lattice decisions
+/// (including the intra-invocation cascade) over those frozen summaries,
+/// and an [`apply_ipsccp_facts`] substitution phase that is independent
+/// per function. The `lasagne::pipeline` pass manager runs the gather and
+/// apply phases on its worker pool; this serial entry point runs the
+/// identical phases inline and produces the identical module, facts, and
+/// substitution counts.
+pub fn ipsccp(m: &mut Module, facts: &mut Vec<IpsccpFact>) -> Vec<usize> {
     let mut summaries: Vec<CallSummary> = m.funcs.iter().map(summarize_calls).collect();
     let param_counts: Vec<usize> = m.funcs.iter().map(|f| f.params.len()).collect();
     let new = ipsccp_join(&param_counts, &mut summaries, facts);
-    let mut subs = 0;
-    for (target, f) in m.funcs.iter_mut().enumerate() {
-        subs += apply_ipsccp_facts(f, target as u32, &new);
+    m.funcs
+        .iter_mut()
+        .enumerate()
+        .map(|(target, f)| apply_ipsccp_facts(f, target as u32, &new))
+        .collect()
+}
+
+/// Records one `lattice-fact` instant event into `ctx` per fact in
+/// `facts` — a parameter of a function in `m` dropping from ⊤ (unknown)
+/// to a constant. Does nothing when tracing is disabled.
+pub fn trace_lattice_facts(ctx: &TraceCtx, m: &Module, facts: &[IpsccpFact]) {
+    if !ctx.is_enabled() {
+        return;
     }
-    ctx.add("opt.ipsccp.facts", (facts.len() - before) as u64);
-    ctx.add("opt.ipsccp.substitutions", subs as u64);
-    if ctx.is_enabled() {
-        for fact in &facts[before..] {
-            ctx.instant(
-                "opt",
-                "lattice-fact",
-                vec![
-                    (
-                        "func",
-                        ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
-                    ),
-                    ("param", ArgVal::from(fact.param as u64)),
-                    ("value", ArgVal::from(format!("{:?}", fact.value))),
-                ],
-            );
-        }
+    for fact in facts {
+        ctx.instant(
+            "opt",
+            "lattice-fact",
+            vec![
+                (
+                    "func",
+                    ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
+                ),
+                ("param", ArgVal::from(fact.param as u64)),
+                ("value", ArgVal::from(format!("{:?}", fact.value))),
+            ],
+        );
     }
-    subs
 }
 
 /// Frozen snapshot of everything `ipsccp` reads from one function's body:
@@ -437,7 +430,7 @@ mod tests {
         m.add_func(f);
 
         let mut f = m.funcs.remove(0);
-        assert!(sccp(&m, &mut f) > 0);
+        assert!(sccp(&m, &mut f, &mut Analyses::new()).changes > 0);
         assert!(matches!(f.block(e).term, Terminator::Br { .. }));
         assert!(f.block(el).insts.is_empty(), "unreachable block emptied");
     }
@@ -499,7 +492,7 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()) > 0);
+        assert_eq!(ipsccp(&mut m, &mut Vec::new()), vec![1, 0]);
         // The callee's multiply now has a constant operand.
         let f = &m.funcs[0];
         let has_const = f.iter_insts().any(|(_, id)| {
@@ -547,7 +540,7 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert_eq!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()), 0);
+        assert_eq!(ipsccp(&mut m, &mut Vec::new()), vec![0, 0]);
     }
 
     /// The original single-threaded `ipsccp` loop, kept verbatim as
@@ -701,7 +694,7 @@ mod tests {
     fn superstep_cascades_through_forwarded_params() {
         let mut m = cascade_module();
         let mut facts = Vec::new();
-        let subs = ipsccp(&mut m, &mut facts, &TraceCtx::disabled());
+        let subs = ipsccp(&mut m, &mut facts);
         // mid.param0 = 7 (decided first), then leaf.param0 = 7 via the
         // now-constant forwarded argument inside mid.
         assert_eq!(
@@ -719,7 +712,11 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(subs, 2, "one textual substitution in each callee");
+        assert_eq!(
+            subs,
+            vec![1, 1, 0],
+            "one textual substitution in each callee"
+        );
     }
 
     #[test]
@@ -786,29 +783,33 @@ mod tests {
             let mut serial_facts = Vec::new();
             let mut phased_facts = Vec::new();
             let serial_subs = ipsccp_serial_reference(&mut serial, &mut serial_facts);
-            let phased_subs = ipsccp(&mut phased, &mut phased_facts, &TraceCtx::disabled());
+            let phased_subs: usize = ipsccp(&mut phased, &mut phased_facts).iter().sum();
             assert_eq!(serial_facts, phased_facts, "fact streams diverged");
             assert_eq!(serial_subs, phased_subs, "substitution counts diverged");
             assert_eq!(serial, phased, "modules diverged");
         }
     }
 
-    /// A collecting context must not change the module, the facts or the
-    /// substitution count, and its counters must mirror them.
+    /// One `lattice-fact` instant per decided fact, naming the function,
+    /// the parameter and the constant; none when tracing is disabled.
     #[test]
-    fn collecting_trace_leaves_ipsccp_unchanged() {
-        let mut plain = cascade_module();
-        let mut traced = plain.clone();
-        let (mut plain_facts, mut facts) = (Vec::new(), Vec::new());
-        let plain_subs = ipsccp(&mut plain, &mut plain_facts, &TraceCtx::disabled());
+    fn lattice_facts_trace_one_instant_per_fact() {
+        let mut m = cascade_module();
+        let mut facts = Vec::new();
+        ipsccp(&mut m, &mut facts);
+        trace_lattice_facts(&TraceCtx::disabled(), &m, &facts);
         let ctx = TraceCtx::collecting();
-        let subs = ipsccp(&mut traced, &mut facts, &ctx);
-        assert_eq!(traced, plain, "tracing changed the module");
-        assert_eq!(facts, plain_facts);
-        assert_eq!(subs, plain_subs);
-        let snap = ctx.metrics_snapshot().expect("collecting context");
-        assert_eq!(snap.counter("opt.ipsccp.facts"), facts.len() as u64);
-        assert_eq!(snap.counter("opt.ipsccp.substitutions"), subs as u64);
+        trace_lattice_facts(&ctx, &m, &facts);
+        let events = ctx.collector().unwrap().all_events();
+        let funcs: Vec<&ArgVal> = events
+            .iter()
+            .map(|e| {
+                assert_eq!((e.cat, e.name.as_str()), ("opt", "lattice-fact"));
+                assert_eq!(e.args[1], ("param", ArgVal::from(0u64)));
+                &e.args[0].1
+            })
+            .collect();
+        assert_eq!(funcs, [&ArgVal::from("mid"), &ArgVal::from("leaf")]);
     }
 
     #[test]
@@ -851,6 +852,6 @@ mod tests {
         );
         m.add_func(caller);
 
-        assert_eq!(ipsccp(&mut m, &mut Vec::new(), &TraceCtx::disabled()), 0);
+        assert_eq!(ipsccp(&mut m, &mut Vec::new()), vec![0, 0]);
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! * [`PassEffect`] — what a pass invocation did to a function, with
 //!   mutation flags decoupled from the reported change count (a pass may
-//!   mutate without counting, e.g. sccp's φ pruning; it must never count
-//!   without mutating... it may, but never mutate while reporting clean).
+//!   mutate without counting, e.g. sccp's φ pruning, but it must never
+//!   mutate while reporting clean).
 //! * [`feeds`] — the static pass→pass invalidation matrix: `feeds(p, q)`
 //!   says a non-clean run of `p` can expose new work for `q`.
 //! * [`FuncState`] — per-function dirty bits over the 11 [`PassKind`]s
@@ -32,26 +32,18 @@ use crate::PassKind;
 pub use lasagne_lir::analysis::Analyses;
 
 /// Number of distinct passes ([`PassKind::ALL`]).
-pub const NPASS: usize = 11;
-
-/// Position of `k` in [`PassKind::ALL`] (the matrix row/column order).
-pub fn pass_index(k: PassKind) -> usize {
-    PassKind::ALL
-        .iter()
-        .position(|p| *p == k)
-        .expect("every PassKind appears in ALL")
-}
+pub const NPASS: usize = PassKind::ALL.len();
 
 /// What one pass invocation did to one function.
 ///
-/// `changes` is the legacy reported change count (what the `usize` API
-/// returns); the flags are the scheduler's ground truth. The invariant each
+/// `changes` is the reported change count, the number the pass functions
+/// return; the flags are the scheduler's ground truth. The invariant each
 /// pass must uphold: **if `is_clean()` the pass made zero mutations** —
 /// the function is byte-identical to its state before the call. The
 /// converse need not hold (a pass may mutate more than it counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassEffect {
-    /// Reported change count (legacy `usize` return).
+    /// Reported change count.
     pub changes: usize,
     /// Instructions were added, removed, or rewritten.
     pub changed_insts: bool,
@@ -158,7 +150,7 @@ impl FuncState {
 
     /// Whether pass `p` has pending work on this function.
     pub fn should_run(&self, p: PassKind) -> bool {
-        self.dirty[pass_index(p)]
+        self.dirty[p.index()]
     }
 
     /// Records that `p` ran with effect `eff`: clears `p`'s dirty bit
@@ -166,10 +158,10 @@ impl FuncState {
     /// per-function computation, so either run discharges both), then
     /// re-dirties every pass `q` with `feeds(p, q)` if the run mutated.
     pub fn note_ran(&mut self, p: PassKind, eff: &PassEffect) {
-        self.dirty[pass_index(p)] = false;
+        self.dirty[p.index()] = false;
         match p {
-            PassKind::Sccp => self.dirty[pass_index(PassKind::IpSccp)] = false,
-            PassKind::IpSccp => self.dirty[pass_index(PassKind::Sccp)] = false,
+            PassKind::Sccp => self.dirty[PassKind::IpSccp.index()] = false,
+            PassKind::IpSccp => self.dirty[PassKind::Sccp.index()] = false,
             _ => {}
         }
         if !eff.is_clean() {
@@ -203,7 +195,7 @@ impl FuncState {
 /// `ran + skipped == 13 × nfuncs × rounds`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Total reported changes (the legacy `standard_pipeline` return).
+    /// Total reported changes.
     pub changes: usize,
     /// (function, pass-slot) pairs actually executed.
     pub ran: u64,
@@ -256,7 +248,7 @@ mod tests {
     #[test]
     fn pass_index_covers_all() {
         for (i, p) in PassKind::ALL.iter().enumerate() {
-            assert_eq!(pass_index(*p), i);
+            assert_eq!(p.index(), i);
         }
     }
 

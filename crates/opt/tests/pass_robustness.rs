@@ -229,9 +229,9 @@ fn pass_pairs_preserve_semantics() {
 #[test]
 fn repeated_pipeline_is_idempotent_on_size() {
     let mut m = workout_module();
-    lasagne_opt::standard_pipeline(&mut m, 4);
+    lasagne_opt::scheduled_pipeline(&mut m, 4);
     let first = m.inst_count();
-    lasagne_opt::standard_pipeline(&mut m, 4);
+    lasagne_opt::scheduled_pipeline(&mut m, 4);
     let second = m.inst_count();
     assert_eq!(first, second, "pipeline must reach a fixpoint");
 }

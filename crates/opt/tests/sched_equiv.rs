@@ -11,12 +11,20 @@
 //! dead operations (dce/adce), fences (legality gating), diamonds with
 //! constant conditions (sccp's branch folding + unreachable pruning), and
 //! cross-function calls with constant arguments (the ipSCCP superstep).
+//!
+//! The scheduler's skips rest on every pass reporting an honest
+//! [`PassEffect`](lasagne_opt::PassEffect), and the analysis cache rests
+//! on `run_pass_on_function`'s invalidation rule;
+//! `every_pass_effect_is_honest` checks both directly on the Phoenix
+//! suite and on messy modules.
 
+use lasagne_fences::{merge_fences_module, place_fences_module, Strategy};
+use lasagne_lir::analysis::{Analyses, Cfg, Dominators};
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{BinOp, Callee, FenceKind, IPred, InstKind, Operand, Ordering, Terminator};
 use lasagne_lir::types::{Pointee, Ty};
 use lasagne_lir::verify::verify_module;
-use lasagne_opt::{blind_pipeline, scheduled_pipeline};
+use lasagne_opt::{blind_pipeline, run_pass_on_function, scheduled_pipeline, PassKind, OPT_ORDER};
 use lasagne_qc::prelude::*;
 
 /// splitmix64 — the same generator the qc harness uses internally, inlined
@@ -496,4 +504,84 @@ fn per_function_counters_are_order_independent() {
     assert_eq!(together.funcs[0], alone0.funcs[0]);
     assert_eq!(together.funcs[1], alone1.funcs[0]);
     assert_eq!(stats_together.changes, st0.changes + st1.changes);
+}
+
+/// An analysis cache holding everything it can for `f`: use counts, CFG
+/// and dominators.
+fn primed(f: &Function) -> Analyses {
+    let mut an = Analyses::new();
+    let counts = an.seed_use_counts(f);
+    an.store_use_counts(counts);
+    an.cfg_and_doms(f);
+    an
+}
+
+/// Runs `p` on `f` against `an` and checks the effect is honest: a clean
+/// effect left `f` unchanged, and what `an` still caches matches a fresh
+/// computation.
+fn check_pass(p: PassKind, m: &Module, f: &mut Function, an: &mut Analyses) {
+    let before = f.clone();
+    let eff = run_pass_on_function(p, m, f, an);
+    let name = &f.name;
+    if eff.is_clean() {
+        assert_eq!(
+            *f, before,
+            "{p:?} reported a clean effect but changed {name}"
+        );
+    }
+    let counts = an.seed_use_counts(f);
+    assert_eq!(
+        counts,
+        f.use_counts(),
+        "{p:?} left stale use counts on {name}"
+    );
+    an.store_use_counts(counts);
+    let fresh = Cfg::compute(f);
+    let fresh_doms = Dominators::compute(&fresh);
+    let (cfg, doms) = an.cfg_and_doms(f);
+    assert_eq!(
+        format!("{cfg:?}{doms:?}"),
+        format!("{fresh:?}{fresh_doms:?}"),
+        "{p:?} left a stale CFG on {name}"
+    );
+}
+
+/// Every pass's effect is honest — what the scheduler's skips and
+/// `run_pass_on_function`'s one invalidation rule rely on. Each pass runs
+/// on a clone of every function with a primed cache, and then the whole
+/// schedule runs for three rounds on one copy with one cache, as the
+/// scheduler runs it (without the interprocedural half of ipsccp). The
+/// functions are the Phoenix suite's at their pre-opt state under Opt,
+/// POpt and PPOpt, and those of 64 messy modules.
+#[test]
+fn every_pass_effect_is_honest() {
+    let mut modules = Vec::new();
+    for b in lasagne_phoenix::all_benchmarks(8) {
+        for (refine, merge) in [(false, false), (false, true), (true, true)] {
+            let mut m = lasagne_lifter::lift_binary(&b.binary).unwrap();
+            if refine {
+                lasagne_refine::refine_module(&mut m);
+            }
+            place_fences_module(&mut m, Strategy::StackAware);
+            if merge {
+                merge_fences_module(&mut m);
+            }
+            modules.push(m);
+        }
+    }
+    modules.extend((0..64).map(messy_module));
+    for m in &modules {
+        for f in &m.funcs {
+            for p in PassKind::ALL {
+                check_pass(p, m, &mut f.clone(), &mut primed(f));
+            }
+            let mut g = f.clone();
+            let mut an = primed(&g);
+            for _ in 0..3 {
+                for p in OPT_ORDER {
+                    check_pass(p, m, &mut g, &mut an);
+                }
+            }
+        }
+    }
 }

@@ -65,7 +65,7 @@ fn full_pipeline_preserves_checksums() {
         lasagne_refine::refine_module(&mut m);
         lasagne_fences::place_fences_module(&mut m, lasagne_fences::Strategy::StackAware);
         lasagne_fences::merge_fences_module(&mut m);
-        lasagne_opt::standard_pipeline(&mut m, 3);
+        lasagne_opt::scheduled_pipeline(&mut m, 3);
         lasagne_lir::verify::verify_module(&m).unwrap_or_else(|e| panic!("{}: {e:?}", b.name));
         let got = run_lir(&m, &b.workload);
         assert_eq!(
@@ -83,7 +83,7 @@ fn arm_translations_compute_reference_checksums() {
         lasagne_refine::refine_module(&mut m);
         lasagne_fences::place_fences_module(&mut m, lasagne_fences::Strategy::StackAware);
         lasagne_fences::merge_fences_module(&mut m);
-        lasagne_opt::standard_pipeline(&mut m, 3);
+        lasagne_opt::scheduled_pipeline(&mut m, 3);
         let got = run_arm(&m, &b.workload);
         assert_eq!(got, b.workload.expected_ret, "{} Arm checksum", b.name);
         // Native baseline on Arm too.
