@@ -46,6 +46,17 @@ if [ -n "$STRAY" ]; then
     exit 1
 fi
 
+# Layering: the stage crates return what they did and the pipeline alone
+# names and emits their counters and trace events (ARCHITECTURE.md
+# "Observability"), so none of them links the trace crate.
+for crate in lasagne-lifter lasagne-refine lasagne-fences lasagne-armgen lasagne-opt; do
+    if cargo tree --offline -e normal -p "$crate" --prefix none |
+        grep -q '^lasagne-trace '; then
+        echo "layering gate: $crate depends on lasagne-trace" >&2
+        exit 1
+    fi
+done
+
 # Warm-cache equivalence, end to end through the CLI: translating the
 # whole demo suite twice against one cache directory must hit 100% the
 # second time and produce byte-identical assembly.

@@ -104,6 +104,19 @@ fn int_bits(ty: Ty) -> u32 {
     ty.int_bits().unwrap_or(64)
 }
 
+/// The Arm floating-point operation of a float (or float-vector) `op`.
+fn fp_op(op: BinOp) -> Option<FpOp> {
+    Some(match op {
+        BinOp::FAdd => FpOp::FAdd,
+        BinOp::FSub => FpOp::FSub,
+        BinOp::FMul => FpOp::FMul,
+        BinOp::FDiv => FpOp::FDiv,
+        BinOp::FMin => FpOp::FMin,
+        BinOp::FMax => FpOp::FMax,
+        _ => return None,
+    })
+}
+
 /// The offset `table` assigns to `id`; every lookup is of an id the slot
 /// assignment gave one.
 fn off_of(table: &[i32], id: InstId) -> i32 {
@@ -356,24 +369,13 @@ impl Lower<'_> {
             InstKind::Bin { op, lhs, rhs } if ty.is_vector() => {
                 self.load_fp(lhs, F0, true);
                 self.load_fp(rhs, F1, true);
-                let fop = match op {
-                    BinOp::FAdd => FpOp::FAdd,
-                    BinOp::FSub => FpOp::FSub,
-                    BinOp::FMul => FpOp::FMul,
-                    BinOp::FDiv => FpOp::FDiv,
-                    BinOp::FMin => FpOp::FMin,
-                    BinOp::FMax => FpOp::FMax,
-                    // Vector integer bitwise ops reuse FpVec with Eor/etc.
-                    // modelled per-byte in the interpreter.
-                    BinOp::Xor => FpOp::FNeg, // placeholder; see FpVecXor below
-                    other => panic!("vector op {other:?} unsupported"),
-                };
                 if *op == BinOp::Xor {
                     // Lower vector xor through the integer file (two 64-bit
                     // halves via the frame).
                     self.load_int_pair_xor(lhs, rhs, id);
                     return;
                 }
+                let fop = fp_op(*op).unwrap_or_else(|| panic!("vector op {op:?} unsupported"));
                 let dp = matches!(ty, Ty::V2F64 | Ty::V2I64);
                 self.emit(AInst::FpVec {
                     op: fop,
@@ -388,15 +390,7 @@ impl Lower<'_> {
                 let dp = ty == Ty::F64;
                 self.load_fp(lhs, F0, false);
                 self.load_fp(rhs, F1, false);
-                let fop = match op {
-                    BinOp::FAdd => FpOp::FAdd,
-                    BinOp::FSub => FpOp::FSub,
-                    BinOp::FMul => FpOp::FMul,
-                    BinOp::FDiv => FpOp::FDiv,
-                    BinOp::FMin => FpOp::FMin,
-                    BinOp::FMax => FpOp::FMax,
-                    _ => unreachable!(),
-                };
+                let fop = fp_op(*op).expect("float op");
                 self.emit(AInst::Fp {
                     op: fop,
                     dp,
@@ -778,33 +772,19 @@ impl Lower<'_> {
                 if_true,
                 if_false,
             } => {
+                // Float and vector selects go through the integer file too
+                // (frame slots hold raw bits).
                 self.load_int(cond, S2);
-                if ty.is_float() || ty.is_vector() {
-                    // Select through the integer file (slots hold raw bits);
-                    // 128-bit values fall back to two-halves copies in the
-                    // interpreter-supported pattern below.
-                    self.load_int(if_true, S0);
-                    self.load_int(if_false, S1);
-                    self.emit(AInst::Cmp { rn: S2, rm: X::ZR });
-                    self.emit(AInst::CSel {
-                        rd: S0,
-                        rn: S1,
-                        rm: S0,
-                        cc: Cc::Eq,
-                    });
-                    self.store_int(id, S0);
-                } else {
-                    self.load_int(if_true, S0);
-                    self.load_int(if_false, S1);
-                    self.emit(AInst::Cmp { rn: S2, rm: X::ZR });
-                    self.emit(AInst::CSel {
-                        rd: S0,
-                        rn: S1,
-                        rm: S0,
-                        cc: Cc::Eq,
-                    });
-                    self.store_int(id, S0);
-                }
+                self.load_int(if_true, S0);
+                self.load_int(if_false, S1);
+                self.emit(AInst::Cmp { rn: S2, rm: X::ZR });
+                self.emit(AInst::CSel {
+                    rd: S0,
+                    rn: S1,
+                    rm: S0,
+                    cc: Cc::Eq,
+                });
+                self.store_int(id, S0);
             }
             InstKind::Call { callee, args } => {
                 // Marshal arguments.

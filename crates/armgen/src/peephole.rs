@@ -27,7 +27,6 @@
 //! registers across fences.
 
 use crate::inst::{ACallee, AFunc, AInst, AModule, Sz, X};
-use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Frame base register (`x29`).
 const FP: X = X(29);
@@ -64,45 +63,21 @@ impl PeepholeStats {
 pub fn peephole_module(m: &mut AModule) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
     for f in &mut m.funcs {
-        stats.add(peephole_function(f, &TraceCtx::disabled()));
+        stats.add(peephole_function(f));
     }
     stats
 }
 
-/// Runs the peephole over one function, recording its hits into `ctx`:
-/// one `armgen.peephole.*` counter per rewrite category and (when tracing
-/// is enabled) a `peephole-hits` instant event when anything fired.
-/// Tracing never changes the function or the stats.
+/// Runs the peephole over one function and returns what it rewrote.
 ///
 /// Frame slots are private to the function, so the peephole never looks
 /// outside `f` — distinct functions may be cleaned concurrently, and
 /// [`peephole_module`] equals running this on every function in any order.
-pub fn peephole_function(f: &mut AFunc, ctx: &TraceCtx) -> PeepholeStats {
+pub fn peephole_function(f: &mut AFunc) -> PeepholeStats {
     let mut stats = PeepholeStats::default();
     let mut st = SlotState::new(f);
     for b in &mut f.blocks {
         stats.add(clean_block(&mut b.insts, &mut st));
-    }
-    ctx.add(
-        "armgen.peephole.loads_forwarded",
-        stats.loads_forwarded as u64,
-    );
-    ctx.add("armgen.peephole.loads_deleted", stats.loads_deleted as u64);
-    ctx.add(
-        "armgen.peephole.redundant_stores",
-        stats.redundant_stores as u64,
-    );
-    ctx.add("armgen.peephole.dead_stores", stats.dead_stores as u64);
-    if ctx.is_enabled() && (stats.removed() > 0 || stats.loads_forwarded > 0) {
-        ctx.instant(
-            "armgen",
-            "peephole-hits",
-            vec![
-                ("func", ArgVal::from(f.name.as_str())),
-                ("forwarded", ArgVal::from(stats.loads_forwarded)),
-                ("removed", ArgVal::from(stats.removed())),
-            ],
-        );
     }
     stats
 }
@@ -700,7 +675,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.loads_deleted, 1);
         assert_eq!(s.loads_forwarded, 1);
         assert_eq!(
@@ -734,7 +709,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.loads_forwarded + s.loads_deleted, 0, "{s:?}");
         assert_eq!(f.blocks[0].insts.len(), 3);
     }
@@ -753,7 +728,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s, PeepholeStats::default());
     }
 
@@ -774,7 +749,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.loads_deleted + s.loads_forwarded, 0);
     }
 
@@ -792,7 +767,7 @@ mod tests {
                 mem: slot(16),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.dead_stores, 1);
         assert_eq!(
             f.blocks[0].insts,
@@ -809,7 +784,7 @@ mod tests {
             rt: X(9),
             mem: slot(16),
         }]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.dead_stores, 0);
         assert_eq!(f.blocks[0].insts.len(), 1);
     }
@@ -833,7 +808,7 @@ mod tests {
                 mem: slot(16),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.dead_stores, 0);
         assert_eq!(s.loads_forwarded, 1);
     }
@@ -859,7 +834,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.redundant_stores, 1);
         assert_eq!(f.blocks[0].insts.len(), 2);
     }
@@ -883,7 +858,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.loads_deleted, 1, "{s:?}");
         assert_eq!(f.blocks[0].insts.len(), 2);
     }
@@ -905,7 +880,7 @@ mod tests {
                 mem: slot(0),
             },
         ]);
-        let s = peephole_function(&mut f, &TraceCtx::disabled());
+        let s = peephole_function(&mut f);
         assert_eq!(s.loads_deleted, 1);
     }
 
@@ -980,7 +955,7 @@ mod tests {
                     acc.add(clean_block_reference(&mut b.insts));
                     acc
                 });
-            let stats = peephole_function(&mut f, &TraceCtx::disabled());
+            let stats = peephole_function(&mut f);
             assert_eq!(stats, want_stats, "round {round}");
             for (got, want) in f.blocks.iter().zip(&want) {
                 assert_eq!(got.insts, want.insts, "round {round}");

@@ -13,7 +13,6 @@ use lasagne_armgen::machine::ArmMachine;
 use lasagne_armgen::peephole::peephole_function;
 use lasagne_qc::collection;
 use lasagne_qc::prelude::*;
-use lasagne_trace::TraceCtx;
 
 const FP: X = X(29);
 const REGS: [X; 4] = [X(9), X(10), X(11), X(12)];
@@ -173,14 +172,14 @@ properties! {
     fn peephole_preserves_observable_state(steps in collection::vec(step(), 0..40)) {
         let raw = build(&steps);
         let mut cleaned = raw.clone();
-        let _ = peephole_function(&mut cleaned, &TraceCtx::disabled());
+        let _ = peephole_function(&mut cleaned);
         prop_assert_eq!(eval(raw), eval(cleaned));
     }
 
     fn peephole_never_grows_code(steps in collection::vec(step(), 0..40)) {
         let raw = build(&steps);
         let mut cleaned = raw.clone();
-        let _ = peephole_function(&mut cleaned, &TraceCtx::disabled());
+        let _ = peephole_function(&mut cleaned);
         prop_assert!(cleaned.blocks[0].insts.len() <= raw.blocks[0].insts.len());
     }
 }

@@ -108,7 +108,7 @@ fn table1(benches: &[Benchmark]) {
             .functions
             .iter()
             .map(|f| {
-                lasagne_x86::decode_all(b.binary.code_of(f), f.addr)
+                lasagne_x86::decode_all(b.binary.code_of(f).unwrap(), f.addr)
                     .unwrap()
                     .len()
             })

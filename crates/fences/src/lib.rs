@@ -16,7 +16,6 @@
 //! use lasagne_lir::func::Function;
 //! use lasagne_lir::inst::{InstKind, Operand, Ordering, Terminator};
 //! use lasagne_lir::types::{Pointee, Ty};
-//! use lasagne_trace::TraceCtx;
 //!
 //! let mut f = Function::new("get", vec![Ty::Ptr(Pointee::I64)], Ty::I64);
 //! let entry = f.entry();
@@ -26,7 +25,7 @@
 //! });
 //! f.set_term(entry, Terminator::Ret { val: Some(Operand::Inst(v)) });
 //!
-//! let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
+//! let stats = place_fences(&mut f, Strategy::StackAware, None);
 //! assert_eq!(stats.frm, 1, "shared load gets a trailing Frm");
 //! ```
 

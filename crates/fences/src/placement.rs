@@ -20,7 +20,6 @@ use crate::legality::merge_fence;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{CastOp, FenceKind, Inst, InstId, InstKind, Operand, Ordering};
 use lasagne_lir::types::Ty;
-use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Which accesses get fences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,55 +202,17 @@ pub fn placement_stats(f: &Function, strategy: Strategy) -> PlacementStats {
 }
 
 /// Inserts fences into one function per the Figure 8a mapping. Each fence
-/// decision (placed or elided) is mirrored into `ctx` as a counter plus,
-/// when tracing is enabled, a `fence-decision` instant event, and is
-/// appended to `out` when a provenance sink is given. Neither changes the
-/// module or the stats.
+/// decision (placed or elided) is appended to `out` when a provenance sink
+/// is given, which changes neither the module nor the stats.
 ///
 /// Each block's instruction list is rebuilt once, fences included; a
 /// decision's `pos` is the access's index in that fenced list.
 pub fn place_fences(
     f: &mut Function,
     strategy: Strategy,
-    ctx: &TraceCtx,
     mut out: Option<&mut Vec<FenceDecision>>,
 ) -> PlacementStats {
     let mut stats = PlacementStats::default();
-    let mut decide = |func: &str, decision: FenceDecision| {
-        match decision.fate {
-            FenceFate::Placed => match decision.rule.kind() {
-                FenceKind::Frm => {
-                    stats.frm += 1;
-                    ctx.add("fences.placed.frm", 1);
-                }
-                _ => {
-                    stats.fww += 1;
-                    ctx.add("fences.placed.fww", 1);
-                }
-            },
-            FenceFate::ElidedStack => {
-                stats.skipped_stack += 1;
-                ctx.add("fences.elided.stack", 1);
-            }
-            FenceFate::Merged => unreachable!("merging is a later phase"),
-        }
-        if ctx.is_enabled() {
-            ctx.instant(
-                "fences",
-                "fence-decision",
-                vec![
-                    ("func", ArgVal::from(func)),
-                    ("rule", ArgVal::from(decision.rule.name())),
-                    ("fate", ArgVal::from(decision.fate.name())),
-                    ("block", ArgVal::from(decision.block as u64)),
-                    ("pos", ArgVal::from(decision.pos as u64)),
-                ],
-            );
-        }
-        if let Some(out) = out.as_deref_mut() {
-            out.push(decision);
-        }
-    };
     for b in 0..f.blocks.len() {
         let old = std::mem::take(&mut f.blocks[b].insts);
         let mut fenced = Vec::with_capacity(old.len());
@@ -262,6 +223,7 @@ pub fn place_fences(
             };
             let pos = fenced.len() as u32;
             let fence = if elided {
+                stats.skipped_stack += 1;
                 fenced.push(id);
                 None
             } else {
@@ -272,14 +234,19 @@ pub fn place_fences(
                 });
                 // Frm trails the load; Fww leads the store.
                 match rule {
-                    FenceRule::SharedLoad => fenced.extend([id, fence]),
-                    FenceRule::SharedStore => fenced.extend([fence, id]),
+                    FenceRule::SharedLoad => {
+                        stats.frm += 1;
+                        fenced.extend([id, fence]);
+                    }
+                    FenceRule::SharedStore => {
+                        stats.fww += 1;
+                        fenced.extend([fence, id]);
+                    }
                 }
                 Some(fence)
             };
-            decide(
-                &f.name,
-                FenceDecision {
+            if let Some(out) = out.as_deref_mut() {
+                out.push(FenceDecision {
                     access: id,
                     fence,
                     rule,
@@ -290,8 +257,8 @@ pub fn place_fences(
                     },
                     block: b as u32,
                     pos,
-                },
-            );
+                });
+            }
         }
         f.blocks[b].insts = fenced;
     }
@@ -307,7 +274,7 @@ pub fn place_fences(
 pub fn place_fences_module(m: &mut Module, strategy: Strategy) -> PlacementStats {
     let mut total = PlacementStats::default();
     for f in &mut m.funcs {
-        total += place_fences(f, strategy, &TraceCtx::disabled(), None);
+        total += place_fences(f, strategy, None);
     }
     total
 }
@@ -315,19 +282,13 @@ pub fn place_fences_module(m: &mut Module, strategy: Strategy) -> PlacementStats
 /// Merges fence pairs within basic blocks (§8 step 2): two fences with no
 /// intervening instruction that may access memory merge into one, possibly
 /// strengthened (`Frm·Fww → Fsc`, §7.2). Returns fences removed. Each merge
-/// step is mirrored into `ctx` as the `fences.merged` counter plus, when
-/// tracing is enabled, a `fence-merge` instant event, and is appended to
-/// `out` when a provenance sink is given.
+/// step is appended to `out` when a provenance sink is given.
 ///
 /// One left-to-right pass per block: the later fence of a pair survives
 /// (it covers both originals) with the merged kind and can absorb the
 /// next fence in turn; the merged-away fences leave the block in one
 /// retain at its end.
-pub fn merge_fences(
-    f: &mut Function,
-    ctx: &TraceCtx,
-    mut out: Option<&mut Vec<FenceMerge>>,
-) -> usize {
+pub fn merge_fences(f: &mut Function, mut out: Option<&mut Vec<FenceMerge>>) -> usize {
     let mut removed = 0;
     let mut dropped: Vec<bool> = Vec::new();
     for b in 0..f.blocks.len() {
@@ -352,19 +313,6 @@ pub fn merge_fences(
                     dropped[ppos] = true;
                     prev = Some((pos, id, kind));
                     removed += 1;
-                    ctx.add("fences.merged", 1);
-                    if ctx.is_enabled() {
-                        ctx.instant(
-                            "fences",
-                            "fence-merge",
-                            vec![
-                                ("func", ArgVal::from(f.name.as_str())),
-                                ("block", ArgVal::from(b as u64)),
-                                ("removed", ArgVal::from(pid.0 as u64)),
-                                ("kept", ArgVal::from(id.0 as u64)),
-                            ],
-                        );
-                    }
                     if let Some(out) = out.as_deref_mut() {
                         out.push(FenceMerge {
                             removed: pid,
@@ -390,10 +338,7 @@ pub fn merge_fences(
 
 /// Merges fences across a whole module. Returns fences removed.
 pub fn merge_fences_module(m: &mut Module) -> usize {
-    m.funcs
-        .iter_mut()
-        .map(|f| merge_fences(f, &TraceCtx::disabled(), None))
-        .sum()
+    m.funcs.iter_mut().map(|f| merge_fences(f, None)).sum()
 }
 
 /// Counts fences per kind in one function: `(Frm, Fww, Fsc)`.
@@ -467,7 +412,7 @@ mod tests {
             },
         );
 
-        let stats = place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
+        let stats = place_fences(&mut f, Strategy::Naive, None);
         assert_eq!(stats.frm, 1);
         assert_eq!(stats.fww, 1);
 
@@ -540,13 +485,13 @@ mod tests {
             },
         );
 
-        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
+        let stats = place_fences(&mut f, Strategy::StackAware, None);
         assert_eq!(stats.total(), 0);
         assert_eq!(stats.skipped_stack, 2);
 
         // Naive still fences them.
         let mut f2 = f.clone();
-        let naive = place_fences(&mut f2, Strategy::Naive, &TraceCtx::disabled(), None);
+        let naive = place_fences(&mut f2, Strategy::Naive, None);
         // f already has no fences (the first call inserted none).
         assert_eq!(naive.total(), 2);
     }
@@ -594,7 +539,7 @@ mod tests {
         f.set_term(e, Terminator::Ret { val: None });
 
         assert!(!is_stack_address(&f, &Operand::Inst(p)));
-        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
+        let stats = place_fences(&mut f, Strategy::StackAware, None);
         assert_eq!(
             stats.fww, 1,
             "unrefined stack access is conservatively fenced"
@@ -628,9 +573,9 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
+        place_fences(&mut f, Strategy::Naive, None);
         // load, Frm, Fww, store → load, Fsc, store
-        let removed = merge_fences(&mut f, &TraceCtx::disabled(), None);
+        let removed = merge_fences(&mut f, None);
         assert_eq!(removed, 1);
         let kinds: Vec<_> = f
             .block(e)
@@ -674,7 +619,7 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        assert_eq!(merge_fences(&mut f, &TraceCtx::disabled(), None), 0);
+        assert_eq!(merge_fences(&mut f, None), 0);
         assert_eq!(f.block(e).insts.len(), 3);
     }
 
@@ -717,7 +662,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        let stats = place_fences(&mut f, Strategy::Naive, &TraceCtx::disabled(), None);
+        let stats = place_fences(&mut f, Strategy::Naive, None);
         assert_eq!(stats.total(), 0, "atomic accesses must not be fenced");
     }
 
@@ -751,14 +696,13 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        let stats = place_fences(&mut f, Strategy::StackAware, &TraceCtx::disabled(), None);
+        let stats = place_fences(&mut f, Strategy::StackAware, None);
         // Deep chain exceeds the walk bound → conservatively fenced.
         assert_eq!(stats.fww, 1);
     }
 
-    /// A collecting context and a provenance sink must not change the
-    /// module or the stats; they record a decision per access and
-    /// counters mirroring the stats.
+    /// A provenance sink must not change the module or the stats; it
+    /// records a decision per access.
     #[test]
     fn provenance_sink_leaves_output_unchanged_and_records_decisions() {
         let build = || {
@@ -801,25 +745,14 @@ mod tests {
         };
 
         let mut plain = build();
-        let plain_stats = place_fences(
-            &mut plain,
-            Strategy::StackAware,
-            &TraceCtx::disabled(),
-            None,
-        );
-        let plain_removed = merge_fences(&mut plain, &TraceCtx::disabled(), None);
+        let plain_stats = place_fences(&mut plain, Strategy::StackAware, None);
+        let plain_removed = merge_fences(&mut plain, None);
 
         let mut traced = build();
-        let ctx = TraceCtx::collecting();
         let mut decisions = Vec::new();
         let mut merges = Vec::new();
-        let stats = place_fences(
-            &mut traced,
-            Strategy::StackAware,
-            &ctx,
-            Some(&mut decisions),
-        );
-        let removed = merge_fences(&mut traced, &ctx, Some(&mut merges));
+        let stats = place_fences(&mut traced, Strategy::StackAware, Some(&mut decisions));
+        let removed = merge_fences(&mut traced, Some(&mut merges));
 
         assert_eq!(
             traced, plain,
@@ -851,15 +784,6 @@ mod tests {
         let placed_ids: Vec<_> = decisions.iter().filter_map(|d| d.fence).collect();
         assert!(placed_ids.contains(&merges[0].removed));
         assert!(placed_ids.contains(&merges[0].kept));
-
-        let snap = ctx.metrics_snapshot().unwrap();
-        assert_eq!(snap.counter("fences.placed.frm"), stats.frm as u64);
-        assert_eq!(snap.counter("fences.placed.fww"), stats.fww as u64);
-        assert_eq!(
-            snap.counter("fences.elided.stack"),
-            stats.skipped_stack as u64
-        );
-        assert_eq!(snap.counter("fences.merged"), removed as u64);
     }
 
     #[test]
@@ -888,7 +812,7 @@ mod tests {
             },
         );
         f.set_term(e, Terminator::Ret { val: None });
-        assert_eq!(merge_fences(&mut f, &TraceCtx::disabled(), None), 2);
+        assert_eq!(merge_fences(&mut f, None), 2);
         let (_, fww, fsc) = {
             let mut m = Module::new();
             m.add_func(f);
@@ -1068,16 +992,11 @@ mod tests {
 
                 let mut got = f.clone();
                 let mut decisions = Vec::new();
-                let stats = place_fences(
-                    &mut got,
-                    strategy,
-                    &TraceCtx::disabled(),
-                    Some(&mut decisions),
-                );
+                let stats = place_fences(&mut got, strategy, Some(&mut decisions));
                 assert_eq!(decisions, want_decisions, "round {round}");
                 assert_eq!(placement_stats(&f, strategy), stats, "round {round}");
                 let mut merges = Vec::new();
-                let removed = merge_fences(&mut got, &TraceCtx::disabled(), Some(&mut merges));
+                let removed = merge_fences(&mut got, Some(&mut merges));
                 assert_eq!(merges, want_merges, "round {round}");
                 assert_eq!(removed, merges.len());
                 assert_eq!(got, want, "round {round}");

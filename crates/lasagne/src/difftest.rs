@@ -1029,90 +1029,30 @@ pub fn run_difftest(opts: &DiffOptions) -> DiffSummary {
         seed: opts.seed,
         ..Config::default()
     };
-    let info = TestInfo {
-        name: "lasagne::difftest::threeway",
-        manifest_dir: env!("CARGO_MANIFEST_DIR"),
-        source_file: file!(),
-    };
-
-    // Family 1: straight-line bodies.
-    let execs = Cell::new(0u64);
-    let funcs = Cell::new(0u64);
-    let straight = collection::vec(any_op(), 1..24);
-    let outcome = runner::check(info, &cfg, &straight, |body| {
-        let bin = build_binary(&body);
-        match check_threeway(&bin, "qc-straight", Some(&opts.cache_dir)) {
-            Ok(n) => {
-                execs.set(execs.get() + n);
-                funcs.set(funcs.get() + 1);
-                Ok(())
-            }
-            Err(e) => Err(TestCaseError::Fail(e)),
-        }
-    });
-    summary.qc_functions += funcs.get();
-    summary.executions += execs.get();
-    if let Err(f) = outcome {
-        summary.divergences += 1;
-        summary.counterexample = Some(record_failure(&info, &f));
-        summary.wall_ms = t0.elapsed().as_millis();
-        return summary;
-    }
-
-    // Family 2: control-flow bodies.
-    let info_cfg = TestInfo {
-        name: "lasagne::difftest::threeway_cfg",
-        manifest_dir: env!("CARGO_MANIFEST_DIR"),
-        source_file: file!(),
-    };
-    let execs = Cell::new(0u64);
-    let funcs = Cell::new(0u64);
+    // Families 1–3: straight-line, control-flow and flag-heavy bodies.
+    let cache = Some(opts.cache_dir.as_path());
     let shaped = collection::vec((collection::vec(any_op(), 1..8), any_shape()), 1..5);
-    let outcome = runner::check(info_cfg, &cfg, &shaped, |segments| {
-        let bin = build_cfg_binary(&segments);
-        match check_threeway(&bin, "qc-cfg", Some(&opts.cache_dir)) {
-            Ok(n) => {
-                execs.set(execs.get() + n);
-                funcs.set(funcs.get() + 1);
-                Ok(())
-            }
-            Err(e) => Err(TestCaseError::Fail(e)),
-        }
-    });
-    summary.qc_functions += funcs.get();
-    summary.executions += execs.get();
-    if let Err(f) = outcome {
-        summary.divergences += 1;
-        summary.counterexample = Some(record_failure(&info_cfg, &f));
-        summary.wall_ms = t0.elapsed().as_millis();
-        return summary;
-    }
-
-    // Family 3: flag-heavy bodies.
-    let info_flags = TestInfo {
-        name: "lasagne::difftest::threeway_flags",
-        manifest_dir: env!("CARGO_MANIFEST_DIR"),
-        source_file: file!(),
-    };
-    let execs = Cell::new(0u64);
-    let funcs = Cell::new(0u64);
     let flagged = collection::vec((any_flag_segment(), any_boundary()), 1..5);
-    let outcome = runner::check(info_flags, &cfg, &flagged, |segments| {
-        let bin = build_flag_binary(&segments);
-        match check_threeway(&bin, "qc-flags", Some(&opts.cache_dir)) {
-            Ok(n) => {
-                execs.set(execs.get() + n);
-                funcs.set(funcs.get() + 1);
-                Ok(())
-            }
-            Err(e) => Err(TestCaseError::Fail(e)),
-        }
-    });
-    summary.qc_functions += funcs.get();
-    summary.executions += execs.get();
-    if let Err(f) = outcome {
-        summary.divergences += 1;
-        summary.counterexample = Some(record_failure(&info_flags, &f));
+    let agreed = run_family(
+        &mut summary,
+        "lasagne::difftest::threeway",
+        &cfg,
+        &collection::vec(any_op(), 1..24),
+        |body| check_threeway(&build_binary(&body), "qc-straight", cache),
+    ) && run_family(
+        &mut summary,
+        "lasagne::difftest::threeway_cfg",
+        &cfg,
+        &shaped,
+        |s| check_threeway(&build_cfg_binary(&s), "qc-cfg", cache),
+    ) && run_family(
+        &mut summary,
+        "lasagne::difftest::threeway_flags",
+        &cfg,
+        &flagged,
+        |s| check_threeway(&build_flag_binary(&s), "qc-flags", cache),
+    );
+    if !agreed {
         summary.wall_ms = t0.elapsed().as_millis();
         return summary;
     }
@@ -1136,6 +1076,38 @@ pub fn run_difftest(opts: &DiffOptions) -> DiffSummary {
     }
     summary.wall_ms = t0.elapsed().as_millis();
     summary
+}
+
+/// Runs one qc family of generated binaries, named `name`, through `check`
+/// and folds its functions and executions into `summary`. Returns whether
+/// every case agreed; a divergence becomes the summary's counterexample.
+fn run_family<S: Strategy>(
+    summary: &mut DiffSummary,
+    name: &'static str,
+    cfg: &Config,
+    strat: &S,
+    check: impl Fn(S::Value) -> Result<u64, String>,
+) -> bool {
+    let info = TestInfo {
+        name,
+        manifest_dir: env!("CARGO_MANIFEST_DIR"),
+        source_file: file!(),
+    };
+    let execs = Cell::new(0u64);
+    let funcs = Cell::new(0u64);
+    let outcome = runner::check(info, cfg, strat, |value| {
+        execs.set(execs.get() + check(value).map_err(TestCaseError::Fail)?);
+        funcs.set(funcs.get() + 1);
+        Ok(())
+    });
+    summary.qc_functions += funcs.get();
+    summary.executions += execs.get();
+    let Err(f) = outcome else {
+        return true;
+    };
+    summary.divergences += 1;
+    summary.counterexample = Some(record_failure(&info, &f));
+    false
 }
 
 /// Persists a fresh failing seed to this crate's qc regression file

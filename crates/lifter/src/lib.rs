@@ -39,31 +39,30 @@ pub mod xcfg;
 
 use lasagne_lir::func::{ExternDecl, Function, GlobalVar, Module};
 use lasagne_lir::types::{Pointee, Ty};
-use lasagne_trace::{ArgVal, TraceCtx};
 use lasagne_x86::binary::Binary;
 use std::collections::BTreeMap;
 use translate::SymbolEnv;
 use typedisc::{FuncType, SigTable};
 
 /// Machine-code and type-discovery profile of one function, reported by
-/// [`LiftPlan::function_profile`] for the observability layer.
+/// [`LiftPlan::function_profile`]; the pipeline's lifter counters and
+/// `lift-function` events are derived from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuncProfile {
     /// x86 entry address.
     pub addr: u64,
-    /// Reconstructed machine basic blocks.
-    pub x86_blocks: usize,
     /// x86 instructions across all blocks.
     pub x86_insts: usize,
     /// Parameters discovered by the §4 live-register analysis.
     pub params: usize,
-    /// Whether the discovered return type is `void`.
-    pub ret_void: bool,
 }
 
 /// Errors produced by [`lift_binary`].
 #[derive(Debug)]
 pub enum LiftError {
+    /// The named function symbol's byte range is empty or does not lie
+    /// inside the text section.
+    Symbol(String),
     /// CFG reconstruction failed.
     Cfg(xcfg::CfgError),
     /// Instruction translation failed.
@@ -75,6 +74,7 @@ pub enum LiftError {
 impl std::fmt::Display for LiftError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            LiftError::Symbol(name) => write!(f, "symbol `{name}` is empty or lies outside .text"),
             LiftError::Cfg(e) => write!(f, "cfg: {e}"),
             LiftError::Translate(e) => write!(f, "translate: {e}"),
             LiftError::Verify(es) => {
@@ -123,7 +123,7 @@ pub fn extern_signature(name: &str) -> Option<(FuncType, bool)> {
 pub fn lift_binary(bin: &Binary) -> Result<Module, LiftError> {
     let plan = LiftPlan::prepare(bin)?;
     let bodies = (0..plan.num_functions())
-        .map(|i| plan.lift_function(i, &TraceCtx::disabled()))
+        .map(|i| plan.lift_function(i))
         .collect::<Result<Vec<_>, _>>()?;
     plan.finish(bodies)
 }
@@ -158,8 +158,9 @@ impl LiftPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`LiftError::Cfg`] if any function's control flow cannot be
-    /// reconstructed.
+    /// Returns [`LiftError::Symbol`] if a function symbol is empty or lies
+    /// outside the text section, and [`LiftError::Cfg`] if any function's
+    /// control flow cannot be reconstructed.
     pub fn prepare(bin: &Binary) -> Result<LiftPlan, LiftError> {
         let mut module = Module::new();
 
@@ -214,10 +215,10 @@ impl LiftPlan {
             .collect();
         let mut cfgs: BTreeMap<u64, (String, xcfg::XCfg)> = BTreeMap::new();
         for f in &bin.functions {
-            let cfg = xcfg::build_xcfg(bin.code_of(f), f.addr, |t| {
-                t != f.addr && call_targets.contains(&t)
-            })
-            .map_err(LiftError::Cfg)?;
+            let code = bin.code_of(f).filter(|c| !c.is_empty());
+            let code = code.ok_or_else(|| LiftError::Symbol(f.name.clone()))?;
+            let cfg = xcfg::build_xcfg(code, f.addr, |t| t != f.addr && call_targets.contains(&t))
+                .map_err(LiftError::Cfg)?;
             cfgs.insert(f.addr, (f.name.clone(), cfg));
         }
 
@@ -335,9 +336,8 @@ impl LiftPlan {
         shell
     }
 
-    /// Pre-lift profile of work item `i`: machine-code shape plus the
-    /// discovered signature, for observability (the lifter's per-function
-    /// instruction/type-discovery counts).
+    /// Pre-lift profile of work item `i`: its machine-code size and
+    /// discovered parameter count.
     ///
     /// # Panics
     ///
@@ -346,17 +346,12 @@ impl LiftPlan {
         let (addr, _, cfg) = &self.work[i];
         FuncProfile {
             addr: *addr,
-            x86_blocks: cfg.blocks.len(),
             x86_insts: cfg.blocks.iter().map(|b| b.insts.len()).sum(),
             params: self.tys[i].params.len(),
-            ret_void: self.tys[i].ret == Ty::Void,
         }
     }
 
-    /// Translates the body of work item `i`, recording the function's
-    /// profile into `ctx`: `lift.*` counters, a size histogram, and a
-    /// `lift-function` instant event. A disabled context records nothing;
-    /// tracing never changes the body.
+    /// Translates the body of work item `i`.
     ///
     /// This reads only immutable plan state, so distinct work items may be
     /// lifted concurrently and the result for a given item is independent
@@ -370,36 +365,12 @@ impl LiftPlan {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn lift_function(&self, i: usize, ctx: &TraceCtx) -> Result<Function, LiftError> {
+    pub fn lift_function(&self, i: usize) -> Result<Function, LiftError> {
         let (_, name, cfg) = &self.work[i];
         let mut func =
             translate::translate_function(name, cfg, &self.tys[i], &self.env, self.sqrt_id)
                 .map_err(LiftError::Translate)?;
         func.compact();
-        if ctx.is_enabled() {
-            let p = self.function_profile(i);
-            let lir_insts = func.iter_insts().count();
-            ctx.add("lift.funcs", 1);
-            ctx.add("lift.x86_insts", p.x86_insts as u64);
-            ctx.add("lift.lir_insts", lir_insts as u64);
-            ctx.add("lift.params_discovered", p.params as u64);
-            ctx.observe(
-                "lift.func_x86_insts",
-                &[8, 32, 128, 512],
-                p.x86_insts as u64,
-            );
-            ctx.instant(
-                "lift",
-                "lift-function",
-                vec![
-                    ("func", ArgVal::from(self.function_name(i))),
-                    ("addr", ArgVal::from(p.addr)),
-                    ("x86_insts", ArgVal::from(p.x86_insts)),
-                    ("lir_insts", ArgVal::from(lir_insts)),
-                    ("params", ArgVal::from(p.params)),
-                ],
-            );
-        }
         Ok(func)
     }
 
@@ -468,34 +439,6 @@ mod tests {
         });
         assert_eq!(m.func(id).params, vec![Ty::I64, Ty::I64]);
         assert_eq!(run(&m, id, &[Val::B64(40), Val::B64(2)]), Val::B64(42));
-    }
-
-    /// A collecting context must not change the lifted body, and its
-    /// counters must mirror the function's profile.
-    #[test]
-    fn collecting_trace_leaves_the_lifted_body_unchanged() {
-        let mut b = BinaryBuilder::new();
-        let mut a = Asm::new();
-        a.push(Inst::MovRRm {
-            w: Width::W64,
-            dst: Gpr::Rax,
-            src: Rm::Reg(Gpr::Rdi),
-        });
-        a.push(Inst::Ret);
-        let addr = b.next_function_addr();
-        b.add_function("id", a.finish(addr).unwrap());
-        let plan = LiftPlan::prepare(&b.finish()).unwrap();
-        let plain = plan.lift_function(0, &TraceCtx::disabled()).unwrap();
-        let ctx = TraceCtx::collecting();
-        let traced = plan.lift_function(0, &ctx).unwrap();
-        assert_eq!(traced, plain, "tracing changed the lifted body");
-        let snap = ctx.metrics_snapshot().expect("collecting context");
-        assert_eq!(snap.counter("lift.funcs"), 1);
-        assert_eq!(snap.counter("lift.x86_insts"), 2);
-        assert_eq!(
-            snap.counter("lift.lir_insts"),
-            plain.iter_insts().count() as u64
-        );
     }
 
     #[test]

@@ -20,6 +20,14 @@ pub enum CfgError {
         /// Target address.
         target: u64,
     },
+    /// A branch targets an address inside the function that is not the
+    /// start of a decoded instruction.
+    BranchIntoInstruction {
+        /// Branch instruction address.
+        at: u64,
+        /// Target address.
+        target: u64,
+    },
 }
 
 impl std::fmt::Display for CfgError {
@@ -28,6 +36,12 @@ impl std::fmt::Display for CfgError {
             CfgError::Decode(e) => write!(f, "decode error: {e}"),
             CfgError::BranchOutOfFunction { at, target } => {
                 write!(f, "branch at {at:#x} leaves the function (to {target:#x})")
+            }
+            CfgError::BranchIntoInstruction { at, target } => {
+                write!(
+                    f,
+                    "branch at {at:#x} lands inside an instruction (at {target:#x})"
+                )
             }
         }
     }
@@ -80,8 +94,9 @@ impl XCfg {
 ///
 /// # Errors
 ///
-/// Fails on undecodable bytes or branches that leave the function body,
-/// other than jumps to an address `is_call_target` accepts.
+/// Fails on undecodable bytes, on branches into the middle of an
+/// instruction, and on branches that leave the function body, other than
+/// jumps to an address `is_call_target` accepts.
 pub fn build_xcfg(
     bytes: &[u8],
     base: u64,
@@ -112,6 +127,12 @@ pub fn build_xcfg(
                     }
                     leaders.insert(d.addr + d.len as u64);
                     continue;
+                }
+                if decoded.binary_search_by_key(&t, |d| d.addr).is_err() {
+                    return Err(CfgError::BranchIntoInstruction {
+                        at: d.addr,
+                        target: t,
+                    });
                 }
                 leaders.insert(t);
                 leaders.insert(d.addr + d.len as u64);

@@ -7,7 +7,6 @@ use lasagne_lir::analysis::Analyses;
 use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, InstKind, Operand, Terminator};
 use lasagne_lir::Subst;
-use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Folds constants (and constant conditions into unconditional branches)
 /// and removes unreachable blocks, fixing φ-nodes — constant propagation
@@ -204,29 +203,6 @@ pub fn ipsccp(m: &mut Module, facts: &mut Vec<IpsccpFact>) -> Vec<usize> {
         .enumerate()
         .map(|(target, f)| apply_ipsccp_facts(f, target as u32, &new))
         .collect()
-}
-
-/// Records one `lattice-fact` instant event into `ctx` per fact in
-/// `facts` — a parameter of a function in `m` dropping from ⊤ (unknown)
-/// to a constant. Does nothing when tracing is disabled.
-pub fn trace_lattice_facts(ctx: &TraceCtx, m: &Module, facts: &[IpsccpFact]) {
-    if !ctx.is_enabled() {
-        return;
-    }
-    for fact in facts {
-        ctx.instant(
-            "opt",
-            "lattice-fact",
-            vec![
-                (
-                    "func",
-                    ArgVal::from(m.funcs[fact.func as usize].name.as_str()),
-                ),
-                ("param", ArgVal::from(fact.param as u64)),
-                ("value", ArgVal::from(format!("{:?}", fact.value))),
-            ],
-        );
-    }
 }
 
 /// Frozen snapshot of everything `ipsccp` reads from one function's body:
@@ -788,28 +764,6 @@ mod tests {
             assert_eq!(serial_subs, phased_subs, "substitution counts diverged");
             assert_eq!(serial, phased, "modules diverged");
         }
-    }
-
-    /// One `lattice-fact` instant per decided fact, naming the function,
-    /// the parameter and the constant; none when tracing is disabled.
-    #[test]
-    fn lattice_facts_trace_one_instant_per_fact() {
-        let mut m = cascade_module();
-        let mut facts = Vec::new();
-        ipsccp(&mut m, &mut facts);
-        trace_lattice_facts(&TraceCtx::disabled(), &m, &facts);
-        let ctx = TraceCtx::collecting();
-        trace_lattice_facts(&ctx, &m, &facts);
-        let events = ctx.collector().unwrap().all_events();
-        let funcs: Vec<&ArgVal> = events
-            .iter()
-            .map(|e| {
-                assert_eq!((e.cat, e.name.as_str()), ("opt", "lattice-fact"));
-                assert_eq!(e.args[1], ("param", ArgVal::from(0u64)));
-                &e.args[0].1
-            })
-            .collect();
-        assert_eq!(funcs, [&ArgVal::from("mid"), &ArgVal::from("leaf")]);
     }
 
     #[test]

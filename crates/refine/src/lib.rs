@@ -24,7 +24,6 @@ use lasagne_lir::func::{Function, Module};
 use lasagne_lir::inst::{Callee, CastOp, Inst, InstId, InstKind, Operand};
 use lasagne_lir::types::{Pointee, Ty};
 use lasagne_lir::{BlockId, Subst};
-use lasagne_trace::{ArgVal, TraceCtx};
 
 /// Which generalised Figure 5 peephole rule rewrote an `inttoptr`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub enum RefineRule {
 }
 
 impl RefineRule {
-    /// Stable name used in traces (`refine.rule.*` counters).
+    /// Stable name of the rule.
     pub fn name(self) -> &'static str {
         match self {
             RefineRule::PointerCast => "pointer-cast",
@@ -46,15 +45,26 @@ impl RefineRule {
             RefineRule::ParamOffset => "param-offset",
         }
     }
+}
 
-    /// The `refine.rule.*` counter incremented when this rule fires.
-    pub fn counter(self) -> &'static str {
-        match self {
-            RefineRule::PointerCast => "refine.rule.pointer-cast",
-            RefineRule::PointerOffset => "refine.rule.pointer-offset",
-            RefineRule::ParamOffset => "refine.rule.param-offset",
-        }
-    }
+/// What [`refine_function`] did to one function.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refined {
+    /// The rewritten `inttoptr`s in layout order (see [`expose_pointers`]).
+    pub firings: Vec<(RefineRule, usize)>,
+    /// Dead address-arithmetic instructions swept afterwards.
+    pub swept: usize,
+}
+
+/// One parameter [`promote_pointer_params`] promoted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Promotion {
+    /// The function whose parameter was promoted.
+    pub func: lasagne_lir::FuncId,
+    /// The parameter's index.
+    pub param: usize,
+    /// Its new pointer type.
+    pub ty: Ty,
 }
 
 /// Statistics from a refinement run (drives Figure 13).
@@ -154,12 +164,11 @@ fn position_of(f: &Function, id: InstId) -> Option<(BlockId, usize)> {
 
 /// Applies the generalised Figure 5 peephole rules to one function.
 ///
-/// Returns the number of `inttoptr` instructions rewritten. Each rule
-/// firing is recorded into `ctx`: one `refine.rule.*` counter increment
-/// and (when tracing is enabled) a `peephole` instant event per rewritten
-/// `inttoptr`. Tracing never changes the function.
-pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
-    let mut rewritten = 0;
+/// Returns one `(rule, terms)` pair per rewritten `inttoptr`, in layout
+/// order: the rule that fired and the integer terms added to the pointer
+/// root (one `getelementptr` each).
+pub fn expose_pointers(m: &Module, f: &mut Function) -> Vec<(RefineRule, usize)> {
+    let mut firings = Vec::new();
     // Each rewrite builds a chain of new instructions to splice in just
     // before its `inttoptr`: `(position, chain)` per block, spliced in one
     // rebuild of the block at the end. Plans only follow `ptrtoint` and
@@ -238,7 +247,6 @@ pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
             if !chain.is_empty() {
                 splices.push((pos, chain));
             }
-            rewritten += 1;
             let rule = if plan.root_is_int {
                 RefineRule::ParamOffset
             } else if terms_count == 0 {
@@ -246,18 +254,7 @@ pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
             } else {
                 RefineRule::PointerOffset
             };
-            ctx.add(rule.counter(), 1);
-            if ctx.is_enabled() {
-                ctx.instant(
-                    "refine",
-                    "peephole",
-                    vec![
-                        ("func", ArgVal::from(f.name.as_str())),
-                        ("rule", ArgVal::from(rule.name())),
-                        ("terms", ArgVal::from(terms_count)),
-                    ],
-                );
-            }
+            firings.push((rule, terms_count));
         }
         if !splices.is_empty() {
             let old = std::mem::take(&mut f.blocks[b].insts);
@@ -273,18 +270,15 @@ pub fn expose_pointers(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
             f.blocks[b].insts = insts;
         }
     }
-    rewritten
+    firings
 }
 
 /// Promotes `i64` parameters used only as raw addresses to typed pointer
 /// parameters (§5.2), rewriting all call sites in the module.
 ///
-/// Returns the number of parameters promoted. Each promotion is recorded
-/// into `ctx`: one `refine.params.promoted` counter increment and (when
-/// tracing is enabled) a `promote-param` instant event naming the function
-/// and parameter. Tracing never changes the module.
-pub fn promote_pointer_params(m: &mut Module, ctx: &TraceCtx) -> usize {
-    let mut promoted = 0;
+/// Returns the promoted parameters in the order they were promoted.
+pub fn promote_pointer_params(m: &mut Module) -> Vec<Promotion> {
+    let mut promoted = Vec::new();
     for fi in 0..m.funcs.len() {
         let fid = lasagne_lir::FuncId(fi as u32);
         let nparams = m.funcs[fi].params.len();
@@ -369,19 +363,11 @@ pub fn promote_pointer_params(m: &mut Module, ctx: &TraceCtx) -> usize {
             }
             // Fix every call site in the module.
             fix_call_sites(m, fid, pi, new_ty);
-            promoted += 1;
-            ctx.add("refine.params.promoted", 1);
-            if ctx.is_enabled() {
-                ctx.instant(
-                    "refine",
-                    "promote-param",
-                    vec![
-                        ("func", ArgVal::from(m.funcs[fi].name.as_str())),
-                        ("param", ArgVal::from(pi)),
-                        ("ty", ArgVal::from(format!("{new_ty:?}"))),
-                    ],
-                );
-            }
+            promoted.push(Promotion {
+                func: fid,
+                param: pi,
+                ty: new_ty,
+            });
         }
     }
     promoted
@@ -528,20 +514,17 @@ pub fn sweep_dead(f: &mut Function) -> usize {
 }
 
 /// One per-function refinement step: pointer exposure ([`expose_pointers`])
-/// followed by a dead-arithmetic sweep ([`sweep_dead`]). Returns the number
-/// of `inttoptr` instructions rewritten. Rule firings are traced into
-/// `ctx` (see [`expose_pointers`]), and swept dead address arithmetic is
-/// counted into `refine.swept`.
+/// followed by a dead-arithmetic sweep ([`sweep_dead`]). Returns the rule
+/// firings and the number of instructions swept.
 ///
 /// This is the intraprocedural half of [`refine_module`], split out for the
 /// pipeline driver: it mutates only `f` and reads `m` solely for operand
 /// typing (never other function bodies), so distinct functions may be
 /// refined concurrently with results identical to any serial order.
-pub fn refine_function(m: &Module, f: &mut Function, ctx: &TraceCtx) -> usize {
-    let n = expose_pointers(m, f, ctx);
+pub fn refine_function(m: &Module, f: &mut Function) -> Refined {
+    let firings = expose_pointers(m, f);
     let swept = sweep_dead(f);
-    ctx.add("refine.swept", swept as u64);
-    n
+    Refined { firings, swept }
 }
 
 /// Runs the full refinement pipeline over a module: alternating pointer
@@ -554,12 +537,12 @@ pub fn refine_module(m: &mut Module) -> RefineStats {
         let mut changed = 0;
         for fi in 0..m.funcs.len() {
             let mut f = std::mem::replace(&mut m.funcs[fi], Function::new("", vec![], Ty::Void));
-            let n = refine_function(m, &mut f, &TraceCtx::disabled());
+            let n = refine_function(m, &mut f).firings.len();
             m.funcs[fi] = f;
             changed += n;
             stats.inttoptr_rewritten += n;
         }
-        let p = promote_pointer_params(m, &TraceCtx::disabled());
+        let p = promote_pointer_params(m).len();
         for f in &mut m.funcs {
             sweep_dead(f);
         }
@@ -616,7 +599,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        let n = expose_pointers(&m, &mut f, &TraceCtx::disabled());
+        let n = expose_pointers(&m, &mut f).len();
         assert_eq!(n, 1);
         assert!(
             matches!(
@@ -679,7 +662,7 @@ mod tests {
                 val: Some(Operand::Inst(l)),
             },
         );
-        assert_eq!(expose_pointers(&m, &mut f, &TraceCtx::disabled()), 1);
+        assert_eq!(expose_pointers(&m, &mut f).len(), 1);
         // A GEP from the alloca must now exist and feed the bitcast.
         let has_gep = f.iter_insts().any(|(_, id)| {
             matches!(&f.inst(id).kind, InstKind::Gep { base, .. } if *base == Operand::Inst(stack))
@@ -770,7 +753,7 @@ mod tests {
             },
         );
         m.add_func(f);
-        assert_eq!(promote_pointer_params(&mut m, &TraceCtx::disabled()), 1);
+        assert_eq!(promote_pointer_params(&mut m).len(), 1);
         assert_eq!(m.funcs[0].params[0], Ty::Ptr(Pointee::F64));
         verify_module(&m).unwrap();
     }
@@ -797,7 +780,7 @@ mod tests {
             },
         );
         m.add_func(f);
-        assert_eq!(promote_pointer_params(&mut m, &TraceCtx::disabled()), 0);
+        assert_eq!(promote_pointer_params(&mut m).len(), 0);
         assert_eq!(m.funcs[0].params[0], Ty::I64);
     }
 
@@ -1187,7 +1170,7 @@ mod tests {
     /// returns how many casts were rewritten and instructions swept.
     fn assert_matches_reference(m: &Module, f: &Function, what: &str) -> (usize, usize) {
         let (mut got, mut want) = (f.clone(), f.clone());
-        let n = expose_pointers(m, &mut got, &TraceCtx::disabled());
+        let n = expose_pointers(m, &mut got).len();
         assert_eq!(n, expose_pointers_reference(m, &mut want), "{what}");
         assert_eq!(got, want, "{what}: exposed");
         let swept = sweep_dead(&mut got);

@@ -5,15 +5,13 @@
 //! * it promotes at least one pointer parameter per benchmark (each has a
 //!   worker taking a context/array pointer passed as `i64`);
 //! * it never changes the benchmark checksum;
-//! * it reaches a fixpoint (re-running does nothing);
-//! * tracing it changes nothing but the trace.
+//! * it reaches a fixpoint (re-running does nothing).
 
 use lasagne_lir::interp::{Machine, Val};
 use lasagne_lir::verify::verify_module;
 use lasagne_lir::{Module, Ty};
 use lasagne_phoenix::{all_benchmarks, Workload};
-use lasagne_refine::{promote_pointer_params, refine_function, refine_module};
-use lasagne_trace::TraceCtx;
+use lasagne_refine::refine_module;
 
 fn casts(m: &Module) -> usize {
     m.count_insts(|i| i.kind.is_int_ptr_cast())
@@ -106,54 +104,5 @@ fn refinement_is_a_fixpoint() {
         );
         assert_eq!(casts(&m), casts_once, "{}: cast count drifted", b.name);
         assert_eq!(m.inst_count(), insts_once, "{}: inst count drifted", b.name);
-    }
-}
-
-/// One refinement round (every function, then parameter promotion) under
-/// `ctx`; returns `(inttoptr rewritten, params promoted)`.
-fn refine_round(m: &mut Module, ctx: &TraceCtx) -> (usize, usize) {
-    let mut rewritten = 0;
-    for fi in 0..m.funcs.len() {
-        let mut f = std::mem::replace(
-            &mut m.funcs[fi],
-            lasagne_lir::Function::new("", vec![], Ty::Void),
-        );
-        rewritten += refine_function(m, &mut f, ctx);
-        m.funcs[fi] = f;
-    }
-    (rewritten, promote_pointer_params(m, ctx))
-}
-
-/// A collecting context must leave the refined module and the counts
-/// exactly as a disabled one does, and its counters must mirror them.
-#[test]
-fn collecting_trace_leaves_refinement_unchanged() {
-    for b in all_benchmarks(32) {
-        let lifted = lasagne_lifter::lift_binary(&b.binary).unwrap();
-        let mut plain = lifted.clone();
-        let plain_counts = refine_round(&mut plain, &TraceCtx::disabled());
-        let mut traced = lifted;
-        let ctx = TraceCtx::collecting();
-        let counts = refine_round(&mut traced, &ctx);
-        assert_eq!(traced, plain, "{}: tracing changed the module", b.name);
-        assert_eq!(counts, plain_counts, "{}", b.name);
-        let snap = ctx.metrics_snapshot().expect("collecting context");
-        assert_eq!(
-            snap.counter("refine.params.promoted"),
-            counts.1 as u64,
-            "{}",
-            b.name
-        );
-        let rules: u64 = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("refine.rule."))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(
-            rules, counts.0 as u64,
-            "{}: one rule firing per rewrite",
-            b.name
-        );
     }
 }

@@ -81,15 +81,13 @@ impl Binary {
         self.externs.iter().find(|e| e.addr == addr)
     }
 
-    /// The machine-code bytes of a function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol range lies outside the text section.
-    pub fn code_of(&self, f: &FuncSym) -> &[u8] {
-        let start = usize::try_from(f.addr - self.text_base).expect("bad symbol");
-        let end = usize::try_from(f.addr + f.size - self.text_base).expect("bad symbol");
-        &self.text[start..end]
+    /// The machine-code bytes of a function, or `None` when the symbol's
+    /// range does not lie inside the text section (it starts below
+    /// `text_base`, runs past the end, or `addr + size` overflows).
+    pub fn code_of(&self, f: &FuncSym) -> Option<&[u8]> {
+        let start = usize::try_from(f.addr.checked_sub(self.text_base)?).ok()?;
+        let end = start.checked_add(usize::try_from(f.size).ok()?)?;
+        self.text.get(start..end)
     }
 }
 
@@ -229,6 +227,9 @@ mod tests {
         assert_eq!(bin.function_at(f2 + 1).unwrap().name, "helper");
         assert_eq!(bin.global_at(g2 + 10).unwrap().name, "table");
         assert_eq!(bin.extern_at(e3).unwrap().name, "malloc");
-        assert_eq!(bin.code_of(bin.function_by_name("main").unwrap()), &[0xC3]);
+        assert_eq!(
+            bin.code_of(bin.function_by_name("main").unwrap()),
+            Some(&[0xC3][..])
+        );
     }
 }

@@ -150,7 +150,10 @@ fn main() {
             };
             for f in &b.binary.functions {
                 println!("{}:  ; {} bytes at {:#x}", f.name, f.size, f.addr);
-                let code = b.binary.code_of(f);
+                let Some(code) = b.binary.code_of(f) else {
+                    println!("  <symbol lies outside .text>");
+                    continue;
+                };
                 match lasagne_repro::x86::decode_all(code, f.addr) {
                     Ok(ds) => {
                         for d in ds {

@@ -10,7 +10,6 @@ use lasagne_repro::fences::{place_fences, placement_stats, Strategy};
 use lasagne_repro::lifter::lift_binary;
 use lasagne_repro::lir::func::Module;
 use lasagne_repro::phoenix::all_benchmarks;
-use lasagne_repro::trace::TraceCtx;
 use lasagne_repro::translator::difftest::{any_op, any_shape, build_cfg_binary};
 
 /// Compares the count with a fenced copy for every function of `m`;
@@ -20,7 +19,7 @@ fn check_module(m: &Module) -> Result<usize, String> {
     for f in &m.funcs {
         for strategy in [Strategy::StackAware, Strategy::Naive] {
             let counted = placement_stats(f, strategy);
-            let placed = place_fences(&mut f.clone(), strategy, &TraceCtx::disabled(), None);
+            let placed = place_fences(&mut f.clone(), strategy, None);
             if counted != placed {
                 return Err(format!(
                     "{} under {strategy:?}: counted {counted:?}, placed {placed:?}",

@@ -550,6 +550,17 @@ fn corrupt_frames_and_malformed_requests_are_counted() {
 
     let mut client =
         Client::connect_with_retry(server.addr(), std::time::Duration::from_secs(5)).unwrap();
+    // A well-formed Translate request whose one function symbol runs past
+    // the end of .text: a lift error, answered without a panic.
+    let mut bin = all_benchmarks(24).swap_remove(0).binary;
+    bin.functions[0].size = bin.text.len() as u64 + 1;
+    match client
+        .translate(&bin, Version::PPOpt, 0)
+        .expect("translate call")
+    {
+        Response::Error { msg } => assert!(msg.contains("symbol"), "{msg}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
     let (metrics_body, prom) = client.metrics().expect("metrics");
     server.stop();
     let doc = json::parse(&metrics_body).unwrap();
@@ -557,6 +568,7 @@ fn corrupt_frames_and_malformed_requests_are_counted() {
     let count = |name: &str| counters.get(name).map_or(0, |v| v.as_u64().unwrap());
     assert_eq!(count("serve.frames_corrupt"), 1);
     assert_eq!(count("serve.requests_malformed"), 1);
+    assert_eq!(count("serve.errors"), 1);
     assert_eq!(count("serve.panics"), 0);
     assert!(
         prom.contains("\nlasagne_serve_frames_corrupt 1\n"),
