@@ -11,6 +11,13 @@ cargo test -q --offline --workspace
 # difftest divergence. Its model test therefore runs again here with 2000
 # cases instead of its usual 96.
 LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test memory_model
+# The LIR Machine lowers each function once to a flat slot form and runs
+# it on an explicit frame stack; the tree-walking interpreter it replaced
+# stays as a test-only reference. Their agreement on generated modules
+# (loops, phis, direct, indirect and extern calls, pthread_create, every
+# integer width, vectors, random step limits), error for error, runs here
+# with 2000 cases instead of its usual 256.
+LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --lib interp::equivalence
 # The lifter builds registers and flags as SSA values with the LIR's
 # SsaBuilder instead of promoting slots, so every lifted function rests
 # on it. Its equivalence with slot promotion over random CFGs (loops,
