@@ -5,7 +5,7 @@
 use lasagne_armgen::inst::{
     ABlock, ACallee, AFunc, AInst, AMem, AModule, ARet, ATerm, AluOp, Blk, Cc, Dmb, FpOp, Sz, D, X,
 };
-use lasagne_armgen::machine::{ArmError, ArmMachine};
+use lasagne_armgen::machine::{ArmError, ArmMachine, MAX_FRAMES};
 
 fn one_block_module(insts: Vec<AInst>, ret: ARet) -> AModule {
     AModule {
@@ -567,4 +567,173 @@ fn an_extern_trap_at_step_k_needs_a_limit_of_k() {
         };
         assert_eq!(machine.run(0, &[], &[]), Err(want), "limit {limit}");
     }
+}
+
+/// Runs `f` on a thread with a 2 MiB stack, the default for spawned
+/// threads, and returns its result, failing if it takes longer than a
+/// minute.
+fn on_small_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || tx.send(f()).unwrap())
+        .unwrap();
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the machine stops");
+    thread.join().unwrap();
+    got
+}
+
+fn func(name: &str, blocks: Vec<ABlock>) -> AFunc {
+    AFunc {
+        name: name.into(),
+        int_params: 1,
+        fp_params: 0,
+        frame_size: 16,
+        ret: ARet::Int,
+        blocks,
+    }
+}
+
+fn block(insts: Vec<AInst>, term: ATerm) -> ABlock {
+    ABlock {
+        insts,
+        term: Some(term),
+    }
+}
+
+#[test]
+fn a_cycle_of_empty_blocks_stops_at_the_step_limit() {
+    // `b .`: no step is ever taken, so only spotting the cycle can stop it.
+    let spin = AModule {
+        funcs: vec![func("spin", vec![block(vec![], ATerm::B(Blk(0)))])],
+        externs: vec![],
+        globals: vec![],
+    };
+    let (err, stats) = on_small_thread(move || {
+        let mut m = ArmMachine::new(&spin);
+        m.set_step_limit(100);
+        (m.run(0, &[], &[]), m.stats())
+    });
+    assert_eq!(err, Err(ArmError::StepLimit));
+    assert_eq!((stats.insts, stats.cycles), (0, 0));
+
+    // One step, then a `cbnz` loop of empty blocks that `x0` decides to
+    // enter or not; a `cbnz` retires without a step.
+    let looped = AModule {
+        funcs: vec![func(
+            "looped",
+            vec![
+                block(vec![add_imm(X(0), 0)], ATerm::B(Blk(1))),
+                block(
+                    vec![],
+                    ATerm::Cbnz {
+                        rn: X(0),
+                        then: Blk(2),
+                        els: Blk(3),
+                    },
+                ),
+                block(vec![], ATerm::B(Blk(1))),
+                block(vec![], ATerm::Ret),
+            ],
+        )],
+        externs: vec![],
+        globals: vec![],
+    };
+    let (spins, exits) = on_small_thread(move || {
+        let mut m = ArmMachine::new(&looped);
+        let spins = (m.run(0, &[1], &[]), m.stats());
+        let exits = ArmMachine::new(&looped).run(0, &[0], &[]);
+        (spins, exits)
+    });
+    assert_eq!(spins.0, Err(ArmError::StepLimit));
+    assert!(spins.1.insts > 1, "the cbnz retires on every trip");
+    let exits = exits.unwrap();
+    assert_eq!((exits.stats.insts, exits.stats.cycles), (2, 2));
+}
+
+/// `count(n)` calls itself `n` deep and returns `n`, counting the returns
+/// in `x1`.
+fn count_func() -> AFunc {
+    func(
+        "count",
+        vec![
+            block(
+                vec![],
+                ATerm::Cbnz {
+                    rn: X(0),
+                    then: Blk(1),
+                    els: Blk(2),
+                },
+            ),
+            block(
+                vec![
+                    add_imm(X(0), -1),
+                    AInst::Bl {
+                        callee: ACallee::Func(0),
+                    },
+                    add_imm(X(1), 1),
+                ],
+                ATerm::B(Blk(2)),
+            ),
+            block(vec![AInst::MovReg { rd: X(0), rm: X(1) }], ATerm::Ret),
+        ],
+    )
+}
+
+#[test]
+fn deep_guest_recursion_traps_instead_of_overflowing_the_host_stack() {
+    let m = AModule {
+        funcs: vec![count_func()],
+        externs: vec![],
+        globals: vec![],
+    };
+    let deepest = MAX_FRAMES as u64 - 1;
+    let (fits, too_deep) = on_small_thread(move || {
+        let fits = ArmMachine::new(&m).run(0, &[deepest], &[]).map(|r| r.ret);
+        let too_deep = ArmMachine::new(&m).run(0, &[100_000], &[]);
+        (fits, too_deep)
+    });
+    assert_eq!(fits, Ok(deepest));
+    assert_eq!(
+        too_deep,
+        Err(ArmError::Trap("guest stack overflow calling @count".into()))
+    );
+}
+
+#[test]
+fn deep_recursion_in_a_spawned_thread_traps() {
+    // `main` spawns `count(100000)` with `pthread_create(&tid, 0, count, n)`.
+    let main = func(
+        "main",
+        vec![block(
+            vec![
+                AInst::AdrGlobal {
+                    rd: X(0),
+                    global: 0,
+                },
+                AInst::MovImm { rd: X(1), imm: 0 },
+                AInst::AdrFunc { rd: X(2), func: 1 },
+                AInst::MovImm {
+                    rd: X(3),
+                    imm: 100_000,
+                },
+                AInst::Bl {
+                    callee: ACallee::Extern(0),
+                },
+            ],
+            ATerm::Ret,
+        )],
+    );
+    let m = AModule {
+        funcs: vec![main, count_func()],
+        externs: vec!["pthread_create".into()],
+        globals: vec![("tid".into(), 0x1000, 8, vec![0; 8])],
+    };
+    let got = on_small_thread(move || ArmMachine::new(&m).run(0, &[], &[]));
+    assert_eq!(
+        got,
+        Err(ArmError::Trap("guest stack overflow calling @count".into()))
+    );
 }
