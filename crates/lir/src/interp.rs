@@ -809,10 +809,22 @@ mod reference {
 
             let mut block = f.entry();
             let mut prev_block = f.entry();
+            // Empty blocks reached in a row with no step between them: more
+            // than the function has and it spins in a cycle of them.
+            let (mut idle_mark, mut idle_runs) = (self.steps_left, 0);
             loop {
                 // Phi reads must all happen against values from the
                 // predecessor, so evaluate them as a parallel copy.
                 let blk = f.block(block);
+                if blk.insts.is_empty() {
+                    if self.steps_left != idle_mark {
+                        (idle_mark, idle_runs) = (self.steps_left, 0);
+                    }
+                    idle_runs += 1;
+                    if idle_runs > f.blocks.len() {
+                        return Err(ExecError::StepLimit);
+                    }
+                }
                 let mut phi_writes = std::mem::take(&mut self.phi_writes);
                 for idx in &blk.insts {
                     let inst = f.inst(*idx);
@@ -2080,9 +2092,9 @@ mod equivalence {
                     g.vals.push((Operand::Inst(id), ty, Some(b)));
                     phis.push((b, id, ty));
                 }
-                // At least one instruction: a cycle of empty blocks would
-                // take no step, so no step limit could stop it.
-                for _ in 0..1 + g.w.below(8) {
+                // Empty blocks too: a cycle of them takes no step, and both
+                // machines must still stop it.
+                for _ in 0..g.w.below(9) {
                     g.inst(b);
                 }
                 if g.w.percent(1) {

@@ -966,3 +966,71 @@ fn deep_recursion_returns_or_traps() {
         Err(ExecError::Trap("guest stack overflow calling @rec".into()))
     );
 }
+
+#[test]
+fn a_cycle_of_empty_blocks_stops_at_the_step_limit() {
+    // `spin(x)`: one compare, then a cycle of empty blocks that `x != 0`
+    // enters and `x == 0` skips. Terminators take no step, so only spotting
+    // the cycle can stop it.
+    let mut f = Function::new("spin", vec![Ty::I64], Ty::I64);
+    let (e, head, back) = (f.entry(), f.add_block(), f.add_block());
+    let exit = f.add_block();
+    let nz = f.push(
+        e,
+        Ty::I1,
+        InstKind::ICmp {
+            pred: IPred::Ne,
+            lhs: Operand::Param(0),
+            rhs: Operand::i64(0),
+        },
+    );
+    f.set_term(e, Terminator::Br { dest: head });
+    let cond = Operand::Inst(nz);
+    f.set_term(
+        head,
+        Terminator::CondBr {
+            cond,
+            if_true: back,
+            if_false: exit,
+        },
+    );
+    f.set_term(back, Terminator::Br { dest: head });
+    f.set_term(
+        exit,
+        Terminator::Ret {
+            val: Some(Operand::i64(7)),
+        },
+    );
+    // `b .`: an entry block that branches to itself.
+    let mut selfloop = Function::new("selfloop", vec![], Ty::I64);
+    let e = selfloop.entry();
+    selfloop.set_term(e, Terminator::Br { dest: e });
+    let mut m = Module::new();
+    m.add_func(f);
+    m.add_func(selfloop);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let mut runs = Vec::new();
+        for (func, arg) in [(0, Some(1)), (0, Some(0)), (1, None)] {
+            let mut machine = Machine::new(&m);
+            machine.set_step_limit(100);
+            let args: Vec<Val> = arg.into_iter().map(Val::B64).collect();
+            let r = machine.run(FuncId(func), &args).map(|r| r.ret);
+            runs.push((r, machine.stats().insts));
+        }
+        tx.send(runs).unwrap();
+    });
+    let runs = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the machine stops");
+    thread.join().unwrap();
+    assert_eq!(
+        runs,
+        [
+            (Err(ExecError::StepLimit), 1),
+            (Ok(Some(Val::B64(7))), 1),
+            (Err(ExecError::StepLimit), 0),
+        ]
+    );
+}
