@@ -151,6 +151,10 @@ pub struct X86Machine<'b> {
     decoded_at: Vec<u32>,
     /// Decoded instructions and their encoded lengths.
     decoded: Vec<(Inst, u8)>,
+    /// Each extern stub's address and what a call to it runs: the
+    /// runtime's [`Extern`], or the name of one the runtime lacks. Sorted
+    /// by address, stubs sharing one in `Binary::externs` order.
+    externs: Vec<(u64, Result<Extern, &'b str>)>,
 }
 
 impl<'b> X86Machine<'b> {
@@ -162,6 +166,12 @@ impl<'b> X86Machine<'b> {
             bytes.resize(g.size as usize, 0);
             mem.write(g.addr, &bytes);
         }
+        let mut externs: Vec<_> = bin
+            .externs
+            .iter()
+            .map(|e| (e.addr, Extern::parse(&e.name).ok_or(e.name.as_str())))
+            .collect();
+        externs.sort_by_key(|e| e.0);
         X86Machine {
             bin,
             mem,
@@ -177,6 +187,7 @@ impl<'b> X86Machine<'b> {
             steps_left: 500_000_000,
             decoded_at: vec![0; bin.text.len()],
             decoded: Vec::new(),
+            externs,
         }
     }
 
@@ -599,9 +610,8 @@ impl<'b> X86Machine<'b> {
     /// the runtime and fall through to `next`; text addresses push the
     /// return address.
     fn do_call(&mut self, target: u64, next: u64) -> Result<u64, X86Error> {
-        let bin = self.bin;
-        if let Some(ext) = bin.extern_at(target) {
-            self.call_extern(&ext.name)?;
+        if let Some(ext) = self.extern_at(target) {
+            self.call_extern(ext)?;
             Ok(next)
         } else {
             self.push64(next);
@@ -728,10 +738,9 @@ impl<'b> X86Machine<'b> {
             }
             Inst::Jmp { target } => match target {
                 Target::Abs(t) => {
-                    let bin = self.bin;
-                    if let Some(ext) = bin.extern_at(*t) {
+                    if let Some(ext) = self.extern_at(*t) {
                         // Tail call through a PLT stub.
-                        self.call_extern(&ext.name)?;
+                        self.call_extern(ext)?;
                         return Ok(self.pop64());
                     }
                     return Ok(*t);
@@ -957,11 +966,16 @@ impl<'b> X86Machine<'b> {
 
     // ---- externs ---------------------------------------------------------
 
+    /// What a call to `addr` runs, if `addr` is an extern stub's.
+    fn extern_at(&self, addr: u64) -> Option<Result<Extern, &'b str>> {
+        let i = self.externs.partition_point(|e| e.0 < addr);
+        self.externs.get(i).filter(|e| e.0 == addr).map(|e| e.1)
+    }
+
     /// Dispatches a call to a PLT stub: integer arguments in RDI, RSI, …,
     /// floating-point ones in XMM0, …, the result in RAX.
-    fn call_extern(&mut self, name: &str) -> Result<(), X86Error> {
-        let ext = Extern::parse(name)
-            .ok_or_else(|| X86Error::BadCall(format!("unknown extern @{name}")))?;
+    fn call_extern(&mut self, ext: Result<Extern, &str>) -> Result<(), X86Error> {
+        let ext = ext.map_err(|name| X86Error::BadCall(format!("unknown extern @{name}")))?;
         let ints = Gpr::PARAMS.map(|r| self.gpr64(r));
         let ret = match ext {
             Extern::Sqrt => {
