@@ -251,7 +251,8 @@ fi
 # whose source text starts with a comment are exempt.
 EXTERNS='malloc|valloc|calloc|free|memset|memcpy|strlen|printf|puts|exit|abort|sqrt|sysconf|pthread_[a-z_]*'
 if grep -nE "\"($EXTERNS)\"" crates/x86/src/interp.rs \
-    crates/armgen/src/machine.rs crates/lir/src/interp.rs |
+    crates/armgen/src/machine.rs crates/armgen/src/machine/decode.rs \
+    crates/lir/src/interp.rs crates/lir/src/interp/flat.rs |
     grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
     echo 'extern names belong in lasagne_lir::interp::runtime; match on Extern instead' >&2
     exit 1
