@@ -18,6 +18,15 @@ LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --test memor
 # integer width, vectors, random step limits), error for error, runs here
 # with 2000 cases instead of its usual 256.
 LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-lir --lib interp::equivalence
+# The x86 interpreter decodes its text into runs charged as a whole and
+# runs pthread_create children on saved contexts; the per-step
+# interpreter it replaced stays as a test-only reference. Their agreement
+# on generated binaries (branches into the middle of instructions,
+# direct, indirect and tail calls, nested pthread_create, traps,
+# undecodable bytes, random step limits), in result, statistics,
+# registers and memory, runs here with 2000 cases instead of its usual
+# 1000.
+LASAGNE_QC_CASES=2000 cargo test --release --offline -p lasagne-x86 --lib interp::equivalence
 # The lifter builds registers and flags as SSA values with the LIR's
 # SsaBuilder instead of promoting slots, so every lifted function rests
 # on it. Its equivalence with slot promotion over random CFGs (loops,
@@ -250,7 +259,7 @@ fi
 # (which would be a second, drifting copy of the runtime). Only matches
 # whose source text starts with a comment are exempt.
 EXTERNS='malloc|valloc|calloc|free|memset|memcpy|strlen|printf|puts|exit|abort|sqrt|sysconf|pthread_[a-z_]*'
-if grep -nE "\"($EXTERNS)\"" crates/x86/src/interp.rs \
+if grep -nE "\"($EXTERNS)\"" crates/x86/src/interp.rs crates/x86/src/interp/*.rs \
     crates/armgen/src/machine.rs crates/armgen/src/machine/decode.rs \
     crates/lir/src/interp.rs crates/lir/src/interp/flat.rs |
     grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; then
